@@ -26,7 +26,8 @@ let tier_arg =
      toolchain; falls back to tier 1 with a warning when unavailable). \
      All tiers are bit-identical."
   in
-  Arg.(value & opt int 1 & info [ "tier" ] ~docv:"N" ~doc)
+  let tier = Arg.enum [ ("0", 0); ("1", 1); ("2", 2) ] in
+  Arg.(value & opt tier 1 & info [ "tier" ] ~docv:"N" ~doc)
 
 (* list *)
 let list_cmd =
@@ -215,7 +216,7 @@ let bisect_cmd =
         poke
     in
     let tier1 = Snapshot.Bisect.kernel_subject ?poke boot in
-    let tier0 = Snapshot.Bisect.kernel_subject ~interp:true boot in
+    let tier0 = Snapshot.Bisect.kernel_subject ~tier:0 boot in
     let verdict =
       Snapshot.Bisect.hunt ~granularity ~max_cycles:budget tier1 tier0
     in
@@ -315,12 +316,6 @@ let fault_cmd =
              ~doc:"Also draw crash, watchdog-reboot and clock-drift \
                    faults (default: corruption faults only).")
   in
-  let interp =
-    Arg.(value & flag
-         & info [ "interp" ]
-             ~doc:"Force the tier-0 reference interpreter (default: \
-                   tier-1 compiled blocks; results are identical).")
-  in
   let budget =
     Arg.(value & opt int 1_500_000
          & info [ "budget" ]
@@ -345,12 +340,12 @@ let fault_cmd =
          & info [ "o"; "output" ] ~docv:"FILE"
              ~doc:"Write the run's counter snapshot as JSON.")
   in
-  let exec names trials faults seed disruptive interp budget injects trace out =
+  let exec names trials faults seed disruptive tier budget injects trace out =
     let images = List.map lookup_image names in
     match injects with
     | [] ->
       let report =
-        Fault.Campaign.run ~interp ~trials ~faults ~max_cycles:budget
+        Fault.Campaign.run ~tier ~trials ~faults ~max_cycles:budget
           ~disruptive ~seed images
       in
       Fmt.pr "%a@." Fault.Campaign.pp_report report;
@@ -372,7 +367,7 @@ let fault_cmd =
       in
       let plan = Fault.Plan.make ~seed parsed in
       let k = Sensmart.boot images in
-      let stop = Fault.run_kernel ~interp ~max_cycles:budget ~plan k in
+      let stop = Fault.run_kernel ~tier ~max_cycles:budget ~plan k in
       Fmt.pr "plan: %a@." Fault.Plan.pp plan;
       print_run_summary k stop ~trace;
       Fmt.pr "injected: %d of %d@."
@@ -390,7 +385,7 @@ let fault_cmd =
              plans, many trials, containment verdicts) or a single run \
              under an explicit --inject plan")
     Term.(const exec $ progs_arg $ trials $ faults $ seed $ disruptive
-          $ interp $ budget $ injects $ trace $ out)
+          $ tier_arg $ budget $ injects $ trace $ out)
 
 (* attack: adversarial code-injection campaigns and raw-packet replay *)
 let attack_cmd =
@@ -404,13 +399,6 @@ let attack_cmd =
          & info [ "seed" ]
              ~doc:"Campaign seed.  The same seed (and arguments) \
                    reproduces the same matrix, bit for bit.")
-  in
-  let tier =
-    Arg.(value & opt int 1
-         & info [ "tier" ]
-             ~doc:"Execution tier: 0 reference interpreter, 1 compiled \
-                   blocks, 2 ahead-of-time compiled.  The matrix is \
-                   identical at every tier.")
   in
   let systems =
     Arg.(value & opt_all string []
@@ -492,7 +480,7 @@ let attack_cmd =
              packet attacks against every kernel, cross-kernel \
              containment matrix) or replay explicit raw --packet frames \
              against the SenSmart receiver")
-    Term.(const exec $ trials $ seed $ tier $ systems $ packets $ report
+    Term.(const exec $ trials $ seed $ tier_arg $ systems $ packets $ report
           $ out)
 
 (* fleet: run the sense-and-send fleet workload at scale *)

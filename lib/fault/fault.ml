@@ -356,7 +356,7 @@ let inject ?trace (k : Kernel.t) inj =
 
 (* --- kernel engine -------------------------------------------------------- *)
 
-let run_kernel ?(interp = false) ?(max_cycles = 2_000_000_000) ~plan
+let run_kernel ?tier ?(max_cycles = 2_000_000_000) ~plan
     (k : Kernel.t) : Machine.Cpu.stop =
   let injs =
     List.filter (fun i -> i.mote = k.mote) (Plan.sort plan.Plan.injections)
@@ -374,7 +374,7 @@ let run_kernel ?(interp = false) ?(max_cycles = 2_000_000_000) ~plan
     (* at <= clock counts as already applied: resume semantics *)
     let pending = List.filter (fun i -> i.at > k.m.cycles) injs in
     match pending with
-    | [] -> Kernel.run ~interp ~max_cycles k
+    | [] -> Kernel.run ?tier ~max_cycles k
     | { at; _ } :: _ ->
       if hung () then
         if at > max_cycles then Machine.Cpu.Halted (Option.get k.m.halted)
@@ -384,7 +384,7 @@ let run_kernel ?(interp = false) ?(max_cycles = 2_000_000_000) ~plan
         end
       else begin
         let target = min at max_cycles in
-        match Kernel.run ~interp ~max_cycles:target k with
+        match Kernel.run ?tier ~max_cycles:target k with
         | Machine.Cpu.Out_of_fuel -> apply_due pending
         | Machine.Cpu.Halted _ when hung () ->
           (* uncontainable mid-segment fault: re-enter the hung path so
@@ -466,7 +466,7 @@ module Campaign = struct
     let z = (z lxor (z lsr 16)) * 0x45D9F3B land max_int in
     (z lxor (z lsr 13)) land 0x3FFFFFFF
 
-  let run ?(interp = false) ?config ?(trials = 8) ?(faults = 6)
+  let run ?tier ?config ?(trials = 8) ?(faults = 6)
       ?(max_cycles = 1_500_000) ?(disruptive = false) ?on_trial ~seed images =
     let trace = Trace.create () in
     let window = (max_cycles / 10, max_cycles * 9 / 10) in
@@ -475,7 +475,7 @@ module Campaign = struct
       let plan =
         Plan.random ~seed:(mix seed index) ~n:faults ~window ~disruptive ()
       in
-      let stop = run_kernel ~interp ~max_cycles ~plan k in
+      let stop = run_kernel ?tier ~max_cycles ~plan k in
       let injected = Trace.counter k.trace "fault.injected" in
       List.iter
         (fun (name, v) ->

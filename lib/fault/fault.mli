@@ -127,9 +127,10 @@ val inject : ?trace:Trace.t -> Kernel.t -> injection -> unit
     injection, which is how a [Crash] at [c] and a [Reboot] at [c' > c]
     compose.  [Halted Break_hit] (every task exited) ends the run for
     good.  Returns the final stop: [Break_hit], [Out_of_fuel] at the
-    cycle budget, or the halt the plan left behind. *)
+    cycle budget, or the halt the plan left behind.  [?tier] as in
+    {!Kernel.run}. *)
 val run_kernel :
-  ?interp:bool ->
+  ?tier:int ->
   ?max_cycles:int ->
   plan:Plan.t ->
   Kernel.t ->
@@ -176,15 +177,16 @@ module Campaign : sig
   (** Run [trials] independent trials of the images under [config].
       Trial [i] boots a fresh kernel and runs it under a plan of
       [faults] injections drawn from a seed mixed from [seed] and [i],
-      over the window [(max_cycles/10, 9*max_cycles/10)].  Fully
-      deterministic: same arguments, same report.
+      over the window [(max_cycles/10, 9*max_cycles/10)], at execution
+      tier [?tier] (as in {!Kernel.run}).  Fully deterministic: same
+      arguments, same report, at every tier.
 
       [on_trial] is called with each finished trial, in index order —
       the campaign service streams per-trial progress through it and
       polls its job deadline there; an exception it raises aborts the
       campaign (the partial report is discarded by the raiser). *)
   val run :
-    ?interp:bool ->
+    ?tier:int ->
     ?config:Kernel.config ->
     ?trials:int ->
     ?faults:int ->

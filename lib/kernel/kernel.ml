@@ -557,8 +557,9 @@ let watchdog_reboot k =
 (* --- run ------------------------------------------------------------------ *)
 
 (** Run the multitasking workload until every task exits (or faults) or
-    the cycle budget runs out.  [~interp:true] forces the tier-0
-    reference interpreter (differential testing and bisection).
+    the cycle budget runs out.  [?tier] stores a new tier ceiling on
+    the machine first ([~tier:0]: the reference interpreter, for
+    differential testing and bisection).
 
     Machine-level faults are *contained*: when execution halts with an
     invalid opcode or a machine fault while a live task is current (a
@@ -568,11 +569,11 @@ let watchdog_reboot k =
     under the adversarial conditions lib/fault creates.  Only when no
     live task can be blamed (e.g. an injected node crash) does the halt
     end the run. *)
-let run ?(interp = false) ?tier ?(max_cycles = 2_000_000_000) k :
+let run ?tier ?(max_cycles = 2_000_000_000) k :
     Machine.Cpu.stop =
   (match tier with Some t -> k.m.tier <- t | None -> ());
   let rec loop () =
-    match Machine.Cpu.run ~interp ~max_cycles k.m with
+    match Machine.Cpu.run ~max_cycles k.m with
     | Halted h ->
       (match h with
        | Machine.Cpu.Break_hit -> Machine.Cpu.Halted h

@@ -112,12 +112,11 @@ val boot :
   t
 
 (** Run until every task exits (machine halts with [Break_hit]) or the
-    cycle budget runs out.  [~interp:true] forces the tier-0 reference
-    interpreter, as in {!Machine.Cpu.run} (differential testing and
-    divergence bisection), and [?tier] stores a new tier ceiling on the
-    machine first ([2] = ahead-of-time compiled execution, with
-    graceful per-PC fallback); behaviour is bit-identical across
-    tiers.
+    cycle budget runs out.  [?tier] stores a new tier ceiling on the
+    machine first, as in {!Machine.Cpu.run}: [0] = the tier-0
+    reference interpreter (differential testing and divergence
+    bisection), [2] = ahead-of-time compiled execution with graceful
+    per-PC fallback; behaviour is bit-identical across tiers.
 
     Machine-level faults (invalid opcode, bounds-check kill) are
     contained: when a live task is current the kernel logs a
@@ -125,7 +124,7 @@ val boot :
     its siblings — the Table I isolation property, checked adversarially
     by [lib/fault] campaigns.  The halt ends the run only when no live
     task can be blamed (e.g. after {!crash}). *)
-val run : ?interp:bool -> ?tier:int -> ?max_cycles:int -> t -> Machine.Cpu.stop
+val run : ?tier:int -> ?max_cycles:int -> t -> Machine.Cpu.stop
 
 (** Kill the whole mote: logs a [Cpu_fault] event, clears the current
     task, and halts the machine with [Fault reason], so any subsequent

@@ -89,46 +89,8 @@ let digest_of (m : t) : string =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Block discovery: the same superblock shape as {!Block.compile}
-   (max_body cap, ends_block terminators, conditional branches as
-   in-body side exits), found statically from the flash image alone. *)
-
-type tblock = {
-  body : (Isa.t * int) array;  (* (insn, own word address) *)
-  term : Isa.t option;  (* block-ending insn, at [term_pc]; None = cap *)
-  term_pc : int;
-  worst : int;  (* upper bound on cycles one execution consumes *)
-  retired : int;  (* instructions retired by a full (non-side-exit) run *)
-}
-
-let collect_block fetch entry : tblock option =
-  let rec go pc acc n worst insns =
-    if n >= Block.max_body then fin pc acc None worst insns
-    else
-      match Decode.at fetch pc with
-      | exception Decode.Unknown_opcode _ ->
-        if pc = entry then None else fin pc acc None worst insns
-      | insn, size ->
-        if Isa.ends_block insn then
-          fin pc acc (Some insn) (worst + Cycles.base insn) (insns + 1)
-        else
-          let extra =
-            if Isa.is_cond_branch insn then Cycles.branch_taken_extra else 0
-          in
-          go (pc + size)
-            ((insn, pc) :: acc)
-            (n + 1)
-            (worst + Cycles.base insn + extra)
-            (insns + 1)
-  and fin pc acc term worst insns =
-    Some
-      { body = Array.of_list (List.rev acc);
-        term;
-        term_pc = pc;
-        worst;
-        retired = insns }
-  in
-  go entry [] 0 0 0
+(* Block discovery: the superblocks of {!Block.form}, the former tier-1
+   compiles from, found statically from the flash image alone. *)
 
 (* Runaway backstop, far above any realistic image: discovery stops
    adding blocks past this count; uncovered entries simply miss to
@@ -142,7 +104,7 @@ let max_blocks = 4096
    pure function of the image, which keeps the digest → artifact map
    exact), plus block fall-throughs and call return sites found while
    collecting. *)
-let discover fetch hi : (int, tblock) Hashtbl.t =
+let discover fetch hi : (int, Block.superblock) Hashtbl.t =
   let blocks = Hashtbl.create 64 in
   let seen = Hashtbl.create 64 in
   let pending = Queue.create () in
@@ -166,7 +128,7 @@ let discover fetch hi : (int, tblock) Hashtbl.t =
   done;
   while (not (Queue.is_empty pending)) && Hashtbl.length blocks < max_blocks do
     let pc = Queue.pop pending in
-    match collect_block fetch pc with
+    match Block.form fetch pc with
     | None -> ()
     | Some b ->
       Hashtbl.replace blocks pc b;
@@ -807,7 +769,7 @@ let inline_budget = 192
 let rec goto st blocks tgt ~extra ~bump ~budget =
   let tgt = tgt land 0xFFFF in
   match (if !budget > 0 then Hashtbl.find_opt blocks tgt else None) with
-  | Some tb when tb.retired <= !budget ->
+  | Some tb when tb.Block.retired <= !budget ->
     budget := !budget - tb.retired;
     let saved = save_st st in
     st.cyc <- st.cyc + extra;
@@ -832,7 +794,7 @@ let rec goto st blocks tgt ~extra ~bump ~budget =
 
 (* Emit the body and terminator of [b] continuing from the current
    emitter state; closes every side-exit arm it opens. *)
-and emit_seq st blocks (b : tblock) ~budget =
+and emit_seq st blocks (b : Block.superblock) ~budget =
   let ends0 = st.ends in
   Array.iter
     (fun (insn, pc) ->
@@ -860,7 +822,7 @@ and emit_seq st blocks (b : tblock) ~budget =
   done
 
 (* Emit the terminator (or the cap/undecodable fall-through). *)
-and emit_term st blocks (b : tblock) ~budget =
+and emit_term st blocks (b : Block.superblock) ~budget =
   let push16 v =
     emit_write8 st "c.sp" (string_of_int (v land 0xFF));
     stmt st "c.sp <- (c.sp - 1) land 0xFFFF;";
@@ -923,7 +885,7 @@ and emit_term st blocks (b : tblock) ~budget =
        stmt st "c.stop <- 4"
      | _ -> invalid_arg "Aot.emit_term: not a block terminator")
 
-let emit_block st blocks entry (b : tblock) ~first =
+let emit_block st blocks entry (b : Block.superblock) ~first =
   Array.fill st.env 0 32 None;
   Array.fill st.dirty 0 32 false;
   st.sgb <- None;

@@ -10,8 +10,8 @@
     retire a whole straight-line run with one horizon check and no
     per-instruction dispatch.  Both tiers produce bit-identical
     architectural state, cycle counts and stop points; installing a
-    [trace] hook (or passing [~interp:true]) forces tier-0, which is
-    the only tier that fires the hook. *)
+    [trace] hook (or passing [~tier:0]) forces tier-0, which is the
+    only tier that fires the hook. *)
 
 (** Why execution ended for good. *)
 type halt = State.halt =
@@ -157,16 +157,16 @@ val set_zreg : t -> int -> unit
 val step : t -> unit
 
 (** Run until halt, SLEEP, the preemption horizon, or [max_cycles].
-    [~interp:true] forces the tier-0 reference interpreter; the default
-    follows [m.tier] (tier-1 compiled blocks unless a [trace] hook is
-    set), with identical observable behaviour at every tier.  [?tier]
-    stores a new tier ceiling on the machine before running: [2] adds
-    ahead-of-time compiled execution (see {!Aot}), [0] forces stepping.
-    Tier-2 falls back to tier-1 — and tier-1 to tier-0 — wherever the
-    higher engine cannot serve the current PC, so requesting a tier the
-    host toolchain cannot deliver degrades gracefully rather than
-    failing. *)
-val run : ?interp:bool -> ?tier:int -> ?max_cycles:int -> t -> stop
+    Execution follows [m.tier] (tier-1 compiled blocks by default;
+    tier-0 whenever a [trace] hook is set), with identical observable
+    behaviour at every tier.  [?tier] stores a new tier ceiling on the
+    machine before running: [0] forces the tier-0 reference
+    interpreter, [2] adds ahead-of-time compiled execution (see
+    {!Aot}).  Tier-2 falls back to tier-1 — and tier-1 to tier-0 —
+    wherever the higher engine cannot serve the current PC, so
+    requesting a tier the host toolchain cannot deliver degrades
+    gracefully rather than failing. *)
+val run : ?tier:int -> ?max_cycles:int -> t -> stop
 
 (** [fast_forward m target] advances the clock to the {e absolute}
     cycle [target] (no-op when already past it) without executing,
@@ -178,5 +178,5 @@ val next_wake : t -> int
 
 (** Run a standalone program to completion, fast-forwarding through
     SLEEP — bare-metal semantics with no OS.  [None] when the cycle
-    budget ran out.  [~interp] and [?tier] as in {!run}. *)
-val run_native : ?interp:bool -> ?tier:int -> ?max_cycles:int -> t -> halt option
+    budget ran out.  [?tier] as in {!run}. *)
+val run_native : ?tier:int -> ?max_cycles:int -> t -> halt option

@@ -33,27 +33,12 @@ let pp ppf d =
     (severity_name d.severity) addr d.addr d.kind d.message
 
 (* The JSON emitter matches lib/trace's hand-rolled flat style. *)
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json d =
   Printf.sprintf
     {|{"stage":"%s","severity":"%s","addr":%s,"kind":"%s","message":"%s"}|}
     (stage_name d.stage) (severity_name d.severity)
     (match d.addr with Some a -> string_of_int a | None -> "null")
-    (escape d.kind) (escape d.message)
+    (Trace.escape_string d.kind) (Trace.escape_string d.message)
 
 let errors ds =
   List.length (List.filter (fun d -> d.severity = Error) ds)

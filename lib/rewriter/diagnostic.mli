@@ -54,6 +54,3 @@ val to_json : t -> string
 
 (** Number of diagnostics at [Error] severity. *)
 val errors : t list -> int
-
-(** JSON string escaping shared by the report emitters. *)
-val escape : string -> string

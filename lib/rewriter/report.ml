@@ -62,7 +62,7 @@ let to_json t =
   let int name v = field name (string_of_int v) in
   Buffer.add_char b '{';
   field "schema" "\"sensmart.rewrite.report/1\"";
-  field "program" (Printf.sprintf "\"%s\"" (Diagnostic.escape t.program));
+  field "program" (Printf.sprintf "\"%s\"" (Trace.escape_string t.program));
   int "base" t.base;
   int "entry" t.entry;
   int "native_bytes" t.native_bytes;

@@ -108,7 +108,7 @@ let run_bisect ctx ~programs ~warm ~budget ~granularity ~poke =
     Option.map (fun at -> { Snapshot.Bisect.poke_at = at; poke_value = 0xA5 }) poke
   in
   let tier1 = Snapshot.Bisect.kernel_subject ?poke boot in
-  let tier0 = Snapshot.Bisect.kernel_subject ~interp:true boot in
+  let tier0 = Snapshot.Bisect.kernel_subject ~tier:0 boot in
   let verdict = Snapshot.Bisect.hunt ~granularity ~max_cycles:budget tier1 tier0 in
   check ctx;
   match verdict with

@@ -43,7 +43,7 @@ let canonical_line (r : result) =
       "{\"id\":%d,\"job\":\"%s\",\"status\":\"failed\",\"attempts\":%d,\"timeout\":%d,\"error\":\"%s\"}"
       r.id r.job r.attempts
       (if r.timed_out then 1 else 0)
-      (Spec.json_escape r.error)
+      (Trace.escape_string r.error)
 
 (** The full stream record: canonical fields plus scheduling metadata
     (and the backtrace of a failed job). *)
@@ -54,7 +54,7 @@ let stream_line (r : result) =
     (if r.stolen then 1 else 0)
     r.wall_us
     (if r.status = Failed && r.backtrace <> "" then
-       Printf.sprintf ",\"backtrace\":\"%s\"" (Spec.json_escape r.backtrace)
+       Printf.sprintf ",\"backtrace\":\"%s\"" (Trace.escape_string r.backtrace)
      else "")
 
 type config = {

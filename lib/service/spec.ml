@@ -104,28 +104,15 @@ let in_range what v lo hi =
 
 (* --- JSON line <-> spec -------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Kept as a name for external callers; the escaper is lib/trace's. *)
+let json_escape = Trace.escape_string
 
 let to_json (t : t) =
   let b = Buffer.create 96 in
   Buffer.add_string b (Printf.sprintf "{\"id\":%d,\"job\":\"%s\"" t.id (kind_name t.kind));
   let int k v = Buffer.add_string b (Printf.sprintf ",\"%s\":%d" k v) in
   let str k v =
-    Buffer.add_string b (Printf.sprintf ",\"%s\":\"%s\"" k (json_escape v))
+    Buffer.add_string b (Printf.sprintf ",\"%s\":\"%s\"" k (Trace.escape_string v))
   in
   (match t.kind with
    | Campaign { programs; trials; faults; budget; seed; disruptive } ->

@@ -1155,17 +1155,17 @@ module Bisect = struct
   let apply_poke p (m : Machine.Cpu.t) =
     Bytes.set m.sram poke_address (Char.chr (p.poke_value land 0xFF))
 
-  let kernel_subject ?(interp = false) ?poke boot : Kernel.t subject =
+  let kernel_subject ?tier ?poke boot : Kernel.t subject =
     { boot;
       advance =
         (fun k target ->
           (match poke with
            | Some p when k.m.cycles <= p.poke_at && p.poke_at <= target ->
              if k.m.cycles < p.poke_at then
-               ignore (Kernel.run ~interp ~max_cycles:p.poke_at k);
+               ignore (Kernel.run ?tier ~max_cycles:p.poke_at k);
              if k.m.cycles >= p.poke_at then apply_poke p k.m
            | Some _ | None -> ());
-          ignore (Kernel.run ~interp ~max_cycles:target k));
+          ignore (Kernel.run ?tier ~max_cycles:target k));
       capture = (fun k -> of_kernel k);
       restore = (fun s k -> restore_kernel s k) }
 

@@ -166,10 +166,11 @@ module Bisect : sig
 
   val poke_address : int
 
-  (** [kernel_subject boot] wraps a kernel boot thunk; [~interp:true]
-      forces the tier-0 reference interpreter. *)
+  (** [kernel_subject boot] wraps a kernel boot thunk; [?tier] is passed
+      to every {!Kernel.run} ([~tier:0]: the tier-0 reference
+      interpreter). *)
   val kernel_subject :
-    ?interp:bool -> ?poke:poke -> (unit -> Kernel.t) -> Kernel.t subject
+    ?tier:int -> ?poke:poke -> (unit -> Kernel.t) -> Kernel.t subject
 
   (** [net_subject boot] wraps a network; a poke lands on mote 0 at the
       first quantum boundary at or after [poke_at]. *)

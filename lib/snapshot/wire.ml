@@ -92,9 +92,17 @@ module R = struct
 
   let bool r = match u8 r with 0 -> false | 1 -> true | v -> corrupt "bad bool %d" v
 
-  let string r =
+  (* A length prefix for [what], whose elements each take at least
+     [width] bytes of input: a length the remaining input cannot hold
+     is corrupt, so no reader ever allocates by an unchecked length. *)
+  let length r ~width what =
     let n = int r in
-    if n < 0 || n > r.limit - r.pos then corrupt "bad string length %d at %d" n r.pos;
+    if n < 0 || n > (r.limit - r.pos) / width then
+      corrupt "bad %s length %d at %d" what n r.pos;
+    n
+
+  let string r =
+    let n = length r ~width:1 "string" in
     let s = String.sub r.s r.pos n in
     r.pos <- r.pos + n;
     s
@@ -107,13 +115,11 @@ module R = struct
     | v -> corrupt "bad option tag %d" v
 
   let list r f =
-    let n = int r in
-    if n < 0 then corrupt "negative list length %d" n;
+    let n = length r ~width:1 "list" in
     List.init n (fun _ -> f r)
 
   let u16_array r =
-    let n = int r in
-    if n < 0 || n * 2 > r.limit - r.pos then corrupt "bad u16 array length %d" n;
+    let n = length r ~width:2 "u16 array" in
     let a = Array.init n (fun i ->
         let base = r.pos + (2 * i) in
         Char.code r.s.[base] lor (Char.code r.s.[base + 1] lsl 8))
@@ -122,8 +128,7 @@ module R = struct
     a
 
   let int_array r =
-    let n = int r in
-    if n < 0 then corrupt "negative int array length %d" n;
+    let n = length r ~width:1 "int array" in
     Array.init n (fun _ -> int r)
 end
 

@@ -73,8 +73,8 @@ let start (t : Rewrite.t) : t =
         else m.halted <- Some (Fault (Printf.sprintf "tk: unknown syscall %d" k)));
   { rw = t; machine = m; traps; translations }
 
-let continue_ ?interp ?max_cycles (s : t) : Machine.Cpu.halt option =
-  Machine.Cpu.run_native ?interp ?max_cycles s.machine
+let continue_ ?max_cycles (s : t) : Machine.Cpu.halt option =
+  Machine.Cpu.run_native ?max_cycles s.machine
 
 let report_of (s : t) ~(halt : Machine.Cpu.halt option) : report =
   let m = s.machine in

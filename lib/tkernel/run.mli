@@ -30,7 +30,7 @@ type t = {
 }
 
 val start : Rewrite.t -> t
-val continue_ : ?interp:bool -> ?max_cycles:int -> t -> Machine.Cpu.halt option
+val continue_ : ?max_cycles:int -> t -> Machine.Cpu.halt option
 
 (** Assemble the final report after the last [continue_] segment. *)
 val report_of : t -> halt:Machine.Cpu.halt option -> report

@@ -117,6 +117,11 @@ val counters : t -> (string * int) list
 
 (** {2 Export} *)
 
+(** The body of a JSON string literal holding [s] (quotes, backslashes
+    and control characters escaped); the one escaper every JSON emitter
+    in the tree uses. *)
+val escape_string : string -> string
+
 (** One event as a single-line JSON object. *)
 val json_of_event : event -> string
 

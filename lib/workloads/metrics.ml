@@ -18,18 +18,18 @@ let assemble = Asm.Assembler.assemble
    simulated schema. *)
 let host_throughput trace =
   let img = assemble (Programs.Lfsr_bench.program ~iters:60_000 ()) in
-  let best_rate ~interp =
+  let best_rate ~tier =
     let best = ref 0.0 in
     for _ = 1 to 3 do
       let t0 = Unix.gettimeofday () in
-      let r = Native.run ~interp img in
+      let r = Native.run ~tier img in
       let dt = Unix.gettimeofday () -. t0 in
       if dt > 0.0 then best := Float.max !best (float_of_int r.insns /. dt)
     done;
     int_of_float !best
   in
-  let tier1 = best_rate ~interp:false in
-  let tier0 = best_rate ~interp:true in
+  let tier1 = best_rate ~tier:1 in
+  let tier0 = best_rate ~tier:0 in
   Trace.set_counter trace "host.tier1_insns_per_sec" tier1;
   Trace.set_counter trace "host.tier0_insns_per_sec" tier0;
   if tier0 > 0 then
@@ -89,21 +89,21 @@ let host_throughput trace =
      measurable; boot cost is common to both tiers, which can only pull
      the ratio toward 100, never fake a pass. *)
   let short = assemble (Programs.Lfsr_bench.program ()) in
-  let short_rate ~interp =
+  let short_rate ~tier =
     let best = ref 0.0 in
     for _ = 1 to 5 do
       let t0 = Unix.gettimeofday () in
       let insns = ref 0 in
       for _ = 1 to 10 do
-        insns := !insns + (Native.run ~interp short).insns
+        insns := !insns + (Native.run ~tier short).insns
       done;
       let dt = Unix.gettimeofday () -. t0 in
       if dt > 0.0 then best := Float.max !best (float_of_int !insns /. dt)
     done;
     int_of_float !best
   in
-  let short1 = short_rate ~interp:false in
-  let short0 = short_rate ~interp:true in
+  let short1 = short_rate ~tier:1 in
+  let short0 = short_rate ~tier:0 in
   if short0 > 0 then
     Trace.set_counter trace "host.tier1_short_speedup_x100"
       (short1 * 100 / short0)

@@ -10,17 +10,16 @@ type report = {
 }
 
 (** Load [img] at flash 0, initialize its data section, and run it to
-    completion (or [max_cycles]).  [~interp:true] forces the tier-0
-    interpreter (differential testing); the default uses the tier-1
-    block engine, and [~tier:2] requests ahead-of-time compiled
-    execution (falling back tier by tier wherever unavailable). *)
-let run ?(interp = false) ?tier ?(max_cycles = 2_000_000_000) (img : Asm.Image.t)
-    : report =
+    completion (or [max_cycles]).  The default uses the tier-1 block
+    engine; [~tier:0] forces the tier-0 interpreter (differential
+    testing), and [~tier:2] requests ahead-of-time compiled execution
+    (falling back tier by tier wherever unavailable). *)
+let run ?tier ?(max_cycles = 2_000_000_000) (img : Asm.Image.t) : report =
   let m = Machine.Cpu.create () in
   Machine.Cpu.load m img.words;
   List.iter (fun (a, b) -> Machine.Cpu.write8 m a b) img.data_init;
   m.pc <- img.entry;
-  let halt = Machine.Cpu.run_native ~interp ?tier ~max_cycles m in
+  let halt = Machine.Cpu.run_native ?tier ~max_cycles m in
   { halt; cycles = m.cycles; active_cycles = Machine.Cpu.active_cycles m;
     insns = m.insns; machine = m }
 

@@ -46,6 +46,13 @@ dune exec bin/sensmart_cli.exe -- rewrite --report > /dev/null
 # failed, so the exit code is the gate).
 dune exec bin/sensmart_cli.exe -- serve --loadtest 32 --workers 4 --stall-us 0 > /dev/null
 
+# The shared --tier flag is validated: a tier outside 0-2 is a usage
+# error, never a silent clamp to the nearest tier.
+if dune exec bin/sensmart_cli.exe -- native lfsr --tier 3 > /dev/null 2>&1; then
+    echo "check.sh: native --tier 3 was accepted" >&2
+    exit 1
+fi
+
 # Metrics smoke run under the release profile (the dev profile does not
 # inline, so host throughput numbers are only meaningful in release),
 # then gate host.*_per_sec counters against the committed baseline

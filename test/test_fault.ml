@@ -63,14 +63,14 @@ let fixed_plan () =
       { Fault.at = 88_000; mote = 0; kind = Fault.Adc_stuck { value = 0x2A7 } };
       { Fault.at = 99_000; mote = 0; kind = Fault.Clock_drift { cycles = 4_321 } } ]
 
-let run_fixed_plan ~interp =
+let run_fixed_plan ~tier =
   let k = Kernel.boot (kernel_images ()) in
-  let stop = Fault.run_kernel ~interp ~max_cycles:400_000 ~plan:(fixed_plan ()) k in
+  let stop = Fault.run_kernel ~tier ~max_cycles:400_000 ~plan:(fixed_plan ()) k in
   (k, stop)
 
 let tiers_identical_under_fixed_plan () =
-  let k1, s1 = run_fixed_plan ~interp:false in
-  let k0, s0 = run_fixed_plan ~interp:true in
+  let k1, s1 = run_fixed_plan ~tier:1 in
+  let k0, s0 = run_fixed_plan ~tier:0 in
   Alcotest.(check string)
     "same stop"
     (Fmt.str "%a" Machine.Cpu.pp_stop s1)
@@ -91,7 +91,7 @@ let prop_random_plans_tier_identical =
       let k1 = Kernel.boot (kernel_images ()) in
       ignore (Fault.run_kernel ~max_cycles:300_000 ~plan k1);
       let k0 = Kernel.boot (kernel_images ()) in
-      ignore (Fault.run_kernel ~interp:true ~max_cycles:300_000 ~plan k0);
+      ignore (Fault.run_kernel ~tier:0 ~max_cycles:300_000 ~plan k0);
       Snapshot.diff (Snapshot.of_kernel k1) (Snapshot.of_kernel k0) = [])
 
 let random_plan_is_reproducible () =
@@ -325,8 +325,8 @@ let crash_without_reboot_stays_down () =
 
 let campaign_args = [ image "lfsr"; image "timer" ]
 
-let run_campaign ~interp =
-  Fault.Campaign.run ~interp ~trials:4 ~faults:5 ~max_cycles:400_000 ~seed:42
+let run_campaign ~tier =
+  Fault.Campaign.run ~tier ~trials:4 ~faults:5 ~max_cycles:400_000 ~seed:42
     campaign_args
 
 let trial_fingerprint (t : Fault.Campaign.trial) =
@@ -334,8 +334,8 @@ let trial_fingerprint (t : Fault.Campaign.trial) =
     t.index t.injected t.stop t.cycles t.clean_exits t.faulted t.contained
 
 let campaign_deterministic_across_tiers () =
-  let r1 = run_campaign ~interp:false in
-  let r0 = run_campaign ~interp:true in
+  let r1 = run_campaign ~tier:1 in
+  let r0 = run_campaign ~tier:0 in
   Alcotest.(check (list string))
     "trial-by-trial identical across tiers"
     (List.map trial_fingerprint r1.Fault.Campaign.trials)

@@ -61,31 +61,31 @@ let machine_round_trip () =
 let machine_round_trip_interp () =
   let img = image "crc" in
   let m1 = boot_machine img in
-  ignore (Machine.Cpu.run ~interp:true ~max_cycles:7_000 m1);
+  ignore (Machine.Cpu.run ~tier:0 ~max_cycles:7_000 m1);
   let snap = decode (Snapshot.of_machine m1) in
-  ignore (Machine.Cpu.run ~interp:true ~max_cycles:40_000 m1);
+  ignore (Machine.Cpu.run ~tier:0 ~max_cycles:40_000 m1);
   let m2 = boot_machine img in
   Snapshot.restore_machine snap m2;
-  ignore (Machine.Cpu.run ~interp:true ~max_cycles:40_000 m2);
+  ignore (Machine.Cpu.run ~tier:0 ~max_cycles:40_000 m2);
   check_identical "tier-0 machine round-trip" (Snapshot.of_machine m1)
     (Snapshot.of_machine m2)
 
 (* --- kernel ----------------------------------------------------------------- *)
 
-(* Capture under [capture_interp] at [at], resume under [resume_interp]
-   to [horizon]; the reference runs uninterrupted under [resume_interp].
+(* Capture at tier [capture_tier] at [at], resume at [resume_tier] to
+   [horizon]; the reference runs uninterrupted at [resume_tier].
    Mixing tiers is legal because they are bit-identical. *)
-let kernel_round_trip ~capture_interp ~resume_interp ~at ~horizon () =
+let kernel_round_trip ~capture_tier ~resume_tier ~at ~horizon () =
   let k1 = Kernel.boot (kernel_images ()) in
-  ignore (Kernel.run ~interp:capture_interp ~max_cycles:at k1);
+  ignore (Kernel.run ~tier:capture_tier ~max_cycles:at k1);
   let snap = decode (Snapshot.of_kernel k1) in
   let kr = Kernel.boot (kernel_images ()) in
-  ignore (Kernel.run ~interp:resume_interp ~max_cycles:at kr);
-  ignore (Kernel.run ~interp:resume_interp ~max_cycles:horizon kr);
+  ignore (Kernel.run ~tier:resume_tier ~max_cycles:at kr);
+  ignore (Kernel.run ~tier:resume_tier ~max_cycles:horizon kr);
   let reference = Snapshot.of_kernel kr in
   let k2 = Kernel.boot (kernel_images ()) in
   Snapshot.restore_kernel snap k2;
-  ignore (Kernel.run ~interp:resume_interp ~max_cycles:horizon k2);
+  ignore (Kernel.run ~tier:resume_tier ~max_cycles:horizon k2);
   Kernel.check_invariants k2;
   check_identical "kernel round-trip" reference (Snapshot.of_kernel k2)
 
@@ -316,12 +316,63 @@ let incompatible_hosts_rejected () =
       let other = Net.create ~quantum:4_000 [ [ image "lfsr" ] ] in
       Snapshot.restore_net nsnap other)
 
+(* --- hostile input ---------------------------------------------------------- *)
+
+(* Signed LEB128, as the snapshot writer emits integers. *)
+let leb128 n =
+  let b = Buffer.create 10 in
+  let rec go v =
+    let byte = v land 0x7F and rest = v asr 7 in
+    if (rest = 0 && byte land 0x40 = 0) || (rest = -1 && byte land 0x40 <> 0)
+    then Buffer.add_char b (Char.chr byte)
+    else begin
+      Buffer.add_char b (Char.chr (byte lor 0x80));
+      go rest
+    end
+  in
+  go n;
+  Buffer.contents b
+
+(* A well-framed SENSNAP machine snapshot whose "machine" section holds
+   [payload]. *)
+let crafted payload =
+  let str s = leb128 (String.length s) ^ s in
+  let section name body = str name ^ str body in
+  "SENSNAP0" ^ leb128 2
+  ^ section "meta" (leb128 0 ^ leb128 0 ^ "\000")
+  ^ section "machine" payload
+
+(* The decoder must return its own [Error] — no stray exception — and
+   allocate nothing sized by the hostile length field. *)
+let hostile_length_rejected payload () =
+  let data = crafted payload in
+  let before = Gc.allocated_bytes () in
+  let result =
+    try Snapshot.of_string data
+    with e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  (match result with
+   | Ok _ -> Alcotest.fail "accepted a hostile length"
+   | Error _ -> ());
+  if allocated > 1e6 then
+    Alcotest.failf "allocated %.0f bytes decoding %d" allocated
+      (String.length data)
+
+(* Flash length whose byte count [n * 2] overflows. *)
+let u16_length_overflow = leb128 ((max_int / 2) + 1)
+
+(* Empty flash and SRAM, then 4 M registers with one present: the
+   register array must not be allocated before the truncation shows. *)
+let int_array_length_beyond_input =
+  leb128 0 ^ leb128 0 ^ leb128 4_000_000 ^ leb128 0
+
 (* --- bisection -------------------------------------------------------------- *)
 
 let bisect_clean_tiers () =
   let boot () = Kernel.boot (kernel_images ()) in
   let tier1 = Snapshot.Bisect.kernel_subject boot in
-  let tier0 = Snapshot.Bisect.kernel_subject ~interp:true boot in
+  let tier0 = Snapshot.Bisect.kernel_subject ~tier:0 boot in
   match Snapshot.Bisect.hunt ~max_cycles:120_000 tier1 tier0 with
   | Snapshot.Bisect.Identical { ran_to; _ } ->
     Alcotest.(check int) "searched the whole horizon" 120_000 ran_to
@@ -336,7 +387,7 @@ let bisect_finds_injected_divergence () =
       ~poke:{ Snapshot.Bisect.poke_at; poke_value = 0x5A }
       boot
   in
-  let clean = Snapshot.Bisect.kernel_subject ~interp:true boot in
+  let clean = Snapshot.Bisect.kernel_subject ~tier:0 boot in
   match Snapshot.Bisect.hunt ~granularity ~max_cycles:140_000 poked clean with
   | Snapshot.Bisect.Identical _ ->
     Alcotest.fail "missed the injected divergence"
@@ -384,14 +435,14 @@ let () =
            machine_round_trip_interp ]);
       ("kernel",
        [ Alcotest.test_case "round-trip (tier-1)" `Quick
-           (kernel_round_trip ~capture_interp:false ~resume_interp:false
+           (kernel_round_trip ~capture_tier:1 ~resume_tier:1
               ~at:50_000 ~horizon:200_000);
          Alcotest.test_case "round-trip (tier-0)" `Quick
-           (kernel_round_trip ~capture_interp:true ~resume_interp:true
+           (kernel_round_trip ~capture_tier:0 ~resume_tier:0
               ~at:50_000 ~horizon:200_000);
          Alcotest.test_case "round-trip (capture tier-1, resume tier-0)"
            `Quick
-           (kernel_round_trip ~capture_interp:false ~resume_interp:true
+           (kernel_round_trip ~capture_tier:1 ~resume_tier:0
               ~at:33_000 ~horizon:150_000);
          Gen.to_alcotest prop_random_capture_cycle ]);
       ("net",
@@ -410,6 +461,11 @@ let () =
       ("compatibility",
        [ Alcotest.test_case "incompatible hosts rejected" `Quick
            incompatible_hosts_rejected ]);
+      ("hostile",
+       [ Alcotest.test_case "u16 array length overflow" `Quick
+           (hostile_length_rejected u16_length_overflow);
+         Alcotest.test_case "int array length beyond input" `Quick
+           (hostile_length_rejected int_array_length_beyond_input) ]);
       ("bisect",
        [ Alcotest.test_case "clean tiers are identical" `Quick
            bisect_clean_tiers;

@@ -99,15 +99,32 @@ let reject_garbage () =
       | Error _ -> ())
     bad
 
+(* Every JSON emitter — trace events, rewrite diagnostics, job specs —
+   escapes through [Trace.escape_string], so each round-trips the same
+   control characters. *)
 let escape_round_trip () =
+  let nasty = "quote \" slash \\ tab \t nl \n cr \r bell \007 esc \027" in
   let e : Trace.event =
-    { mote = 0; at = 5;
-      kind = Trace.Cpu_fault { reason = "quote \" slash \\ tab \t nl \n" } }
+    { mote = 0; at = 5; kind = Trace.Cpu_fault { reason = nasty } }
   in
-  match Trace.event_of_json (Trace.json_of_event e) with
-  | Ok e' -> Alcotest.(check bool) "escaped strings survive" true
-               (Trace.equal_event e e')
-  | Error msg -> Alcotest.failf "parse escaped: %s" msg
+  (match Trace.event_of_json (Trace.json_of_event e) with
+   | Ok e' -> Alcotest.(check bool) "escaped strings survive" true
+                (Trace.equal_event e e')
+   | Error msg -> Alcotest.failf "parse escaped: %s" msg);
+  let d : Rewriter.Diagnostic.t =
+    { stage = Recovery; severity = Info; addr = Some 0x12; kind = nasty;
+      message = nasty }
+  in
+  (match Trace.parse_flat_json (Rewriter.Diagnostic.to_json d) with
+   | Ok fields ->
+     Alcotest.(check bool) "diagnostic strings survive" true
+       (List.assoc_opt "kind" fields = Some (Trace.J_str nasty)
+        && List.assoc_opt "message" fields = Some (Trace.J_str nasty))
+   | Error msg -> Alcotest.failf "parse diagnostic: %s" msg);
+  let job = { Service.Spec.id = 7; kind = Raise { message = nasty } } in
+  match Service.Spec.of_json ~id:7 (Service.Spec.to_json job) with
+  | Ok job' -> Alcotest.(check bool) "spec strings survive" true (job = job')
+  | Error msg -> Alcotest.failf "parse spec: %s" msg
 
 (* --- dump/restore (snapshot support) -------------------------------------- *)
 
