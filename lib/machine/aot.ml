@@ -33,9 +33,12 @@
    process-wide {!Aot_runtime} registry — a 10 k-mote fleet booted from
    one shared template image compiles once.  Compilation is further
    gated behind an executed-instruction threshold so short runs never
-   pay a toolchain invocation; when no working toolchain is available
-   tier-2 disables itself globally with a single warning and callers
-   fall back to tier-1. *)
+   pay a toolchain invocation, and even past it nothing blocks: the
+   compile runs as a child process in the background while the machine
+   keeps running on tier-1, and binds when the artifact loads.  A run
+   that ends first kills its compile at exit.  When no working
+   toolchain is available tier-2 disables itself globally with a single
+   warning and callers fall back to tier-1. *)
 
 open Avr
 open State
@@ -962,41 +965,50 @@ let translate ~digest (flash : int array) : string option =
 
 (* ------------------------------------------------------------------ *)
 (* Toolchain: compile generated source out of process and Dynlink the
-   artifact.  Everything here is cold path and serialized by
-   [big_lock]; failures disable tier-2 globally with one warning
-   (callers fall back to tier-1, never an error). *)
+   artifact.  A compile is a job in one FIFO queue, and at most one job
+   runs at a time, as a child process: the simulator keeps its core
+   while the machines that wait for the job carry on at tier-1.
+   [big_lock] guards the jobs, the counters and Dynlink; it is never
+   held across a compile (only across the one-time [-version] probe).  A failure disables tier-2 for the process with
+   one warning (callers fall back to tier-1, never an error). *)
 
+let big_lock = Mutex.create ()
 let enabled = ref true
-let warned = ref false
-
-let warn msg =
-  if not !warned then begin
-    warned := true;
-    Printf.eprintf "sensmart: tier-2 unavailable (%s); falling back to tier-1\n%!"
-      msg
-  end
-
-let disable msg =
-  enabled := false;
-  warn msg
 
 (* Stats surfaced through bench metrics. *)
 let compiles = ref 0
+let launched = ref 0
+let abandoned = ref 0
 let cache_hits = ref 0
 let compile_ms = ref 0.0
+let disabled : string option ref = ref None
 
-type stat = { compiles : int; cache_hits : int; compile_ms : float }
+type stat = {
+  compiles : int;  (** toolchain runs that produced an artifact *)
+  launched : int;  (** toolchain runs started *)
+  abandoned : int;
+      (** compile jobs that never finished: killed in flight, or dropped
+          from the queue at shutdown or when tier-2 turned itself off *)
+  cache_hits : int;  (** cached artifacts that loaded and registered *)
+  compile_ms : float;  (** host ms callers spent blocked on the toolchain *)
+  disabled : string option;  (** why tier-2 turned itself off, if it did *)
+}
 
 let stats () =
-  { compiles = !compiles; cache_hits = !cache_hits; compile_ms = !compile_ms }
-
-let big_lock = Mutex.create ()
+  { compiles = !compiles;
+    launched = !launched;
+    abandoned = !abandoned;
+    cache_hits = !cache_hits;
+    compile_ms = !compile_ms;
+    disabled = !disabled }
 
 (* Compile threshold, in executed instructions: a machine must retire
-   this many instructions after its flash is (re)installed before the
-   toolchain is invoked, so short runs — and kernels that keep patching
+   this many instructions after its flash is (re)installed before its
+   compile is queued, so short runs — and kernels that keep patching
    their image — stay on tier-1.  A disk-cached artifact bypasses the
-   wait (the fleet case: mote #2..#10000 pay only a registry lookup). *)
+   wait (the fleet case: mote #2..#10000 pay only a registry lookup).
+   At 0 every machine compiles before it runs and waits for the result
+   (the differential tests' eager mode). *)
 let default_threshold =
   match Sys.getenv_opt "SENSMART_AOT_THRESHOLD" with
   | Some s -> (
@@ -1013,6 +1025,12 @@ let rec mkdirs d =
     mkdirs (Filename.dirname d);
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
+
+let remove_dir d =
+  Array.iter
+    (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
+    (try Sys.readdir d with Sys_error _ -> [||]);
+  try Unix.rmdir d with Unix.Unix_error _ -> ()
 
 let cache_dir =
   lazy
@@ -1034,7 +1052,31 @@ let cache_dir =
      mkdirs d;
      d)
 
-let artifact_ext = if Dynlink.is_native then ".cmxs" else ".cmo"
+let artifact digest = Filename.concat (Lazy.force cache_dir) (digest ^ ".cmxs")
+
+(* Start [argv] as a child process, with no shell in between: stdin
+   from /dev/null, stdout and stderr to the file [log].  [None] when the
+   program cannot be started. *)
+let spawn ?(env = Unix.environment ()) argv ~log =
+  let null = Unix.openfile "/dev/null" [ O_RDONLY; O_CLOEXEC ] 0 in
+  let fd = Unix.openfile log [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
+  let pid =
+    try Some (Unix.create_process_env argv.(0) argv env null fd fd)
+    with Unix.Unix_error _ -> None
+  in
+  Unix.close null;
+  Unix.close fd;
+  pid
+
+(* [waitpid] on [pid]; [None] while a [WNOHANG] wait finds it running. *)
+let rec reap flags pid =
+  match Unix.waitpid flags pid with
+  | 0, _ -> None
+  | _, status -> Some status
+  | exception Unix.Unix_error (EINTR, _, _) -> reap flags pid
+  | exception Unix.Unix_error _ -> Some (Unix.WEXITED 255)
+
+let run_tool argv ~log = Option.bind (spawn argv ~log) (reap [])
 
 (* Directory holding aot_runtime.cmi — the one compilation input beyond
    the generated source.  Probed from the env override, then by walking
@@ -1067,119 +1109,30 @@ let find_inc_dir () : string option =
        | Some _ as r -> r
        | None ->
          let tmp = Filename.temp_file "sensmart_aot" ".path" in
-         let rc =
-           Sys.command
-             (Printf.sprintf "ocamlfind query sensmart.aot_runtime > %s 2>/dev/null"
-                (Filename.quote tmp))
-         in
          let res =
-           if rc <> 0 then None
-           else begin
+           match
+             run_tool [| "ocamlfind"; "query"; "sensmart.aot_runtime" |] ~log:tmp
+           with
+           | Some (WEXITED 0) -> (
              let ic = open_in tmp in
              let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
              close_in ic;
-             match line with Some d when ok d -> Some d | _ -> None
-           end
+             match line with Some d when ok d -> Some d | _ -> None)
+           | _ -> None
          in
          (try Sys.remove tmp with Sys_error _ -> ());
          res))
 
 let compiler =
   lazy
-    (let works c = Sys.command (c ^ " -version > /dev/null 2>&1") = 0 in
-     let candidates =
-       if Dynlink.is_native then
-         [ "ocamlfind ocamlopt"; "ocamlopt.opt"; "ocamlopt" ]
-       else [ "ocamlfind ocamlc"; "ocamlc.opt"; "ocamlc" ]
+    (let works argv =
+       run_tool (Array.append argv [| "-version" |]) ~log:"/dev/null"
+       = Some (Unix.WEXITED 0)
      in
-     List.find_opt works candidates)
+     List.find_opt works
+       [ [| "ocamlfind"; "ocamlopt" |]; [| "ocamlopt.opt" |]; [| "ocamlopt" |] ])
 
 let unit_name digest = "sensmart_aot_" ^ String.sub digest 0 16
-
-(* Write [sources] (digest, source) into a temp dir and compile them
-   with ONE toolchain invocation into [out] (a .cmxs linking every
-   module, or — bytecode — per-module .cmo files next to the sources,
-   returned in order).  Returns the artifact paths to Dynlink. *)
-let compile_sources (sources : (string * string) list) ~out :
-    (string list, string) result =
-  match (Lazy.force compiler, find_inc_dir ()) with
-  | None, _ -> Error "no OCaml compiler on PATH"
-  | _, None -> Error "aot_runtime.cmi not found (set SENSMART_AOT_INC)"
-  | Some cc, Some inc ->
-    let dir = Lazy.force cache_dir in
-    let tmp =
-      Filename.concat dir
-        (Printf.sprintf "build-%d-%s" (Unix.getpid ())
-           (String.sub (fst (List.hd sources)) 0 16))
-    in
-    mkdirs tmp;
-    let mls =
-      List.map
-        (fun (digest, src) ->
-          let ml = Filename.concat tmp (unit_name digest ^ ".ml") in
-          let oc = open_out ml in
-          output_string oc src;
-          close_out oc;
-          ml)
-        sources
-    in
-    let log = Filename.concat tmp "log" in
-    let quoted_mls = String.concat " " (List.map Filename.quote mls) in
-    let tmp_out = Filename.concat tmp (Filename.basename out) in
-    let cmd =
-      if Dynlink.is_native then
-        Printf.sprintf "%s -shared -w -a -I %s %s -o %s > %s 2>&1" cc
-          (Filename.quote inc) quoted_mls (Filename.quote tmp_out)
-          (Filename.quote log)
-      else
-        Printf.sprintf "%s -c -w -a -I %s %s > %s 2>&1" cc
-          (Filename.quote inc) quoted_mls (Filename.quote log)
-    in
-    let t0 = Unix.gettimeofday () in
-    let rc = Sys.command cmd in
-    compile_ms := !compile_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
-    let cleanup () =
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat tmp f) with Sys_error _ -> ())
-        (try Sys.readdir tmp with Sys_error _ -> [||]);
-      try Unix.rmdir tmp with Unix.Unix_error _ -> ()
-    in
-    if rc <> 0 then begin
-      let first_line =
-        try
-          let ic = open_in log in
-          let l = try input_line ic with End_of_file -> "" in
-          close_in ic;
-          l
-        with Sys_error _ -> ""
-      in
-      cleanup ();
-      Error
-        (Printf.sprintf "toolchain exit %d%s" rc
-           (if first_line = "" then "" else ": " ^ first_line))
-    end
-    else begin
-      incr compiles;
-      if Dynlink.is_native then begin
-        Sys.rename tmp_out out;
-        cleanup ();
-        Ok [ out ]
-      end
-      else begin
-        (* One .cmo per module; move them all into the cache dir. *)
-        let outs =
-          List.map
-            (fun (digest, _) ->
-              let f = unit_name digest ^ ".cmo" in
-              let final = Filename.concat dir f in
-              Sys.rename (Filename.concat tmp f) final;
-              final)
-            sources
-        in
-        cleanup ();
-        Ok outs
-      end
-    end
 
 let load_artifact path : (unit, string) result =
   try
@@ -1189,38 +1142,233 @@ let load_artifact path : (unit, string) result =
   | Dynlink.Error e -> Error (Dynlink.error_message e)
   | e -> Error (Printexc.to_string e)
 
-(* Build (or reuse) and load the single-image artifact for [digest];
-   caller holds [big_lock].  A cached artifact that fails to load is
-   rebuilt once (stale or corrupt file); persistent failure disables
-   tier-2 globally. *)
-let build_and_load ~digest ~source : bool =
-  let final = Filename.concat (Lazy.force cache_dir) (digest ^ artifact_ext) in
-  let build () =
-    if Sys.file_exists final then begin
-      incr cache_hits;
-      Ok [ final ]
-    end
-    else compile_sources [ (digest, source) ] ~out:final
+(* A compile job: one toolchain run that links the modules of [sources]
+   (digest, source) into the artifact [out]. *)
+type job = {
+  sources : (string * string) list;
+  out : string;
+  mutable state : job_state;
+}
+
+and job_state =
+  | Queued
+  | Running of int * string  (* compiler pid, build dir *)
+  | Done  (* artifact cached and loaded *)
+  | Failed  (* the toolchain failed, or the job was abandoned *)
+
+let queue : job Queue.t = Queue.create ()
+let running : job option ref = ref None
+
+(* Set while a caller waits on the running compiler with [big_lock]
+   released: nobody else may reap it meanwhile. *)
+let reaping = ref false
+
+(* Broadcast whenever a job settles or leaves the queue. *)
+let settled = Condition.create ()
+
+let pending_for digest =
+  let builds j = List.mem_assoc digest j.sources in
+  match !running with
+  | Some j when builds j -> Some j
+  | _ -> Seq.find builds (Queue.to_seq queue)
+
+(* From here to [shutdown], which takes it itself, callers hold
+   [big_lock]. *)
+
+let drop_queue () =
+  Queue.iter
+    (fun j ->
+      j.state <- Failed;
+      incr abandoned)
+    queue;
+  Queue.clear queue;
+  Condition.broadcast settled
+
+let disable msg =
+  if !enabled then begin
+    enabled := false;
+    disabled := Some msg;
+    Printf.eprintf "sensmart: tier-2 unavailable (%s); falling back to tier-1\n%!"
+      msg
+  end;
+  drop_queue ()
+
+let fail j msg =
+  j.state <- Failed;
+  disable msg
+
+(* Kill [pid] and every process it started: the compiler driver runs
+   the compiler proper, the assembler and the linker as children of its
+   own.  The tree is stopped before it is killed, so no member forks or
+   is re-parented while it is collected from /proc, and the call returns
+   once every member is dead.  Without /proc only [pid] is killed. *)
+let kill_tree pid =
+  let stat p =
+    (* "pid (comm) state ppid ...", where comm may hold any byte *)
+    match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" p) In_channel.input_all with
+    | line ->
+      let i = String.rindex line ')' + 1 in
+      Scanf.sscanf (String.sub line i (String.length line - i)) " %c %d" (fun s pp -> Some (s, pp))
+    | exception _ -> None
   in
-  match build () with
-  | Error msg ->
-    disable msg;
-    false
-  | Ok paths -> (
-    match load_artifact (List.hd paths) with
-    | Ok () -> true
-    | Error _ ->
-      (try Sys.remove final with Sys_error _ -> ());
-      (match compile_sources [ (digest, source) ] ~out:final with
-       | Error msg ->
-         disable msg;
-         false
-       | Ok paths2 -> (
-         match load_artifact (List.hd paths2) with
-         | Ok () -> true
-         | Error msg ->
-           disable msg;
-           false)))
+  let parent p = match stat p with Some (_, pp) -> pp | None -> -1 in
+  let alive p = match stat p with Some (('Z' | 'X'), _) | None -> false | Some _ -> true in
+  let procs () =
+    try List.filter_map int_of_string_opt (Array.to_list (Sys.readdir "/proc"))
+    with Sys_error _ -> []
+  in
+  let signal s p = try Unix.kill p s with Unix.Unix_error _ -> () in
+  let rec collect tree =
+    let fresh =
+      List.filter (fun p -> (not (List.mem p tree)) && List.mem (parent p) tree) (procs ())
+    in
+    List.iter (signal Sys.sigstop) fresh;
+    if fresh = [] then tree else collect (fresh @ tree)
+  in
+  signal Sys.sigstop pid;
+  let tree = collect [ pid ] in
+  List.iter (signal Sys.sigkill) tree;
+  let rec settle n =
+    if n > 0 && List.exists alive tree then begin
+      Unix.sleepf 0.001;
+      settle (n - 1)
+    end
+  in
+  settle 1000
+
+let start j =
+  match (Dynlink.is_native, Lazy.force compiler, find_inc_dir ()) with
+  | false, _, _ -> fail j "tier-2 needs a native-code build"
+  | _, None, _ -> fail j "no OCaml compiler on PATH"
+  | _, _, None -> fail j "aot_runtime.cmi not found (set SENSMART_AOT_INC)"
+  | true, Some cc, Some inc -> (
+    let tmp =
+      Filename.concat (Filename.dirname j.out)
+        (Printf.sprintf "build-%d-%s" (Unix.getpid ())
+           (String.sub (fst (List.hd j.sources)) 0 16))
+    in
+    mkdirs tmp;
+    let mls =
+      List.map
+        (fun (digest, src) ->
+          let ml = Filename.concat tmp (unit_name digest ^ ".ml") in
+          Out_channel.with_open_bin ml (fun oc -> output_string oc src);
+          ml)
+        j.sources
+    in
+    let argv =
+      Array.concat
+        [ cc;
+          [| "-shared"; "-w"; "-a"; "-I"; inc |];
+          Array.of_list mls;
+          [| "-o"; Filename.concat tmp (Filename.basename j.out) |] ]
+    in
+    (* The toolchain's own temporary files go to the build dir too, so
+       removing it leaves nothing behind, even after a kill. *)
+    let env =
+      Array.append
+        [| "TMPDIR=" ^ tmp |]
+        (Array.of_seq
+           (Seq.filter
+              (fun v -> not (String.starts_with ~prefix:"TMPDIR=" v))
+              (Array.to_seq (Unix.environment ()))))
+    in
+    match spawn ~env argv ~log:(Filename.concat tmp "log") with
+    | None ->
+      remove_dir tmp;
+      fail j ("cannot start " ^ cc.(0))
+    | Some pid ->
+      incr launched;
+      j.state <- Running (pid, tmp);
+      running := Some j)
+
+(* Start the next queued job when none is running. *)
+let pump () = if Option.is_none !running then Option.iter start (Queue.take_opt queue)
+
+(* Settle the running job [j], whose compiler has exited with
+   [status]: move its artifact into the cache and load it, or disable
+   tier-2 with the toolchain's first line of output. *)
+let finish j tmp status =
+  running := None;
+  (match status with
+   | Unix.WEXITED 0 -> (
+     incr compiles;
+     match Sys.rename (Filename.concat tmp (Filename.basename j.out)) j.out with
+     | exception Sys_error msg -> fail j msg
+     | () -> (
+       match load_artifact j.out with
+       | Error msg -> fail j msg
+       | Ok () when List.exists (fun (d, _) -> Aot_runtime.find d = None) j.sources ->
+         fail j "loaded module did not register"
+       | Ok () -> j.state <- Done))
+   | status ->
+     let first_line =
+       try In_channel.with_open_bin (Filename.concat tmp "log") In_channel.input_line
+       with Sys_error _ -> None
+     in
+     fail j
+       (Printf.sprintf "toolchain %s%s"
+          (match status with
+           | WEXITED n -> Printf.sprintf "exit %d" n
+           | WSIGNALED n | WSTOPPED n -> Printf.sprintf "killed by signal %d" n)
+          (match first_line with Some l when l <> "" -> ": " ^ l | _ -> "")));
+  remove_dir tmp;
+  Condition.broadcast settled;
+  pump ()
+
+(* Reap the running compiler if it has exited, then start the next job:
+   one [waitpid] that never blocks. *)
+let poll () =
+  (match !running with
+   | Some ({ state = Running (pid, tmp); _ } as j) when not !reaping ->
+     Option.iter (finish j tmp) (reap [ WNOHANG ] pid)
+   | _ -> ());
+  pump ()
+
+(* Block until [j] settles, reaping each compiler that runs ahead of it
+   in the queue with [big_lock] released. *)
+let wait_for j =
+  let t0 = Unix.gettimeofday () in
+  let rec loop () =
+    match (j.state, !running) with
+    | (Done | Failed), _ | _, None -> ()
+    | _, Some ({ state = Running (pid, tmp); _ } as r) when not !reaping ->
+      reaping := true;
+      Mutex.unlock big_lock;
+      let status = reap [] pid in
+      Mutex.lock big_lock;
+      reaping := false;
+      (* [shutdown] may have abandoned the job meanwhile. *)
+      (match (status, r.state) with
+       | Some status, Running _ -> finish r tmp status
+       | _ -> Condition.broadcast settled);
+      loop ()
+    | _, Some _ ->
+      Condition.wait settled big_lock;
+      loop ()
+  in
+  loop ();
+  compile_ms := !compile_ms +. ((Unix.gettimeofday () -. t0) *. 1000.)
+
+(** Kill the compile in flight, drop the queue and remove the build
+    dir, so no compiler outlives the process and a run shorter than its
+    compile leaves no artifact.  Runs at exit; tier-2 stays usable, and
+    a machine that is still waiting simply queues a new job. *)
+let shutdown () =
+  Mutex.lock big_lock;
+  drop_queue ();
+  (match !running with
+   | Some ({ state = Running (pid, tmp); _ } as j) ->
+     running := None;
+     j.state <- Failed;
+     incr abandoned;
+     kill_tree pid;
+     if not !reaping then ignore (reap [] pid);
+     remove_dir tmp
+   | _ -> ());
+  Mutex.unlock big_lock
+
+let () = at_exit shutdown
 
 (* ------------------------------------------------------------------ *)
 (* Host-side ctx: closures that replicate State.read8/write8 and the
@@ -1309,101 +1457,109 @@ let bind_ready m digest =
     true
   | None -> false
 
-(* Compile (or load the cached artifact for) [m]'s current flash.
-   Serialized across domains; re-checks the registry under the lock so
-   N motes racing on one digest trigger one compile. *)
-let compile_now m digest : bool =
-  Mutex.lock big_lock;
-  let final = Filename.concat (Lazy.force cache_dir) (digest ^ artifact_ext) in
-  let ok =
-    bind_ready m digest
-    (* Try the on-disk artifact before translating: a warm cache makes
-       binding pure load time.  A cached file that loads but does not
-       register this digest (stale or corrupt) is removed and rebuilt
-       through the translate path below. *)
-    || (Sys.file_exists final
-       &&
-       begin
-         incr cache_hits;
-         match load_artifact final with
-         | Ok () when bind_ready m digest -> true
-         | Ok () | Error _ ->
-           (try Sys.remove final with Sys_error _ -> ());
-           false
-       end)
-    ||
-    match translate ~digest m.flash with
-    | None -> false (* blank image: nothing tier-2 can run *)
-    | Some source ->
-      build_and_load ~digest ~source
-      && (bind_ready m digest
-         ||
-         begin
-           disable "loaded module did not register";
-           false
-         end)
-  in
-  if not ok then m.t2 <- T2_off;
-  Mutex.unlock big_lock;
-  ok
+let bound m = match m.t2 with T2_ready (p, c) -> Some (p, c) | _ -> None
 
-let artifact_cached digest =
-  Sys.file_exists (Filename.concat (Lazy.force cache_dir) (digest ^ artifact_ext))
+(* Load the cached artifact [path], which must register [digests].  A
+   hit counts only once it has; a stale or corrupt file is removed, so
+   the caller compiles afresh.  Caller holds [big_lock]. *)
+let load_cached path digests =
+  Sys.file_exists path
+  &&
+  match load_artifact path with
+  | Ok () when List.for_all (fun d -> Aot_runtime.find d <> None) digests ->
+    incr cache_hits;
+    true
+  | Ok () | Error _ ->
+    (try Sys.remove path with Sys_error _ -> ());
+    false
+
+(* Bind [m] to the program for [digest], loading its cached artifact
+   first if need be.  Caller holds [big_lock]. *)
+let bind_cached m digest =
+  bind_ready m digest || (load_cached (artifact digest) [ digest ] && bind_ready m digest)
+
+(* Tier-1 instructions a machine retires between two polls of the
+   compile it waits for; a poll is one lock and one [waitpid]. *)
+let poll_every = 16_384
+
+(* [m] is due for tier-2: bind it when its program is loaded or loads
+   from the cache.  Otherwise make sure a compile of its flash is queued
+   (translated now, deduplicated by digest) and either wait for it
+   ([~eager]) or look again after [poll_every] more instructions. *)
+let advance ~eager m digest =
+  Mutex.lock big_lock;
+  poll ();
+  (if not (bind_cached m digest) then
+     let job =
+       match pending_for digest with
+       | Some _ as j -> j
+       | None ->
+         Option.map
+           (fun source ->
+             let j = { sources = [ (digest, source) ]; out = artifact digest; state = Queued } in
+             Queue.add j queue;
+             pump ();
+             j)
+           (translate ~digest m.flash)
+     in
+     match job with
+     | None -> m.t2 <- T2_off (* blank image: nothing tier-2 can run *)
+     | Some j when eager ->
+       wait_for j;
+       if not (bind_ready m digest) then m.t2 <- T2_off
+     | Some _ -> m.t2 <- T2_wait (digest, m.insns + poll_every));
+  Mutex.unlock big_lock
 
 (* The tier-2 run loop's entry point: the compiled program and ctx for
    [m]'s current flash, if available now.  Drives the [t2] state
-   machine: digest on first sight, wait out the execution-count
-   threshold (unless the artifact is already on disk or the program
-   already loaded), then compile-and-bind once.  Cheap on the hot
-   paths: [T2_ready] is field access; [T2_wait] is an int compare. *)
+   machine: digest on first sight, bind at once from the registry or
+   the disk cache, otherwise wait out the execution-count threshold,
+   then queue a background compile and poll it until it binds.  At
+   threshold 0 the machine waits for its compile instead.  Cheap on the
+   hot paths: [T2_ready] is field access; [T2_wait] is an int compare. *)
 let attempt (m : t) : (Aot_runtime.program * Aot_runtime.ctx) option =
   match m.t2 with
   | T2_ready (p, c) -> Some (p, c)
   | T2_off -> None
+  | (T2_wait _ | T2_unknown) when not !enabled ->
+    m.t2 <- T2_off;
+    None
   | T2_wait (digest, ready_at) ->
-    if not !enabled then begin
-      m.t2 <- T2_off;
-      None
+    if m.insns < ready_at then None
+    else begin
+      advance ~eager:false m digest;
+      bound m
     end
-    else if m.insns >= ready_at then
-      if compile_now m digest then
-        match m.t2 with T2_ready (p, c) -> Some (p, c) | _ -> None
-      else None
-    else None
   | T2_unknown ->
-    if not !enabled then begin
-      m.t2 <- T2_off;
-      None
+    let digest = digest_of m in
+    if bind_ready m digest then bound m
+    else if !threshold = 0 then begin
+      advance ~eager:true m digest;
+      bound m
     end
     else begin
-      let digest = digest_of m in
-      if bind_ready m digest then
-        match m.t2 with T2_ready (p, c) -> Some (p, c) | _ -> None
-      else if !threshold = 0 || artifact_cached digest then
-        if compile_now m digest then
-          match m.t2 with T2_ready (p, c) -> Some (p, c) | _ -> None
-        else None
-      else begin
-        m.t2 <- T2_wait (digest, m.insns + !threshold);
-        None
-      end
+      Mutex.lock big_lock;
+      if not (bind_cached m digest) then m.t2 <- T2_wait (digest, m.insns + !threshold);
+      Mutex.unlock big_lock;
+      bound m
     end
 
 (* ------------------------------------------------------------------ *)
-(* Batch pre-compilation: translate many images and invoke the
-   toolchain once per chunk.  Used by the differential test harness,
-   where 1200 randomized programs would otherwise mean 1200 compiler
-   invocations.  Images shorter than full flash are padded with erased
-   words exactly as {!State.create} does, so digests match a machine
-   booted from the same image. *)
+(* Batch pre-compilation: translate many images and compile them in
+   chunks, one job each, waiting for the jobs as the eager path does.
+   Used by the differential test harness, where 1200 randomized
+   programs would otherwise mean 1200 compiler invocations.  Images
+   shorter than full flash are padded with erased words exactly as
+   {!State.create} does, so digests match a machine booted from the same
+   image. *)
 
 let preload (images : int array list) : unit =
+  Mutex.lock big_lock;
   if !enabled then begin
-    Mutex.lock big_lock;
-    let seen = Hashtbl.create 64 in
+    let seen = Hashtbl.create 64 and waits = ref [] in
     (* Load per-digest artifacts that already exist (before paying any
-       translation); translate and batch-compile the rest, [chunk]
-       modules per toolchain invocation. *)
+       translation), join the jobs already pending, and translate the
+       rest. *)
     let missing =
       List.filter_map
         (fun img ->
@@ -1419,25 +1575,13 @@ let preload (images : int array list) : unit =
           if Hashtbl.mem seen digest || Aot_runtime.find digest <> None then None
           else begin
             Hashtbl.add seen digest ();
-            let cached_ok =
-              artifact_cached digest
-              &&
-              begin
-                incr cache_hits;
-                match
-                  load_artifact
-                    (Filename.concat (Lazy.force cache_dir)
-                       (digest ^ artifact_ext))
-                with
-                | Ok () -> true
-                | Error _ -> false (* stale: rebuild below *)
-              end
-            in
-            if cached_ok then None
+            if load_cached (artifact digest) [ digest ] then None
             else
-              match translate ~digest fl with
-              | None -> None
-              | Some src -> Some (digest, src)
+              match pending_for digest with
+              | Some j ->
+                waits := j :: !waits;
+                None
+              | None -> Option.map (fun src -> (digest, src)) (translate ~digest fl)
           end)
         images
     in
@@ -1445,50 +1589,22 @@ let preload (images : int array list) : unit =
     let rec batches = function
       | [] -> ()
       | l ->
-        if not !enabled then ()
-        else begin
-          let rec take n = function
-            | x :: tl when n > 0 ->
-              let a, b = take (n - 1) tl in
-              (x :: a, b)
-            | rest -> ([], rest)
-          in
-          let now, rest = take chunk l in
-          let key =
-            Digest.to_hex (Digest.string (String.concat "" (List.map fst now)))
-          in
-          let out =
-            Filename.concat (Lazy.force cache_dir)
-              ("batch-" ^ key ^ artifact_ext)
-          in
-          (* The batch key is content-derived, so an existing artifact
-             holds exactly these modules: load it instead of
-             recompiling (a stale file falls back to a fresh build). *)
-          let warm =
-            Dynlink.is_native
-            && Sys.file_exists out
-            &&
-            match load_artifact out with
-            | Ok () ->
-              incr cache_hits;
-              true
-            | Error _ ->
-              (try Sys.remove out with Sys_error _ -> ());
-              false
-          in
-          (if not warm then
-             match compile_sources now ~out with
-             | Error msg -> disable msg
-             | Ok paths ->
-               List.iter
-                 (fun p ->
-                   match load_artifact p with
-                   | Ok () -> ()
-                   | Error msg -> disable msg)
-                 paths);
-          batches rest
-        end
+        let now = List.filteri (fun i _ -> i < chunk) l
+        and rest = List.filteri (fun i _ -> i >= chunk) l in
+        (* The batch key is content-derived, so an existing artifact
+           holds exactly these modules: load it instead of
+           recompiling. *)
+        let key = Digest.to_hex (Digest.string (String.concat "" (List.map fst now))) in
+        let out = artifact ("batch-" ^ key) in
+        if not (load_cached out (List.map fst now)) then begin
+          let j = { sources = now; out; state = Queued } in
+          Queue.add j queue;
+          waits := j :: !waits
+        end;
+        batches rest
     in
     batches missing;
-    Mutex.unlock big_lock
-  end
+    pump ();
+    List.iter wait_for (List.rev !waits)
+  end;
+  Mutex.unlock big_lock

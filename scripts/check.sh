@@ -53,6 +53,24 @@ if dune exec bin/sensmart_cli.exe -- native lfsr --tier 3 > /dev/null 2>&1; then
     exit 1
 fi
 
+# Tier-2 compiles in the background: a cold-cache run shorter than its
+# compile prints exactly what tier 1 prints and exits 0, with or
+# without an OCaml compiler on PATH, and leaves no compiler running.
+cli=_build/default/bin/sensmart_cli.exe
+cold=$(mktemp -d)
+want=$("$cli" native crc_mc --tier 1)
+got=$(SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2)
+got_nocc=$(PATH=/nonexistent SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2 2>/dev/null)
+rm -rf "$cold"
+if [ "$got" != "$want" ] || [ "$got_nocc" != "$want" ]; then
+    echo "check.sh: cold-cache --tier 2 differs from --tier 1" >&2
+    exit 1
+fi
+if pgrep -f sensmart_aot_ >/dev/null; then
+    echo "check.sh: a tier-2 compiler outlived its run" >&2
+    exit 1
+fi
+
 # Metrics smoke run under the release profile (the dev profile does not
 # inline, so host throughput numbers are only meaningful in release),
 # then gate host.*_per_sec counters against the committed baseline

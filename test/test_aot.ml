@@ -1,0 +1,150 @@
+(* Tier-2 background compilation (see {!Machine.Aot}): a machine that
+   crosses the heat threshold keeps running on tier-1 while its compile
+   runs as a child process, and binds once the artifact loads.  A run
+   shorter than its compile leaves no compiler and no build directory
+   behind; a cached artifact counts as a hit only when it loads. *)
+
+(* A private, empty artifact cache, set before {!Machine.Aot} first
+   reads it. *)
+let cache =
+  let d = Filename.temp_file "sensmart-aot-test" "" in
+  Sys.remove d;
+  Unix.mkdir d 0o755;
+  Unix.putenv "SENSMART_AOT_CACHE" d;
+  d
+
+let image name = Option.get (Workloads.Registry.find_image name)
+
+let tiny k =
+  let open Asm.Macros in
+  Asm.Assembler.assemble
+    (Asm.Ast.program "tiny" (lbl "start" :: (sp_init @ [ ldi 24 k; break ])))
+
+let digest (img : Asm.Image.t) =
+  let fl = Array.make Machine.Layout.flash_words 0xFFFF in
+  Array.blit img.words 0 fl 0 (Array.length img.words);
+  Machine.Aot.digest_of_flash fl
+
+let boot (img : Asm.Image.t) =
+  let m = Machine.Cpu.create () in
+  Machine.Cpu.load m img.words;
+  List.iter (fun (a, b) -> Machine.Cpu.write8 m a b) img.data_init;
+  m.pc <- img.entry;
+  m
+
+let snapshot (m : Machine.Cpu.t) =
+  [ String.concat "," (List.map string_of_int (Array.to_list m.regs));
+    Printf.sprintf "pc %d sp %d sreg %d" m.pc m.sp m.sreg;
+    Printf.sprintf "cycles %d idle %d insns %d" m.cycles m.idle_cycles m.insns;
+    Printf.sprintf "mem %d/%d io %d/%d" m.mem_reads m.mem_writes m.io_reads m.io_writes;
+    Fmt.str "%a" Fmt.(option Machine.Cpu.pp_halt) m.halted;
+    Digest.to_hex (Digest.bytes m.sram) ]
+
+let run ~tier img = (Workloads.Native.run ~tier img).machine
+let bound (m : Machine.Cpu.t) = match m.t2 with T2_ready _ -> true | _ -> false
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* Live processes working in the cache: the compiler driver and every
+   tool it starts name a file under it.  Zombies have no command line. *)
+let compilers_alive () =
+  Array.exists
+    (fun p ->
+      int_of_string_opt p <> None
+      &&
+      match In_channel.with_open_bin ("/proc/" ^ p ^ "/cmdline") In_channel.input_all with
+      | line -> contains line cache
+      | exception Sys_error _ -> false)
+    (try Sys.readdir "/proc" with Sys_error _ -> [||])
+
+let build_dirs () =
+  List.filter (String.starts_with ~prefix:"build-") (Array.to_list (Sys.readdir cache))
+
+let check_counts what ~hits ~compiles (s0 : Machine.Aot.stat) =
+  let s1 = Machine.Aot.stats () in
+  Alcotest.(check int) (what ^ ": cache hits") hits (s1.cache_hits - s0.cache_hits);
+  Alcotest.(check int) (what ^ ": compiles") compiles (s1.compiles - s0.compiles)
+
+(* A corrupt cached artifact is removed and rebuilt: one compile, and no
+   cache hit, on both the eager path and the batch preload. *)
+let corrupt_artifact () =
+  Machine.Aot.set_threshold 0;
+  let plant img =
+    Out_channel.with_open_bin
+      (Filename.concat cache (digest img ^ ".cmxs"))
+      (fun oc -> output_string oc "not a shared object")
+  in
+  let a = tiny 11 and b = tiny 13 in
+  plant a;
+  plant b;
+  let s0 = Machine.Aot.stats () in
+  let m = run ~tier:2 a in
+  check_counts "eager" ~hits:0 ~compiles:1 s0;
+  Alcotest.(check bool) "eager: bound" true (bound m);
+  Alcotest.(check int) "eager: result" 11 m.regs.(24);
+  let s0 = Machine.Aot.stats () in
+  Machine.Aot.preload [ b.words ];
+  check_counts "preload" ~hits:0 ~compiles:1 s0;
+  Alcotest.(check bool) "preload: bound" true (bound (run ~tier:2 b))
+
+(* A run that ends while its compile is still running matches tier-1;
+   shutdown then kills the compiler and removes its build directory, and
+   no artifact is cached. *)
+let pending_at_halt () =
+  Machine.Aot.set_threshold 1_000;
+  let img = image "crc" in
+  let s0 = Machine.Aot.stats () in
+  let m = run ~tier:2 img in
+  Alcotest.(check (list string)) "matches tier-1" (snapshot (run ~tier:1 img)) (snapshot m);
+  Alcotest.(check bool) "still waiting" true
+    (match m.t2 with T2_wait _ -> true | _ -> false);
+  Alcotest.(check int) "compile launched" 1
+    ((Machine.Aot.stats ()).launched - s0.launched);
+  Alcotest.(check bool) "compiler running" true (compilers_alive ());
+  Machine.Aot.shutdown ();
+  Alcotest.(check int) "compile abandoned" 1
+    ((Machine.Aot.stats ()).abandoned - s0.abandoned);
+  Alcotest.(check bool) "no compiler alive" false (compilers_alive ());
+  Alcotest.(check (list string)) "no build dir" [] (build_dirs ());
+  Alcotest.(check bool) "no artifact" false
+    (Sys.file_exists (Filename.concat cache (digest img ^ ".cmxs")))
+
+(* A long run binds while it runs: sliced so that tier-1 keeps going
+   while the compile does, until the machine is bound.  The rest runs on
+   tier-2, and the final state equals tier-0's. *)
+let binds_while_running () =
+  Machine.Aot.set_threshold 1_000;
+  let img = image "crc_mc" in
+  let m = boot img in
+  let deadline = Unix.gettimeofday () +. 120. in
+  let rec slice () =
+    match Machine.Cpu.run_native ~tier:2 ~max_cycles:(m.cycles + 500) m with
+    | Some _ -> Alcotest.fail "halted before its compile bound"
+    | None when bound m -> ()
+    | None when Unix.gettimeofday () > deadline -> Alcotest.fail "not bound by the deadline"
+    | None ->
+      Unix.sleepf 0.02;
+      slice ()
+  in
+  slice ();
+  ignore (Machine.Cpu.run_native ~tier:2 m);
+  Alcotest.(check (list string)) "matches tier-0" (snapshot (run ~tier:0 img)) (snapshot m);
+  Alcotest.(check bool) "artifact cached" true
+    (Sys.file_exists (Filename.concat cache (digest img ^ ".cmxs")));
+  Alcotest.(check (list string)) "no build dir" [] (build_dirs ())
+
+let () =
+  Fun.protect
+    ~finally:(fun () ->
+      Machine.Aot.shutdown ();
+      Array.iter (fun f -> Sys.remove (Filename.concat cache f)) (Sys.readdir cache);
+      Unix.rmdir cache)
+    (fun () ->
+      Alcotest.run ~and_exit:false "aot"
+        [ ( "background",
+            [ Alcotest.test_case "corrupt cached artifact" `Quick corrupt_artifact;
+              Alcotest.test_case "run ends before its compile" `Quick pending_at_halt;
+              Alcotest.test_case "binds while running" `Quick binds_while_running ] ) ])
