@@ -6,19 +6,15 @@
       evaluation section is regenerated and printed (simulated MICA2
       cycles/seconds — the reproduction's actual results).
 
-   2. Bechamel benchmarks — one Test.make per table/figure plus substrate
-      microbenchmarks — measuring how long the *reproduction itself*
-      takes to produce each artifact on the host.
-
-   3. A machine-readable metrics snapshot (sensmart_metrics.json): the
+   2. A machine-readable metrics snapshot (sensmart_metrics.json): the
       uniform counter registry from lib/trace, populated by a fixed
-      multitasking + network workload.  `--smoke` emits only this blob —
-      the cheap CI regression check.
+      multitasking + network workload.  `--smoke` emits only this blob.
+      Every counter is simulated, so `dune runtest` diffs the blob
+      against bench/baseline_metrics.json exactly (see bench/dune).
+
+   Host time is measured by perfbench (BENCHMARK.json), not here.
 
    Usage: dune exec bench/main.exe [-- --quick] [-- --smoke] *)
-
-open Bechamel
-open Toolkit
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let smoke = Array.exists (( = ) "--smoke") Sys.argv
@@ -72,86 +68,24 @@ let reproduce () =
       Workloads.Ablation.print_slice Format.std_formatter
         (Workloads.Ablation.slice_sweep ()))
 
-(* --- part 2: bechamel host-side benchmarks ------------------------------- *)
-
-(* Substrate microbenchmarks. *)
-let sim_image =
-  lazy (Sensmart.assemble (Programs.Lfsr_bench.program ~iters:2000 ()))
-
-let bench_simulator () =
-  ignore (Sensmart.run_native (Lazy.force sim_image))
-
-let bench_rewriter () =
-  ignore (Sensmart.rewrite (Lazy.force sim_image))
-
-let bench_kernel_boot () =
-  ignore (Sensmart.boot [ Lazy.force sim_image ])
-
-(* One test per reproduced artifact (scaled down so each run is short). *)
-let tests =
-  Test.make_grouped ~name:"sensmart"
-    [ Test.make ~name:"substrate/simulator-2k-lfsr"
-        (Staged.stage bench_simulator);
-      Test.make ~name:"substrate/rewriter" (Staged.stage bench_rewriter);
-      Test.make ~name:"substrate/kernel-boot" (Staged.stage bench_kernel_boot);
-      Test.make ~name:"table2/overhead"
-        (Staged.stage (fun () -> ignore (Workloads.Overhead.table ())));
-      Test.make ~name:"fig4/inflation"
-        (Staged.stage (fun () -> ignore (Workloads.Kernel_bench.fig4 ())));
-      Test.make ~name:"fig5/exec-time"
-        (Staged.stage (fun () -> ignore (Workloads.Kernel_bench.fig5 ())));
-      Test.make ~name:"fig6/periodic-point"
-        (Staged.stage (fun () ->
-             ignore (Workloads.Periodic.sweep ~activations:4 [ 20_000 ])));
-      Test.make ~name:"fig7/versatility-point"
-        (Staged.stage (fun () ->
-             ignore (Workloads.Versatility.fig7 ~window:500_000 ~k_cap:8 [ 20 ])));
-      Test.make ~name:"fig8/liteos-point"
-        (Staged.stage (fun () ->
-             ignore (Workloads.Versatility.fig8 ~window:500_000 ~k_cap:8 [ 20 ])));
-      Test.make ~name:"ablation/grouping"
-        (Staged.stage (fun () -> ignore (Workloads.Ablation.grouping ()))) ]
-
-let run_bechamel () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:100
-      ~quota:(Time.second (if quick then 0.2 else 0.5))
-      ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols (List.hd instances) raw in
-  Fmt.pr "@.=== host-side cost of the reproduction (bechamel) ===@.";
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) rows
-  |> List.iter (fun (name, ols_result) ->
-         match Analyze.OLS.estimates ols_result with
-         | Some [ est ] -> Fmt.pr "%-40s %12.1f ns/run@." name est
-         | _ -> Fmt.pr "%-40s (no estimate)@." name)
-
-(* --- part 3: machine-readable metrics snapshot --------------------------- *)
+(* --- part 2: machine-readable metrics snapshot --------------------------- *)
 
 (* The campaign-service sits above workloads in the library stack, so
-   the smoke blob picks up its counters here rather than inside
-   [Metrics.collect]: a short seeded load test at the default 4 workers
-   publishes the [service.*] family plus the headline
-   [host.service_jobs_per_sec] throughput figure. *)
+   the smoke blob picks up its [service.*] counters here rather than
+   inside [Metrics.collect]: a short seeded load test on one worker with
+   no ingest stall, so every counter (steals included) is
+   schedule-independent. *)
 let service_metrics tr =
   let specs = Service.Engine.loadtest_mix ~seed:1 96 in
   let config =
-    { Service.Pool.default_config with workers = 4; stall_us = 20_000 }
+    { Service.Pool.default_config with workers = 1; stall_us = 0 }
   in
-  let outcome = Service.Engine.serve ~config ~trace:tr ~emit:ignore specs in
-  Trace.set_counter tr "host.service_jobs_per_sec"
-    (int_of_float outcome.summary.jobs_per_sec)
+  ignore (Service.Engine.serve ~config ~trace:tr ~emit:ignore specs)
 
 let emit_metrics () =
   let tr = Workloads.Metrics.collect () in
   service_metrics tr;
-  let json = Workloads.Metrics.json tr in
+  let json = Trace.counters_json tr in
   let path = Workloads.Metrics.write_file tr in
   Fmt.pr "@.=== metrics snapshot (%s) ===@.%s@." path json
 
@@ -162,6 +96,5 @@ let () =
       (if quick then " (quick)" else "");
     reproduce ();
     emit_metrics ();
-    run_bechamel ();
     Fmt.pr "@.done.@."
   end

@@ -418,7 +418,7 @@ let attack_cmd =
     Arg.(value & flag
          & info [ "report" ]
              ~doc:"Also print the machine-readable counter snapshot \
-                   (flat JSON, the attack.* schema bench_diff.sh gates).")
+                   (flat JSON, the attack.* counter schema).")
   in
   let out =
     Arg.(value & opt (some string) None
@@ -441,7 +441,7 @@ let attack_cmd =
         systems;
       let m = Attack.campaign ~tier ~trials ~seed ~systems () in
       Fmt.pr "%a@." Attack.pp_matrix m;
-      if report then Fmt.pr "%s@." (Workloads.Metrics.json m.Attack.trace);
+      if report then Fmt.pr "%s@." (Trace.counters_json m.Attack.trace);
       (match out with
        | None -> ()
        | Some path ->
@@ -595,8 +595,10 @@ let serve_cmd =
          & info [ "seed" ] ~docv:"SEED" ~doc:"Load-test mix seed.")
   in
   let workers =
-    Arg.(value & opt int 4
-         & info [ "workers"; "j" ] ~docv:"N" ~doc:"Worker domains serving jobs.")
+    Arg.(value & opt int Service.Pool.default_config.workers
+         & info [ "workers"; "j" ] ~docv:"N"
+             ~doc:"Worker domains serving jobs (default: the host's \
+                   recommended domain count).")
   in
   let max_retries =
     Arg.(value & opt int 0

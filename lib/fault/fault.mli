@@ -171,7 +171,7 @@ module Campaign : sig
     trials : trial list;
     trace : Trace.t;
         (** aggregate ["fault.*"] counters over the whole campaign;
-            feed to {!Workloads.Metrics.write_file} for the JSON blob *)
+            {!Trace.counters_json} renders them as the JSON blob *)
   }
 
   (** Run [trials] independent trials of the images under [config].

@@ -5,8 +5,8 @@
     behaviour, the old → new block mapping, and every stage diagnostic.
     The JSON layout produced by {!to_json} is specified normatively in
     DESIGN.md ("Rewriting pipeline & report schema"); the [rewrite.*]
-    counters {!publish} emits are part of the metrics-blob schema and
-    gated by [scripts/bench_diff.sh]. *)
+    counters {!publish} emits are part of the metrics-blob schema,
+    pinned exactly by [bench/baseline_metrics.json]. *)
 
 type t = {
   program : string;  (** image name *)

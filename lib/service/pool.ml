@@ -71,7 +71,7 @@ type config = {
 }
 
 let default_config =
-  { workers = 4;
+  { workers = Domain.recommended_domain_count ();
     max_retries = 0;
     job_timeout_ms = None;
     stall_us = 0;
@@ -101,8 +101,8 @@ let canonical_digest (s : summary) =
        (String.concat "\n" (List.map canonical_line s.results)))
 
 (** Publish the [service.*] counter family into a sink.  The full key
-    set is always present (zeros included) so bench_diff.sh can gate
-    key drift. *)
+    set is always present (zeros included), so the golden metrics
+    snapshot pins it whatever the run did. *)
 let publish trace (s : summary) =
   Trace.set_counter trace "service.queued" s.queued;
   Trace.set_counter trace "service.running" 0;

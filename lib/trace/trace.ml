@@ -235,10 +235,16 @@ let parse_object (s : string) : (string * jvalue) list =
              | 'u' ->
                if !pos + 4 >= n then fail "truncated \\u escape";
                let hex = String.sub s (!pos + 1) 4 in
-               (match int_of_string_opt ("0x" ^ hex) with
-                | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-                | Some _ -> fail "non-ASCII \\u escape unsupported"
-                | None -> fail "bad \\u escape");
+               let is_hex = function
+                 | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                 | _ -> false
+               in
+               (* Four hex digits exactly: [int_of_string] alone would
+                  also take OCaml's [_] separators. *)
+               if not (String.for_all is_hex hex) then fail "bad \\u escape";
+               let code = int_of_string ("0x" ^ hex) in
+               if code >= 0x80 then fail "non-ASCII \\u escape unsupported";
+               Buffer.add_char b (Char.chr code);
                pos := !pos + 5
              | _ -> fail "unknown escape");
           go ()
@@ -260,7 +266,10 @@ let parse_object (s : string) : (string * jvalue) list =
     | Some ('-' | '0' .. '9') ->
       let start = !pos in
       if peek () = Some '-' then incr pos;
+      let digits = !pos in
       while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do incr pos done;
+      (* JSON has no leading zeros: "007" is not a number. *)
+      if !pos - digits > 1 && s.[digits] = '0' then fail "leading zero";
       (match int_of_string_opt (String.sub s start (!pos - start)) with
        | Some i -> J_int i
        | None -> fail "bad number")
@@ -286,6 +295,16 @@ let parse_object (s : string) : (string * jvalue) list =
   end;
   skip_ws ();
   if !pos <> n then fail "trailing input";
+  (* A repeated key is an error, not a silent first-wins for the
+     [List.assoc] readers; sorting keeps hostile many-key lines
+     O(n log n). *)
+  let rec repeated = function
+    | a :: (b :: _ as rest) -> if String.equal a b then Some a else repeated rest
+    | _ -> None
+  in
+  (match repeated (List.sort String.compare (List.map fst !fields)) with
+   | Some k -> fail (Printf.sprintf "duplicate key %S" k)
+   | None -> ());
   List.rev !fields
 
 (** The flat-object subset as a total function: the campaign service's

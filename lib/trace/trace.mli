@@ -148,7 +148,9 @@ val counters_of_json : string -> ((string * int) list, string) result
 type jvalue = J_int of int | J_str of string | J_null
 
 (** Parse one flat JSON object line into its fields, in order.
-    [Error _] carries the position of the first offence. *)
+    [Error _] carries the position of the first offence; a repeated
+    key, a number with a leading zero and a [\u] escape that is not
+    four hex digits are offences. *)
 val parse_flat_json : string -> ((string * jvalue) list, string) result
 
 (** {2 Pretty-printing and equality} *)

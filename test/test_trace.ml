@@ -99,6 +99,25 @@ let reject_garbage () =
       | Error _ -> ())
     bad
 
+(* The shared parser accepts JSON, not whatever OCaml's [int_of_string]
+   or an association list would let through: a [_] inside a \u escape,
+   leading zeros, and a repeated key are all errors, while the nearby
+   valid forms still parse. *)
+let reject_non_json () =
+  List.iter
+    (fun s ->
+      (match Trace.parse_flat_json s with
+       | Ok _ -> Alcotest.failf "parse_flat_json accepted %s" s
+       | Error _ -> ());
+      match Trace.counters_of_json s with
+      | Ok _ -> Alcotest.failf "counters_of_json accepted %s" s
+      | Error _ -> ())
+    [ {|{"a":"\u00_4"}|}; {|{"a":007}|}; {|{"a":-01}|}; {|{"a":1,"a":2}|} ];
+  Alcotest.(check bool) "valid neighbours still parse" true
+    (Trace.parse_flat_json {|{"a":"\u0041","b":0,"c":-10,"d":"\u004A"}|}
+     = Ok [ ("a", J_str "A"); ("b", J_int 0); ("c", J_int (-10));
+            ("d", J_str "J") ])
+
 (* Every JSON emitter — trace events, rewrite diagnostics, job specs —
    escapes through [Trace.escape_string], so each round-trips the same
    control characters. *)
@@ -199,6 +218,7 @@ let () =
        [ Alcotest.test_case "event round-trip" `Quick event_json_round_trip;
          Alcotest.test_case "jsonl stream" `Quick jsonl_stream;
          Alcotest.test_case "rejects garbage" `Quick reject_garbage;
+         Alcotest.test_case "rejects non-JSON" `Quick reject_non_json;
          Alcotest.test_case "string escapes" `Quick escape_round_trip ]);
       ("dump",
        [ Alcotest.test_case "dump/restore round-trip" `Quick

@@ -184,8 +184,7 @@ let registry_complete () =
 
 (* The metrics file must survive a disk round-trip through its own
    parser: what [Metrics.write_file] writes, [Trace.counters_of_json]
-   reads back as exactly the registry's sorted counter snapshot (this is
-   the contract scripts/bench_diff.sh builds on). *)
+   reads back as exactly the registry's sorted counter snapshot. *)
 let metrics_file_round_trip () =
   let tr = Trace.create () in
   (* A small but representative registry: dotted schema names, a zero,
