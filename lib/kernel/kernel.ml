@@ -369,13 +369,14 @@ let handle_syscall k _m n =
 
 (** A prepared boot recipe: the naturalized programs and one fully
     populated 64 K-word flash image, reusable across any number of
-    motes.  {!boot_from} aliases the image copy-on-write
+    motes.  {!boot_from} aliases the image and its caches copy-on-write
     ({!Machine.Cpu.create_shared}), so a 10 000-mote fleet of one
-    program costs one flash array instead of 10 000. *)
+    program costs one flash array instead of 10 000 and compiles each
+    tier-1 block once. *)
 type template = {
   t_config : config;
   t_nats : Naturalized.t list;
-  t_flash : int array;  (** full [Layout.flash_words] image, nats placed *)
+  t_image : Machine.Cpu.image;  (** full flash image, nats placed *)
   t_next_flash : int;  (** first free flash word after the placed nats *)
 }
 
@@ -408,7 +409,8 @@ let prepare ?(config = default_config) ?(rewrite = Rewrite.default_config)
       (fun a (nat : Naturalized.t) -> max a (nat.base + Naturalized.total_words nat))
       0 nats
   in
-  { t_config = config; t_nats = nats; t_flash = flash; t_next_flash = next_flash }
+  { t_config = config; t_nats = nats; t_image = Machine.Cpu.image_of flash;
+    t_next_flash = next_flash }
 
 (** Boot one mote from a prepared template.  Byte-identical to {!boot}
     with the template's config and images, except the mote's flash
@@ -419,7 +421,7 @@ let boot_from ?trace ?(mote = 0) (tpl : template) : t =
   let config = tpl.t_config in
   let nats = tpl.t_nats in
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  let m = Machine.Cpu.create_shared tpl.t_flash in
+  let m = Machine.Cpu.create_shared tpl.t_image in
   (* Carve out data regions. *)
   let stats =
     { traps = 0; context_switches = 0; relocations = 0; relocated_bytes = 0;

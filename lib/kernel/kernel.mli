@@ -79,7 +79,8 @@ val event_log : t -> Trace.event list
     populated 64 K-word flash image, reusable across any number of
     motes.  {!boot_from} aliases the image copy-on-write (see
     {!Machine.Cpu.create_shared}), so a fleet of same-program motes
-    shares a single flash array until a mote first writes its flash. *)
+    shares a single flash array, decode cache and tier-1 block table
+    until a mote first writes its flash. *)
 type template
 
 (** Naturalize the images (sequential flash placement, exactly as

@@ -65,31 +65,20 @@ let digest_of_flash (flash : int array) : string =
        ^ Printf.sprintf "|v%d|%s|%b" generator_version Sys.ocaml_version
            Dynlink.is_native))
 
-(* Digest memo for shared template images, keyed by physical identity:
-   the copy-on-write contract says a shared array is never mutated, so
-   its digest is stable.  Private flash is re-digested on each (rare)
-   re-install instead — it can be patched at any time. *)
-let memo_lock = Mutex.create ()
-let memo : (int array * string) list ref = ref []
-
+(* The digest of [m]'s flash.  A shared image is never written
+   (copy-on-write), so its digest is computed once and kept on the
+   image; two domains racing here both compute the same string.
+   Private flash can be patched at any time and is re-digested on each
+   (rare) re-install. *)
 let digest_of (m : t) : string =
   if not m.flash_shared then digest_of_flash m.flash
-  else begin
-    Mutex.lock memo_lock;
-    let hit = List.find_opt (fun (a, _) -> a == m.flash) !memo in
-    Mutex.unlock memo_lock;
-    match hit with
-    | Some (_, d) -> d
+  else
+    match m.image.i_digest with
+    | Some d -> d
     | None ->
       let d = digest_of_flash m.flash in
-      Mutex.lock memo_lock;
-      if
-        List.length !memo < 64
-        && not (List.exists (fun (a, _) -> a == m.flash) !memo)
-      then memo := (m.flash, d) :: !memo;
-      Mutex.unlock memo_lock;
+      m.image.i_digest <- Some d;
       d
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Block discovery: the superblocks of {!Block.form}, the former tier-1

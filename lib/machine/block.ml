@@ -29,9 +29,14 @@
    clocked off [m.cycles]).
 
    Closures are cached in [m.blocks] (chunked, copy-on-write — see
-   {!State}), keyed by entry PC, and invalidated by {!State.load} (the
-   only path that writes flash — the kernel's trampoline/kcell patching
-   and run-time task admission go through it).  Each cached block
+   {!State}), keyed by entry PC.  That table belongs to the machine's
+   flash image, so every mote booted from one template shares it and a
+   fleet compiles each block once: a block reads only flash words when
+   formed, and takes the machine it runs on as an argument.  Entries
+   are invalidated by {!State.load} (the only path that writes flash —
+   the kernel's trampoline/kcell patching and run-time task admission
+   go through it; on a shared image it first detaches the writer onto
+   private tables).  Each cached block
    carries [worst], an upper bound on the cycles one execution can
    consume; {!Cpu.run} only enters a compiled block when the whole run
    fits under the preemption/fuel horizon and falls back to
@@ -242,15 +247,6 @@ let compile m entry : block option =
     chunk.(entry land 0xFF) <- Some b;
     Some b
 
-(** Allocate the (tiny) top-level chunk table on first use; the run loop
-    indexes it directly on its hot path.  Chunks themselves are shared
-    empties until a block is compiled into them. *)
-let ensure m =
-  if Array.length m.blocks = 0 then begin
-    m.blocks <- Array.make chunk_count no_chunk;
-    m.heat <- Array.make chunk_count no_heat
-  end
-
 (* Compile threshold: an entry PC must be looked up this many times
    before its block is compiled; below it the run loop single-steps via
    tier-0.  Cold straight-line code (boot paths, one-shot handlers, the
@@ -267,7 +263,6 @@ let threshold = 2
     threshold (caller steps via tier-0) and when the entry instruction
     is undecodable. *)
 let lookup m pc =
-  ensure m;
   let pc = pc land 0xFFFF in
   match Array.unsafe_get (Array.unsafe_get m.blocks (pc lsr 8)) (pc land 0xFF) with
   | Some _ as cached -> cached

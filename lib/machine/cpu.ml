@@ -67,7 +67,6 @@ let run_interp ?(max_cycles = max_int) m : stop =
     machine single-steps right up to the limit exactly as tier-0
     would. *)
 let run_blocks ?(max_cycles = max_int) m : stop =
-  Block.ensure m;
   (* [loop] is entered with the machine known live: not halted, not
      sleeping, and strictly below both cycle limits.  A compiled block
      whose terminator is pure control flow returns [true] ("benign"),
@@ -124,7 +123,6 @@ let run_blocks ?(max_cycles = max_int) m : stop =
     block — falls back to one tier-1 iteration (which itself falls back
     to tier-0), guaranteeing forward progress. *)
 let run_tier2 ?(max_cycles = max_int) m : stop =
-  Block.ensure m;
   let rec loop () =
     let ready =
       match m.t2 with

@@ -33,14 +33,27 @@ exception
 val pp_halt : Format.formatter -> halt -> unit
 val pp_stop : Format.formatter -> stop -> unit
 
+(** A 64 K-word flash image together with the caches derived from its
+    words alone: the decode cache, the tier-1 compiled-block table and
+    its heat counts, and the tier-2 content digest.  Every machine on a
+    shared image ({!create_shared}, {!adopt_flash}) uses those caches,
+    so a fleet booted from one template decodes and compiles each block
+    once.  Concurrent writes to one image's tables from several domains
+    are benign: a lost race costs a recompile and never changes
+    simulated state. *)
+type image = State.image
+
 type t = State.t = {
   mutable flash : int array;
-      (** 64 K words of program memory; possibly an alias of a template
-          image shared with sibling motes (see {!create_shared}) —
-          {!load} copies it before the first write (copy-on-write) *)
+      (** 64 K words of program memory: the words of [image], possibly
+          shared with sibling motes (see {!create_shared}) — {!load}
+          detaches the machine before the first write (copy-on-write) *)
   mutable flash_shared : bool;
-      (** whether [flash] currently aliases a shared template image *)
-  code : Avr.Isa.t option array array;
+      (** whether [image] is a shared template image *)
+  mutable image : image;
+      (** the flash image this machine runs; [flash], [code], [blocks]
+          and [heat] are its fields, held here for direct access *)
+  mutable code : Avr.Isa.t option array array;
       (** lazy decode cache, chunked [pc lsr 8][pc land 0xFF] with
           copy-on-write chunks like [blocks] *)
   sram : Bytes.t;  (** the full data space of {!Layout} *)
@@ -67,8 +80,7 @@ type t = State.t = {
           stepping so every retired instruction is reported. *)
   mutable blocks : block option array array;
       (** tier-1 compiled-block cache, keyed by entry word address and
-          chunked [pc lsr 8][pc land 0xFF] with copy-on-write chunks;
-          empty until the block engine first runs on this machine *)
+          chunked [pc lsr 8][pc land 0xFF] with copy-on-write chunks *)
   mutable heat : int array array;
       (** per-entry-PC execution counts driving the tier-1 compile
           threshold (chunked like [blocks]); only touched on block-cache
@@ -99,33 +111,41 @@ and t2 = State.t2 =
   | T2_wait of string * int
   | T2_ready of Aot_runtime.program * Aot_runtime.ctx
 
+(** [create ?flash ()] makes a machine with private flash holding
+    [flash] (default empty), padded with erased words, and private
+    caches. *)
 val create : ?flash:int array -> unit -> t
 
-(** [create_shared flash] makes a machine whose flash {e aliases} the
-    full-length image [flash] (exactly [Layout.flash_words] words;
-    {!Flash_overflow} otherwise) instead of copying it.  Booting N motes
-    of the same program from one prepared image costs one flash array
-    total; the first runtime flash write through {!load} copies the
-    image privately first (copy-on-write), so sharing is architecturally
-    invisible.  Callers must not mutate [flash] afterwards. *)
-val create_shared : int array -> t
+(** [image_of flash] makes an image over the full-length flash [flash]
+    (exactly [Layout.flash_words] words; {!Flash_overflow} otherwise)
+    with empty caches.  The image aliases [flash]: callers must not
+    mutate it afterwards. *)
+val image_of : int array -> image
 
-(** [adopt_flash m flash] replaces [m]'s entire flash with an alias of
-    the full-length image [flash] (copy-on-write, as {!create_shared})
-    and invalidates the decode and compiled-block caches wholesale.
-    Snapshot restore uses this to re-establish structural sharing
-    between motes of the same program. *)
-val adopt_flash : t -> int array -> unit
+(** [create_shared image] makes a machine whose flash and caches
+    {e alias} [image] instead of copying it.  Booting N motes of the
+    same program from one image costs one flash array and one set of
+    caches in total; the first runtime flash write through {!load}
+    detaches the writer first (copy-on-write), so sharing is
+    architecturally invisible. *)
+val create_shared : image -> t
+
+(** [adopt_flash m image] replaces [m]'s entire flash and caches with
+    an alias of [image] (as {!create_shared}), dropping its old caches
+    and its tier-2 binding.  Snapshot restore uses this to re-establish
+    structural sharing between motes of the same program. *)
+val adopt_flash : t -> image -> unit
 
 (** [load ?at m image] copies [image] into flash at word address [at]
     (default 0) and invalidates the decode cache and the compiled-block
     cache over every entry that can overlap the written range (including
     a cached 2-word instruction starting at [at - 1]).  This is the only
     flash-write path, so self-modifying code — the kernel's trampoline
-    patching — always observes its new code in both execution tiers, and
-    a mote sharing a template image ({!create_shared}) copies it before
-    the write lands.  Raises {!Flash_overflow} when the image does not
-    fit in flash. *)
+    patching — always observes its new code in both execution tiers.  A
+    machine on a shared image ({!create_shared}) is first detached: it
+    gets a private copy of the words and fresh private caches, and its
+    siblings keep the image.  Raises {!Flash_overflow} when the image
+    does not fit in flash. *)
 val load : ?at:int -> t -> int array -> unit
 
 (** Cycles spent executing (total minus idle). *)

@@ -50,15 +50,20 @@ let fi = 7
 
 type t = {
   mutable flash : int array;
-      (* 64 K words of program memory.  May be an alias of an image
-         shared by every mote booted from the same program template
-         ([flash_shared]); the first write through [load] copies it, so
-         sharing is invisible to programs (copy-on-write). *)
+      (* 64 K words of program memory: [image.i_flash], held here too
+         so the hot paths read it without an indirection. *)
   mutable flash_shared : bool;
-  code : Isa.t option array array;
+      (* whether [image] may be shared with sibling motes booted from
+         the same program template; the first write through [load]
+         then detaches this machine onto a private copy, so sharing is
+         invisible to programs (copy-on-write). *)
+  mutable image : image;
+      (* the flash image this machine runs and the caches derived from
+         it; [flash], [code], [blocks] and [heat] alias its fields. *)
+  mutable code : Isa.t option array array;
       (* lazy decode cache, chunked [pc lsr 8][pc land 0xFF] like
          [blocks]; chunks start as the shared [no_code_chunk] and are
-         copied on first write, so an idle mote's cache costs one small
+         copied on first write, so an idle cache costs one small
          top-level array instead of 512 KB. *)
   sram : Bytes.t; (* full data space, I/O shadow included *)
   io : Io.t;
@@ -81,9 +86,8 @@ type t = {
   mutable blocks : block option array array;
       (* tier-1 compiled-block cache, keyed by entry word address and
          chunked [pc lsr 8][pc land 0xFF].  Chunks start as the shared
-         [no_chunk] and are copied on first write, so creating a machine
-         costs one small array, not a megabyte of table.  Empty until
-         the block engine first runs on this machine. *)
+         [no_chunk] and are copied on first write, so a cache costs one
+         small array, not a megabyte of table, until blocks compile. *)
   mutable heat : int array array;
       (* per-entry-PC execution counts driving the tier-1 compile
          threshold; chunked like [blocks] and only touched on
@@ -116,6 +120,32 @@ and t2 =
   | T2_wait of string * int
   | T2_ready of Aot_runtime.program * Aot_runtime.ctx
 
+(* A flash image and everything derived from its words alone: the
+   decode cache, the tier-1 block table with its heat counts, and the
+   tier-2 content digest.  Every machine booted from one program
+   template aliases one image ({!create_shared}), so a fleet decodes and
+   compiles each block once instead of once per mote.
+
+   This is sound because a [block] is a pure function of the flash
+   words: {!Block.form} reads nothing else, and [exec] takes the
+   machine as an argument.  The words of a shared image are never
+   written ([load] detaches first).  Under [Net.run ~domains:n] several
+   domains write the tables of one image without locking; every race is
+   benign.  Two domains filling one empty chunk may each install a
+   fresh chunk, and the loser's entries vanish; a heat increment may be
+   lost; a digest may be computed twice.  Each costs at most a
+   recompile or a redecode of the same, immutable, content-derived
+   value, and none changes simulated state, because every tier is
+   bit-identical to tier-0 under any block partitioning. *)
+and image = {
+  i_flash : int array;  (* exactly [Layout.flash_words] words *)
+  i_code : Isa.t option array array;
+  i_blocks : block option array array;
+  i_heat : int array array;
+  mutable i_digest : string option;
+      (* tier-2 digest of [i_flash], kept only while shared ({!Aot}) *)
+}
+
 (* Block-table chunk geometry: flash_words = chunk_count * chunk_words. *)
 let chunk_words = 256
 let chunk_count = Layout.flash_words / chunk_words
@@ -130,12 +160,23 @@ let no_heat : int array = Array.make chunk_words 0
    block overlapping the write is dropped; {!Block} enforces the cap. *)
 let max_block_span = 128
 
-let create ?(flash = [||]) () =
-  let fl = Array.make Layout.flash_words 0xFFFF in
-  Array.blit flash 0 fl 0 (Array.length flash);
-  { flash = fl;
-    flash_shared = false;
-    code = Array.make chunk_count no_code_chunk;
+(** An image over [flash] (which must be exactly [Layout.flash_words]
+    words long) with empty caches.  The image aliases [flash]: callers
+    must not mutate it afterwards. *)
+let image_of flash =
+  if Array.length flash <> Layout.flash_words then
+    raise (Flash_overflow { at = 0; words = Array.length flash });
+  { i_flash = flash;
+    i_code = Array.make chunk_count no_code_chunk;
+    i_blocks = Array.make chunk_count no_chunk;
+    i_heat = Array.make chunk_count no_heat;
+    i_digest = None }
+
+let machine ~shared image =
+  { flash = image.i_flash;
+    flash_shared = shared;
+    image;
+    code = image.i_code;
     sram = Bytes.make Layout.data_size '\000';
     io = Io.create ();
     regs = Array.make 32 0;
@@ -154,10 +195,32 @@ let create ?(flash = [||]) () =
     preempt_at = max_int;
     on_syscall = None;
     trace = None;
-    blocks = [||];
-    heat = [||];
+    blocks = image.i_blocks;
+    heat = image.i_heat;
     tier = 1;
     t2 = T2_unknown }
+
+let create ?(flash = [||]) () =
+  let fl = Array.make Layout.flash_words 0xFFFF in
+  Array.blit flash 0 fl 0 (Array.length flash);
+  machine ~shared:false (image_of fl)
+
+(** A machine whose flash and caches {e alias} [image] instead of
+    copying it.  Booting N motes from one image this way costs one flash
+    array and one set of caches in total; the first runtime flash write
+    through {!load} detaches the writer (copy-on-write). *)
+let create_shared image = machine ~shared:true image
+
+(* Point [m] at [image]: its words and caches, with the tier-2 binding
+   dropped (it was bound to the old flash contents). *)
+let attach m ~shared image =
+  m.flash <- image.i_flash;
+  m.flash_shared <- shared;
+  m.image <- image;
+  m.code <- image.i_code;
+  m.blocks <- image.i_blocks;
+  m.heat <- image.i_heat;
+  m.t2 <- T2_unknown
 
 (* Invalidate the decode cache over word range [lo, hi) (chunk-wise:
    shared empty chunks are already invalid and are skipped). *)
@@ -177,63 +240,37 @@ let invalidate_code m lo hi =
     [at] is invalidated too: a cached 2-word instruction starting at
     [at - 1] would otherwise keep its stale operand word.  Compiled
     blocks are invalidated over [at - max_block_span, at + length), which
-    covers every block that can overlap the write.  When the flash is a
-    shared template image ({!create_shared}/{!adopt_flash}) it is copied
-    first, so the write never leaks into sibling motes.  Raises
-    {!Flash_overflow} when the image does not fit the flash. *)
+    covers every block that can overlap the write.  A machine on a
+    shared image ({!create_shared}/{!adopt_flash}) is first detached onto
+    a private copy of the words with fresh private caches, so the write
+    never leaks into sibling motes.  Raises {!Flash_overflow} when the
+    image does not fit the flash. *)
 let load ?(at = 0) m (image : int array) =
   let words = Array.length image in
   if at < 0 || words > Layout.flash_words - at then
     raise (Flash_overflow { at; words });
-  if m.flash_shared then begin
-    m.flash <- Array.copy m.flash;
-    m.flash_shared <- false
-  end;
+  if m.flash_shared then attach m ~shared:false (image_of (Array.copy m.flash));
   Array.blit image 0 m.flash at words;
   let lo = max 0 (at - 1) in
   let hi = min Layout.flash_words (at + words) in
   invalidate_code m lo hi;
-  if Array.length m.blocks > 0 then begin
-    let blo = max 0 (at - max_block_span) in
-    for w = blo to hi - 1 do
-      let chunk = Array.unsafe_get m.blocks (w lsr 8) in
-      if chunk != no_chunk then Array.unsafe_set chunk (w land 0xFF) None
-    done
-  end;
+  let blo = max 0 (at - max_block_span) in
+  for w = blo to hi - 1 do
+    let chunk = Array.unsafe_get m.blocks (w lsr 8) in
+    if chunk != no_chunk then Array.unsafe_set chunk (w land 0xFF) None
+  done;
   (* The tier-2 program was compiled from the old flash contents; drop
      the binding so the next tier-2 attempt re-digests.  A mote that was
-     aliasing a shared template keeps the template's compiled program
-     alive for its siblings (the registry is keyed by digest) but must
-     never execute it against its now-private, patched image. *)
+     on a shared image keeps the image's compiled program alive for its
+     siblings (the registry is keyed by digest) but must never execute
+     it against its now-private, patched words. *)
   m.t2 <- T2_unknown
 
-(** A machine whose flash {e aliases} [flash] (which must be a full
-    [Layout.flash_words]-long image) instead of copying it.  Booting N
-    motes from one prepared image this way costs one flash array total;
-    the first runtime flash write through {!load} copies privately
-    (copy-on-write).  Callers must not mutate [flash] afterwards. *)
-let create_shared flash =
-  if Array.length flash <> Layout.flash_words then
-    raise (Flash_overflow { at = 0; words = Array.length flash });
-  let m = create () in
-  m.flash <- flash;
-  m.flash_shared <- true;
-  m
-
-(** Replace [m]'s entire flash with an alias of [flash] (full-length,
-    as in {!create_shared}) and invalidate both execution-tier caches
-    wholesale.  Snapshot restore uses this to re-establish structural
-    sharing between motes of the same program. *)
-let adopt_flash m flash =
-  if Array.length flash <> Layout.flash_words then
-    raise (Flash_overflow { at = 0; words = Array.length flash });
-  m.flash <- flash;
-  m.flash_shared <- true;
-  Array.fill m.code 0 chunk_count no_code_chunk;
-  if Array.length m.blocks > 0 then
-    Array.fill m.blocks 0 chunk_count no_chunk;
-  if Array.length m.heat > 0 then Array.fill m.heat 0 chunk_count no_heat;
-  m.t2 <- T2_unknown
+(** Replace [m]'s entire flash and caches with an alias of [image] (as
+    {!create_shared}); the old caches are simply dropped.  Snapshot
+    restore uses this to re-establish sharing between motes of the same
+    program. *)
+let adopt_flash m image = attach m ~shared:true image
 
 let active_cycles m = m.cycles - m.idle_cycles
 

@@ -24,8 +24,10 @@
    that executed this round can have queued TX bytes or fresh trace
    events, and empty exchanges draw nothing from the loss LFSR.  Motes
    of identical program lists share one {!Kernel.template} — and hence
-   one copy-on-write flash image — so booting a 10k-mote fleet of one
-   program costs one 64 K-word array instead of 10 000.
+   one copy-on-write flash image with its decode cache and tier-1 block
+   table — so booting a 10k-mote fleet of one program costs one 64
+   K-word array instead of 10 000, and the fleet compiles each block
+   once.
 
    Parallelism: motes only interact through the coordinator's exchange
    between rounds, so the per-round stepping is embarrassingly parallel.
@@ -35,7 +37,10 @@
    coordinator, and each mote records events into a private sink that is
    drained into the master trace in node-id order once per round.  The
    merge path is identical for [domains = 1], so runs are bit-for-bit
-   reproducible at any domain count. *)
+   reproducible at any domain count.  Domains do share one mutable
+   thing: the caches of a shared flash image, which they fill without
+   locks.  Those races are benign (see {!Machine.Cpu.image}): a lost
+   write costs a recompile, never simulated state. *)
 
 type node = {
   id : int;
@@ -73,8 +78,9 @@ let drain_sinks t =
 (** [create ~images ...] boots one kernel per element of [images] (each
     a list of application images for that mote).  Motes with the same
     image list (element-wise physical equality) share one prepared
-    {!Kernel.template}, so their flash is one copy-on-write array
-    instead of a private 64 K-word copy each.  Every kernel records into
+    {!Kernel.template}, so their flash is one copy-on-write image —
+    words, decode cache and block table — instead of a private 64
+    K-word copy each.  Every kernel records into
     a private per-mote sink of [sink_capacity] events (default
     {!Trace.default_capacity}; fleets use a small ring to bound memory);
     sinks are merged into the shared [trace] in node-id order, and

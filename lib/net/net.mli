@@ -9,9 +9,9 @@
     the motes due below the lockstep horizon, and the horizon jumps
     over fully-idle spans — byte-identical to stepping every mote every
     quantum, at O(active motes) per round.  Motes booted from the same
-    image list share one copy-on-write flash image
-    ({!Kernel.template}), so fleet boot cost is per-program, not
-    per-mote.
+    image list share one copy-on-write flash image with its decode
+    cache and tier-1 block table ({!Kernel.template}), so fleet boot
+    and compile cost is per-program, not per-mote.
 
     Stepping can be parallelized over OCaml domains ({!run}'s
     [?domains]); motes only interact through the coordinator's byte
@@ -57,7 +57,7 @@ type t = {
 (** Boot one mote per element; each element lists the mote's
     application images.  Motes whose image lists are element-wise
     physically equal share one prepared {!Kernel.template} and hence
-    one copy-on-write flash image.  Every kernel records into a private
+    one copy-on-write flash image and its caches.  Every kernel records into a private
     per-mote sink of [sink_capacity] events (default
     {!Trace.default_capacity}; large fleets should pass a small ring to
     bound memory), merged into the master [trace] ([~trace] to supply

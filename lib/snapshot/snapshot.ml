@@ -21,10 +21,12 @@
    at cycle c, restore, run to cycle d  ==  run uninterrupted to d —
    byte-identical counters, events and machine state, in both execution
    tiers and at any domain count.  Restoring flash routes through
-   {!Machine.Cpu.adopt_flash}, which invalidates the decode cache and
-   the tier-1 compiled-block table wholesale — stale closures compiled
-   against the old image are rebuilt, never leaked — and re-establishes
-   copy-on-write sharing between motes restored from the same image. *)
+   {!Machine.Cpu.adopt_flash}, which swaps in a fresh image with empty
+   caches — stale closures compiled against the old image are rebuilt,
+   never leaked.  {!restore_net} gives every mote restored from one
+   flash array one image, re-establishing copy-on-write sharing of the
+   words and of the caches, so a restored fleet compiles each block
+   once. *)
 
 exception Incompatible of string
 
@@ -291,7 +293,9 @@ let restore_io (s : io) (io : Machine.Io.t) =
   io.radio_tx_count <- s.radio_tx_count;
   io.temp <- s.temp
 
-let restore_machine_state (s : machine) (m : Machine.Cpu.t) =
+(* [image_of] turns the snapshot's flash array into the image the machine
+   adopts. *)
+let restore_machine_state ~image_of (s : machine) (m : Machine.Cpu.t) =
   if Array.length s.flash <> Array.length m.flash then
     incompatible "snapshot flash is %d words, machine has %d"
       (Array.length s.flash) (Array.length m.flash);
@@ -300,12 +304,9 @@ let restore_machine_state (s : machine) (m : Machine.Cpu.t) =
       (Bytes.length s.sram) (Bytes.length m.sram);
   if Array.length s.regs <> 32 then
     incompatible "snapshot register file has %d registers" (Array.length s.regs);
-  (* Adopt the snapshot's image copy-on-write: both execution-tier
-     caches are invalidated wholesale (stale closures are rebuilt, never
-     leaked), and motes restored from the same decoded image keep
-     sharing one flash array — restore re-establishes the fleet's
-     structural sharing instead of expanding it. *)
-  Machine.Cpu.adopt_flash m s.flash;
+  (* Adopt the snapshot's flash copy-on-write, with fresh caches
+     (stale closures are rebuilt, never leaked). *)
+  Machine.Cpu.adopt_flash m (image_of s.flash);
   Bytes.blit s.sram 0 m.sram 0 (Bytes.length s.sram);
   Array.blit s.regs 0 m.regs 0 32;
   m.pc <- s.pc;
@@ -325,7 +326,7 @@ let restore_machine_state (s : machine) (m : Machine.Cpu.t) =
 
 let restore_machine (s : t) (m : Machine.Cpu.t) =
   match s.payload with
-  | P_machine ms -> restore_machine_state ms m
+  | P_machine ms -> restore_machine_state ~image_of:Machine.Cpu.image_of ms m
   | P_kernel _ | P_net _ ->
     incompatible "this is a %s snapshot; restore it onto a matching host"
       (kind_name s)
@@ -354,14 +355,14 @@ let restore_task (s : task) (t : Kernel.Task.t) =
   t.mark_cycles <- s.t_mark_cycles;
   t.mark_insns <- s.t_mark_insns
 
-let restore_kernel_core (s : kernel) (k : Kernel.t) =
+let restore_kernel_core ~image_of (s : kernel) (k : Kernel.t) =
   let snap_n = List.length s.k_tasks and have_n = List.length k.tasks in
   if snap_n <> have_n then
     incompatible
       "snapshot has %d tasks, target kernel has %d — boot the same images \
        (run-time spawns included) before restoring"
       snap_n have_n;
-  restore_machine_state s.k_machine k.m;
+  restore_machine_state ~image_of s.k_machine k.m;
   List.iter2 restore_task s.k_tasks k.tasks;
   k.current <-
     Option.map
@@ -386,7 +387,7 @@ let restore_kernel_core (s : kernel) (k : Kernel.t) =
 let restore_kernel (s : t) (k : Kernel.t) =
   match s.payload with
   | P_kernel (ks, tr) ->
-    restore_kernel_core ks k;
+    restore_kernel_core ~image_of:Machine.Cpu.image_of ks k;
     Trace.restore k.trace tr
   | P_machine _ | P_net _ ->
     incompatible "this is a %s snapshot; restore it onto a matching host"
@@ -410,12 +411,25 @@ let restore_net (s : t) (n : Net.t) =
          network with the original parameters"
         ns.net_quantum ns.net_latency ns.net_loss_permille n.quantum n.latency
         n.loss_permille;
+    (* One image per distinct flash array: motes restored from one
+       decoded (or captured-shared) array share its words and caches,
+       re-establishing the fleet's structural sharing instead of
+       expanding it. *)
+    let images = ref [] in
+    let image_of flash =
+      match List.assq_opt flash !images with
+      | Some image -> image
+      | None ->
+        let image = Machine.Cpu.image_of flash in
+        images := (flash, image) :: !images;
+        image
+    in
     List.iteri
       (fun i (nd : nnode) ->
         let target = n.nodes.(i) in
         if nd.n_id <> target.id then
           incompatible "snapshot node %d has id %d" i nd.n_id;
-        restore_kernel_core nd.n_kernel target.kernel;
+        restore_kernel_core ~image_of nd.n_kernel target.kernel;
         Trace.restore target.sink nd.n_sink;
         target.neighbours <- nd.n_neighbours;
         target.finished <- nd.n_finished)

@@ -30,6 +30,20 @@ dune exec test/test_tiers.exe
 # byte-identical counters, events, and machine state.
 dune exec test/test_net.exe -- test domains
 
+# Shared tier-1 tables under concurrent writers: a fleet's motes share
+# one decode cache and block table, which two domains fill at once.
+# The aggregate line and the whole-fleet snapshot must match 1 domain.
+fleet_dir=$(mktemp -d)
+fleet1=$(dune exec bin/sensmart_cli.exe -- fleet --motes 300 --domains 1 -o "$fleet_dir/A")
+fleet2=$(dune exec bin/sensmart_cli.exe -- fleet --motes 300 --domains 2 -o "$fleet_dir/B")
+if [ "$(echo "$fleet1" | head -n 1)" != "$(echo "$fleet2" | head -n 1)" ] \
+    || ! cmp -s "$fleet_dir/A" "$fleet_dir/B"; then
+    echo "check.sh: fleet at 2 domains differs from 1 domain" >&2
+    rm -rf "$fleet_dir"
+    exit 1
+fi
+rm -rf "$fleet_dir"
+
 # Adversarial attack campaign smoke: the cross-kernel containment
 # matrix must cover all four comparators and SenSmart must contain
 # strictly more attack classes than at least one of them (asserted by

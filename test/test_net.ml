@@ -374,6 +374,62 @@ let fleet_determinism () =
       Alcotest.(check int) (what "per-mote machine digest") dig1 digd)
     [ 2; 4 ]
 
+(* Motes booted from one template share one decode cache and one tier-1
+   block table.  Sharing must be invisible: a 100-mote fleet on one
+   shared table ends exactly as the same fleet booted one template per
+   mote, each with private caches — at 1 and 2 domains. *)
+let shared_tables_match_private () =
+  let periods = 2 and n = 100 in
+  let topology = Workloads.Fleet.Grid 10 in
+  let run ~shared ~domains =
+    let net =
+      if shared then
+        Workloads.Fleet.create ~loss_permille:100 ~periods ~topology n
+      else begin
+        (* A fresh image per mote: no two image lists are physically
+           equal, so [Net.create] prepares one template per mote. *)
+        let net =
+          Net.create ~loss_permille:100 ~sink_capacity:64
+            (List.init n (fun _ -> [ Workloads.Fleet.image ~periods () ]))
+        in
+        Net.link_all net (Workloads.Fleet.edges topology n);
+        net
+      end
+    in
+    let live =
+      Net.run ~max_cycles:(Workloads.Fleet.horizon ~periods) ~domains net
+    in
+    let b = Buffer.create 4096 in
+    Array.iter
+      (fun (nd : Net.node) ->
+        let m = nd.kernel.m in
+        Buffer.add_string b
+          (Printf.sprintf "%d %d %d %d %d %d %d|" m.cycles m.idle_cycles
+             m.insns m.pc m.sp m.sreg m.mem_reads);
+        Array.iter (fun r -> Buffer.add_char b (Char.chr r)) m.regs;
+        Buffer.add_bytes b m.sram)
+      net.nodes;
+    let tables = Array.map (fun (nd : Net.node) -> nd.kernel.m.blocks) net.nodes in
+    let one_table = Array.for_all (fun t -> t == tables.(0)) tables in
+    ( (Workloads.Fleet.stats ~live net, net.loss_state,
+       Digest.to_hex (Digest.string (Buffer.contents b))),
+      one_table )
+  in
+  let reference, private_one_table = run ~shared:false ~domains:1 in
+  Alcotest.(check bool) "per-mote templates keep private tables" false
+    private_one_table;
+  let s, _, _ = reference in
+  Alcotest.(check bool) "fleet made real traffic" true
+    (s.sent > 0 && s.routed > 0 && s.dropped > 0);
+  List.iter
+    (fun domains ->
+      let shared, one_table = run ~shared:true ~domains in
+      let what fmt = Printf.sprintf ("shared, domains=%d: " ^^ fmt) domains in
+      Alcotest.(check bool) (what "motes share one block table") true one_table;
+      Alcotest.(check bool) (what "aggregates, LFSR and state digest") true
+        (reference = shared))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "net"
     [ ("collection",
@@ -397,4 +453,6 @@ let () =
            checkpoint_fires_per_multiple ]);
       ("fleet",
        [ Alcotest.test_case "1k motes, 1/2/4 domains byte-identical" `Quick
-           fleet_determinism ]) ]
+           fleet_determinism;
+         Alcotest.test_case "shared tables match private caches" `Quick
+           shared_tables_match_private ]) ]

@@ -194,6 +194,42 @@ let net_round_trip domains () =
     (Printf.sprintf "net round-trip at %d domains" domains)
     reference (Snapshot.of_net n2)
 
+(* A restored fleet keeps its structural sharing: the snapshot stores
+   the one flash image once, so every mote restored from that decoded
+   array adopts one image and shares its decode cache and block table,
+   compiling each block once.  Resuming from there still equals the
+   uninterrupted run, at 1 and 2 domains. *)
+let fleet_restore_shares_tables () =
+  let periods = 2 in
+  let make () =
+    Workloads.Fleet.create ~loss_permille:100 ~periods
+      ~topology:(Workloads.Fleet.Grid 6) 36
+  in
+  let horizon = Workloads.Fleet.horizon ~periods in
+  let n1 = make () in
+  ignore (Net.run ~max_cycles:(horizon / 2) n1);
+  let snap = decode (Snapshot.of_net n1) in
+  ignore (Net.run ~max_cycles:horizon n1);
+  let reference = Snapshot.of_net n1 in
+  List.iter
+    (fun domains ->
+      let n2 = make () in
+      Snapshot.restore_net snap n2;
+      let table = n2.nodes.(0).kernel.m.blocks in
+      let shared () =
+        Array.for_all
+          (fun (nd : Net.node) -> nd.kernel.m.blocks == table)
+          n2.nodes
+      in
+      Alcotest.(check bool) "restored motes share one block table" true
+        (shared ());
+      ignore (Net.run ~max_cycles:horizon ~domains n2);
+      Alcotest.(check bool) "still shared after resuming" true (shared ());
+      check_identical
+        (Printf.sprintf "fleet resumed at %d domains" domains)
+        reference (Snapshot.of_net n2))
+    [ 1; 2 ]
+
 (* The satellite concern behind the [] diff: after a mid-run restore,
    [Trace.transfer] keeps merging per-mote sinks in node-id order, so
    the master event stream is identical, event by event, in order. *)
@@ -449,6 +485,8 @@ let () =
        [ Alcotest.test_case "round-trip, 1 domain" `Quick (net_round_trip 1);
          Alcotest.test_case "round-trip, 2 domains" `Quick (net_round_trip 2);
          Alcotest.test_case "round-trip, 4 domains" `Quick (net_round_trip 4);
+         Alcotest.test_case "restored fleet shares one block table" `Quick
+           fleet_restore_shares_tables;
          Alcotest.test_case "trace merge order after restore" `Quick
            net_trace_order_after_restore;
          Alcotest.test_case "checkpoint cadence" `Quick

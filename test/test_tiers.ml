@@ -145,8 +145,9 @@ let cow_invalidation () =
   let img5 = build 5 and img7 = build 7 in
   let tpl = Array.make Machine.Layout.flash_words 0xFFFF in
   Array.blit img5.words 0 tpl 0 (Array.length img5.words);
+  let image = Machine.Cpu.image_of tpl in
   let boot () =
-    let m = Machine.Cpu.create_shared tpl in
+    let m = Machine.Cpu.create_shared image in
     m.pc <- img5.entry;
     m
   in
@@ -168,6 +169,62 @@ let cow_invalidation () =
     (m1.Machine.Cpu.flash == tpl);
   Alcotest.(check bool) "mote 2 still aliases the template" true
     (m2.Machine.Cpu.flash == tpl);
+  Alcotest.(check int) "mote 2 undisturbed" 5 (rerun m2)
+
+(* The tier-1 twin of [cow_invalidation]: motes on one image share its
+   compiled-block table, and a self-patch through {!Machine.Cpu.load}
+   must move the patched mote onto private tables.  Would fail if [load]
+   kept writing the shared table: the patched block would land there and
+   mote 2 would run it. *)
+let cow_invalidation_tier1 () =
+  let open Asm.Macros in
+  let build k =
+    assemble
+      (Asm.Ast.program "cowp"
+         (lbl "start" :: (sp_init @ [ ldi 24 k; break ])))
+  in
+  let img5 = build 5 and img7 = build 7 in
+  let tpl = Array.make Machine.Layout.flash_words 0xFFFF in
+  Array.blit img5.words 0 tpl 0 (Array.length img5.words);
+  let image = Machine.Cpu.image_of tpl in
+  let boot () =
+    let m = Machine.Cpu.create_shared image in
+    m.pc <- img5.entry;
+    m
+  in
+  let m1 = boot () and m2 = boot () in
+  let rerun m =
+    m.Machine.Cpu.halted <- None;
+    m.pc <- img5.entry;
+    ignore (Machine.Cpu.run ~tier:1 ~max_cycles:1_000_000 m);
+    m.regs.(24)
+  in
+  let compiled (m : Machine.Cpu.t) =
+    m.blocks.(img5.entry lsr 8).(img5.entry land 0xFF) <> None
+  in
+  (* Enough runs, across both motes, to pass the compile threshold. *)
+  for _ = 1 to 2 do
+    Alcotest.(check int) "mote 1 before patch" 5 (rerun m1);
+    Alcotest.(check int) "mote 2 before patch" 5 (rerun m2)
+  done;
+  Alcotest.(check bool) "motes share one block table" true
+    (m1.blocks == m2.blocks);
+  Alcotest.(check bool) "entry block compiled into the shared table" true
+    (compiled m2);
+  Machine.Cpu.load m1 img7.words;
+  for _ = 1 to 3 do
+    Alcotest.(check int) "mote 1 runs its patched code" 7 (rerun m1)
+  done;
+  Alcotest.(check bool) "mote 1 compiled its patched block privately" true
+    (compiled m1);
+  Alcotest.(check bool) "mote 1 left the shared table" false
+    (m1.blocks == m2.blocks);
+  Alcotest.(check bool) "mote 1 copied before writing" false
+    (m1.Machine.Cpu.flash == tpl);
+  Alcotest.(check bool) "mote 2 still on the template image" true
+    (m2.Machine.Cpu.image == image && m2.flash == tpl);
+  Alcotest.(check bool) "mote 2 still shares the template's table" true
+    (m2.blocks == (boot ()).blocks);
   Alcotest.(check int) "mote 2 undisturbed" 5 (rerun m2)
 
 (* Fault containment under tier-2: the same seeded plan replayed at
@@ -268,6 +325,8 @@ let () =
        [ Alcotest.test_case "snapshot/restore" `Quick snapshot_restore_tier2;
          Alcotest.test_case "shared-flash self-patch invalidation" `Quick
            cow_invalidation;
+         Alcotest.test_case "shared-table self-patch invalidation (tier-1)"
+           `Quick cow_invalidation_tier1;
          Alcotest.test_case "fault plan differential" `Quick fault_tier2;
          Alcotest.test_case "fleet 1/2/4 domains" `Slow fleet_tier2;
          Alcotest.test_case "randomized programs (preloaded)" `Slow fuzz_tier2 ]);
