@@ -7,16 +7,19 @@
 
     The contract: capture at cycle [c], restore onto a freshly re-created
     host (same images, same config, same topology), run to cycle [d] —
-    the result is byte-identical to an uninterrupted run to [d], in both
-    execution tiers and at any domain count.  Restores route flash
-    through {!Machine.Cpu.load}, so tier-1 compiled blocks and the
-    decode cache are invalidated, never stale.
+    the result is byte-identical to an uninterrupted run to [d], in all
+    execution tiers and at any domain count.  Restores hand flash to
+    {!Machine.Cpu.adopt_flash}, which installs a fresh image with empty
+    decode and block caches, so compiled code is never stale.
 
-    Structural state (program images, kernel config, topology) is not
-    captured; {!restore_kernel} and {!restore_net} verify structural
-    compatibility and raise {!Incompatible} otherwise.  The snapshot
-    carries {!programs} so a driver can re-create the host from the
-    workload registry. *)
+    Every captured field is declared once, in a table that drives
+    capture, restore, encoding, decoding and {!diff} alike.  Structural
+    state (program images, kernel config, topology) is not captured;
+    the [restore_*] functions check its keys (task ids and names, mote
+    ids and count, lockstep parameters, memory sizes) before writing
+    anything and raise {!Incompatible} otherwise.  The snapshot carries
+    {!programs} so a driver can re-create the host from the workload
+    registry. *)
 
 type t
 
@@ -70,11 +73,13 @@ val of_net : ?programs:string list -> Net.t -> t
 val restore_machine : t -> Machine.Cpu.t -> unit
 
 (** Restore over a freshly booted kernel built from the same images
-    (flash goes through {!Machine.Cpu.load}, invalidating both tiers'
-    code caches). *)
+    (flash goes through {!Machine.Cpu.adopt_flash}, so no compiled code
+    from the kernel's earlier run survives). *)
 val restore_kernel : t -> Kernel.t -> unit
 
-(** Restore over a freshly created network of the same shape. *)
+(** Restore over a freshly created network of the same shape.  Motes
+    restored from one flash image share one {!Machine.Cpu.image}, so the
+    restored fleet compiles each block once. *)
 val restore_net : t -> Net.t -> unit
 
 (** {2 Serialization}
@@ -93,8 +98,10 @@ val to_string : t -> string
     one blob between jobs that captured the same world. *)
 val digest : t -> string
 
-(** Inverse of {!to_string}; [Error _] on corrupt or foreign input
-    (never raises). *)
+(** Inverse of {!to_string}; [Error _] on corrupt or foreign input,
+    including any value outside its field's valid range (e.g. a PC
+    beyond the 64 K-word flash).  Never raises, and never allocates by
+    a length the input cannot back. *)
 val of_string : string -> (t, string) result
 
 (** [save path s] writes {!to_string} to [path]. *)
@@ -106,9 +113,10 @@ val load : string -> (t, string) result
 (** {2 Comparison} *)
 
 (** Component-level differences, one human-readable line per differing
-    component (prefixed [mote<i>.]/[task<i>.] as applicable); [[]] means
-    identical.  Exhaustive over the captured state: an empty diff
-    implies {!to_string} equality. *)
+    value, labelled by its path of field names (e.g.
+    [net.motes[1].kernel.tasks[0].sp], [meta.programs]).  Exhaustive
+    over the serialized state: [diff a b = []] iff
+    [to_string a = to_string b]. *)
 val diff : t -> t -> string list
 
 (** [diff a b = []]. *)

@@ -14,8 +14,6 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 (* --- writers ------------------------------------------------------------- *)
 
 module W = struct
-  type t = Buffer.t
-
   let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
   (* Signed LEB128. *)
@@ -29,21 +27,9 @@ module W = struct
     in
     go v
 
-  let bool b v = u8 b (if v then 1 else 0)
-
   let string b s =
     int b (String.length s);
     Buffer.add_string b s
-
-  let bytes b (s : Bytes.t) = string b (Bytes.unsafe_to_string s)
-
-  let option b f = function
-    | None -> u8 b 0
-    | Some v -> u8 b 1; f b v
-
-  let list b f xs =
-    int b (List.length xs);
-    List.iter (f b) xs
 
   (* Dense array of values in [0, 0xFFFF], two bytes LE each (flash). *)
   let u16_array b (a : int array) =
@@ -53,11 +39,6 @@ module W = struct
         u8 b (v land 0xFF);
         u8 b ((v lsr 8) land 0xFF))
       a
-
-  (* Small array of ints (registers, stats): varint each. *)
-  let int_array b (a : int array) =
-    int b (Array.length a);
-    Array.iter (int b) a
 end
 
 (* --- readers ------------------------------------------------------------- *)
@@ -65,11 +46,7 @@ end
 module R = struct
   type t = { s : string; mutable pos : int; limit : int }
 
-  let of_string ?(pos = 0) ?limit s =
-    let limit = match limit with Some l -> l | None -> String.length s in
-    { s; pos; limit }
-
-  let eof r = r.pos >= r.limit
+  let of_string ?(pos = 0) s = { s; pos; limit = String.length s }
 
   let u8 r =
     if r.pos >= r.limit then corrupt "truncated input at %d" r.pos;
@@ -90,8 +67,6 @@ module R = struct
     in
     go 0 0
 
-  let bool r = match u8 r with 0 -> false | 1 -> true | v -> corrupt "bad bool %d" v
-
   (* A length prefix for [what], whose elements each take at least
      [width] bytes of input: a length the remaining input cannot hold
      is corrupt, so no reader ever allocates by an unchecked length. *)
@@ -107,16 +82,8 @@ module R = struct
     r.pos <- r.pos + n;
     s
 
-  let bytes r = Bytes.of_string (string r)
-
-  let option r f = match u8 r with
-    | 0 -> None
-    | 1 -> Some (f r)
-    | v -> corrupt "bad option tag %d" v
-
-  let list r f =
-    let n = length r ~width:1 "list" in
-    List.init n (fun _ -> f r)
+  (* [string]'s result is fresh and unshared, so it becomes the bytes. *)
+  let bytes r = Bytes.unsafe_of_string (string r)
 
   let u16_array r =
     let n = length r ~width:2 "u16 array" in
@@ -126,10 +93,6 @@ module R = struct
     in
     r.pos <- r.pos + (2 * n);
     a
-
-  let int_array r =
-    let n = length r ~width:1 "int array" in
-    Array.init n (fun _ -> int r)
 end
 
 (* --- self-describing sections -------------------------------------------- *)
@@ -138,19 +101,20 @@ end
    they do not understand, which is what lets the format grow without
    breaking old readers within a major version. *)
 
-let w_section (b : Buffer.t) name f =
+let w_section (b : Buffer.t) name payload =
   W.string b name;
-  let payload = Buffer.create 256 in
-  f payload;
-  W.string b (Buffer.contents payload)
+  W.string b payload
 
-(** Read every [name -> payload] section until end of input. *)
-let r_sections (r : R.t) : (string * string) list =
+(** Every section until end of input, each as a reader confined to its
+    payload (no copy: a fleet's payload is megabytes). *)
+let r_sections (r : R.t) : (string * R.t) list =
   let rec go acc =
-    if R.eof r then List.rev acc
+    if r.R.pos >= r.limit then List.rev acc
     else
       let name = R.string r in
-      let payload = R.string r in
-      go ((name, payload) :: acc)
+      let n = R.length r ~width:1 "section" in
+      let section = { r with limit = r.pos + n } in
+      r.pos <- r.pos + n;
+      go ((name, section) :: acc)
   in
   go []

@@ -85,3 +85,20 @@ if pgrep -f sensmart_aot_ >/dev/null; then
     echo "check.sh: a tier-2 compiler outlived its run" >&2
     exit 1
 fi
+
+# Snapshot/resume through the CLI: a feeder/search kernel captured
+# mid-run and resumed at each tier prints exactly what the
+# uninterrupted run prints (the "resumed" banner and wall time aside).
+snap_dir=$(mktemp -d)
+"$cli" snapshot feeder search --at 120000 -o "$snap_dir/F" > /dev/null
+want=$("$cli" run feeder search --budget 3000000 | sed 's/ ([0-9.]* s)//')
+for tier in 0 1 2; do
+    got=$("$cli" resume "$snap_dir/F" --budget 3000000 --tier "$tier" \
+        | grep -v '^resumed' | sed 's/ ([0-9.]* s)//')
+    if [ "$got" != "$want" ]; then
+        echo "check.sh: resume at tier $tier differs from the uninterrupted run" >&2
+        rm -rf "$snap_dir"
+        exit 1
+    fi
+done
+rm -rf "$snap_dir"

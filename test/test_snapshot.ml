@@ -5,8 +5,10 @@
    so a [] diff below really means "the whole machine/kernel/network
    state, trace included, is identical".
 
-   Also covered: serialization (round-trip, corrupt and truncated
-   inputs, file save/load), structural-compatibility rejection, periodic
+   Also covered: serialization (round-trip, the SENSNAP v2 bytes pinned
+   per payload kind, diff agreeing with the bytes, truncated and
+   byte-flipped inputs of every kind, file save/load), structural-
+   compatibility rejection, hostile field values, periodic
    auto-checkpointing in [Net.run], and the bisection driver finding an
    artificially injected single-cycle divergence. *)
 
@@ -280,6 +282,29 @@ let captured_kernel_snapshot () =
   ignore (Kernel.run ~max_cycles:20_000 k);
   Snapshot.of_kernel ~programs:[ "lfsr"; "timer" ] k
 
+(* The three payload kinds, one capture each: a bare machine, a kernel,
+   and a two-mote network taken mid-run (two programs, so the network's
+   content-addressed flash section holds two images). *)
+let captured_machine_snapshot () =
+  let m = boot_machine (image "lfsr") in
+  ignore (Machine.Cpu.run ~max_cycles:20_000 m);
+  Snapshot.of_machine ~programs:[ "lfsr" ] m
+
+let two_mote_net () =
+  let n = Net.create [ [ image "lfsr" ]; [ image "timer" ] ] in
+  Net.chain n;
+  n
+
+let captured_net_snapshot () =
+  let n = two_mote_net () in
+  ignore (Net.run ~max_cycles:40_000 n);
+  Snapshot.of_net ~programs:[ "lfsr"; "timer" ] n
+
+let pinned_captures () =
+  [ ("machine", captured_machine_snapshot ());
+    ("kernel", captured_kernel_snapshot ());
+    ("net", captured_net_snapshot ()) ]
+
 let serialization_round_trip () =
   let s = captured_kernel_snapshot () in
   let s' = decode s in
@@ -289,7 +314,34 @@ let serialization_round_trip () =
     (Snapshot.programs s');
   Alcotest.(check int) "capture cycle survives" (Snapshot.at s)
     (Snapshot.at s');
-  check_identical "decoded equals original" s s'
+  check_identical "decoded equals original" s s';
+  List.iter
+    (fun (what, s, members) ->
+      Alcotest.(check string) (what ^ " describe")
+        (Printf.sprintf "%s snapshot at cycle %d%s, programs: %s" what
+           (Snapshot.at s) members
+           (String.concat " " (Snapshot.programs s)))
+        (Snapshot.describe (decode s)))
+    [ ("machine", captured_machine_snapshot (), "");
+      ("kernel", s, ", 2 tasks");
+      ("net", captured_net_snapshot (), ", 2 motes") ]
+
+(* SENSNAP v2 is pinned byte for byte: any change to the encoding of
+   any field shows here as a different length or digest. *)
+let wire_bytes_pinned () =
+  let pins =
+    [ ("machine", (135537, "bf9d4d814bb4beec92253acd86185a7b"));
+      ("kernel", (135747, "1bb981553d11888022ec7ce9403acbfb"));
+      ("net", (271308, "f7024d469b2a0cbe880b569c180c0f32")) ]
+  in
+  List.iter
+    (fun (what, s) ->
+      let data = Snapshot.to_string s in
+      let len, md5 = List.assoc what pins in
+      Alcotest.(check (pair int string))
+        (what ^ " snapshot length and MD5") (len, md5)
+        (String.length data, Digest.to_hex (Digest.string data)))
+    (pinned_captures ())
 
 let corrupt_inputs_rejected () =
   let data = Snapshot.to_string (captured_kernel_snapshot ()) in
@@ -307,11 +359,102 @@ let corrupt_inputs_rejected () =
     [ 0; 3; 50; 90; 99 ];
   let bad_version = Bytes.of_string data in
   Bytes.set bad_version 8 '\x63';  (* the version varint, after the magic *)
-  match Snapshot.of_string (Bytes.to_string bad_version) with
-  | Error msg ->
-    Alcotest.(check bool) "version error names both versions" true
-      (contains msg "version")
-  | Ok _ -> Alcotest.fail "accepted a future format version"
+  (match Snapshot.of_string (Bytes.to_string bad_version) with
+   | Error msg ->
+     Alcotest.(check bool) "version error names both versions" true
+       (contains msg "version")
+   | Ok _ -> Alcotest.fail "accepted a future format version");
+  (* Every payload kind, truncated and byte-flipped at a fixed stride.
+     Each input must be refused, or decode into something that either
+     restores onto a matching host and runs 10k cycles at tier 1, or is
+     refused by restore as incompatible: no other exception, no crash. *)
+  let sweep what data ~restore =
+    let ran = ref 0 in
+    let try_input how input =
+      match Snapshot.of_string input with
+      | Error _ -> ()
+      | Ok s -> (
+        match restore s with
+        | () -> incr ran
+        | exception Snapshot.Incompatible _ -> ()
+        | exception e ->
+          Alcotest.failf "%s %s: %s" what how (Printexc.to_string e))
+      | exception e ->
+        Alcotest.failf "%s %s: decode raised %s" what how
+          (Printexc.to_string e)
+    in
+    let len = String.length data in
+    for i = 0 to (len - 1) / 4099 do
+      let cut = i * 4099 in
+      try_input (Printf.sprintf "truncated at %d" cut) (String.sub data 0 cut)
+    done;
+    for i = 0 to (len - 1) / 727 do
+      let at = i * 727 in
+      let b = Bytes.of_string data in
+      Bytes.set b at (Char.chr (Char.code data.[at] lxor 0xFF));
+      try_input (Printf.sprintf "flipped at %d" at) (Bytes.to_string b)
+    done;
+    (* Flips inside the flash image decode; some inputs must get as far
+       as running, or the sweep checks nothing past the decoder. *)
+    Alcotest.(check bool) (what ^ ": some corrupted inputs ran") true (!ran > 0)
+  in
+  sweep "machine" (Snapshot.to_string (captured_machine_snapshot ()))
+    ~restore:(fun s ->
+      let m = Machine.Cpu.create () in
+      Snapshot.restore_machine s m;
+      ignore (Machine.Cpu.run ~tier:1 ~max_cycles:(m.cycles + 10_000) m));
+  sweep "kernel" data ~restore:(fun s ->
+      let k = Kernel.boot (kernel_images ()) in
+      Snapshot.restore_kernel s k;
+      ignore (Kernel.run ~tier:1 ~max_cycles:(k.m.cycles + 10_000) k));
+  sweep "net" (Snapshot.to_string (captured_net_snapshot ()))
+    ~restore:(fun s ->
+      let n = two_mote_net () in
+      Snapshot.restore_net s n;
+      ignore
+        (Net.run ~tier:1 ~max_cycles:((n.quanta * n.quantum) + 10_000) n))
+
+(* [diff] and the wire bytes agree: an empty diff holds exactly when two
+   snapshots serialize identically, over the pinned captures and over
+   pairs that differ in one captured value each. *)
+let diff_iff_equal_bytes () =
+  let check what a b =
+    let same_bytes = Snapshot.to_string a = Snapshot.to_string b in
+    Alcotest.(check bool)
+      (what ^ ": empty diff iff equal bytes")
+      same_bytes
+      (Snapshot.diff a b = [])
+  in
+  let pins = pinned_captures () in
+  List.iter
+    (fun (wa, a) ->
+      List.iter (fun (wb, b) -> check (wa ^ " vs " ^ wb) a b) pins;
+      check (wa ^ " vs its decoding") a (decode a))
+    pins;
+  let differ what a b =
+    check what a b;
+    Alcotest.(check bool) (what ^ " differ") false
+      (Snapshot.to_string a = Snapshot.to_string b)
+  in
+  let k = Kernel.boot (kernel_images ()) in
+  ignore (Kernel.run ~max_cycles:20_000 k);
+  differ "programs"
+    (Snapshot.of_kernel ~programs:[ "lfsr"; "timer" ] k)
+    (Snapshot.of_kernel ~programs:[ "lfsr" ] k);
+  let before = Snapshot.of_kernel k in
+  let t = List.hd k.tasks in
+  t.activations <- t.activations + 1;
+  differ "one task stat" before (Snapshot.of_kernel k);
+  let m = boot_machine (image "lfsr") in
+  ignore (Machine.Cpu.run ~max_cycles:5_000 m);
+  let before = Snapshot.of_machine m in
+  Bytes.set m.sram 0x800 (Char.chr (Char.code (Bytes.get m.sram 0x800) lxor 1));
+  differ "one SRAM byte" before (Snapshot.of_machine m);
+  let n = two_mote_net () in
+  ignore (Net.run ~max_cycles:20_000 n);
+  let before = Snapshot.of_net n in
+  Trace.incr n.nodes.(1).sink "probe";
+  differ "one mote-sink counter" before (Snapshot.of_net n)
 
 let save_load_file () =
   let s = captured_kernel_snapshot () in
@@ -350,7 +493,14 @@ let incompatible_hosts_rejected () =
   let nsnap = Snapshot.of_net (Lazy.force net_for_mismatch) in
   expect_incompatible "lockstep parameter mismatch" (fun () ->
       let other = Net.create ~quantum:4_000 [ [ image "lfsr" ] ] in
-      Snapshot.restore_net nsnap other)
+      Snapshot.restore_net nsnap other);
+  expect_incompatible "mote-count mismatch" (fun () ->
+      Snapshot.restore_net nsnap (two_mote_net ()));
+  expect_incompatible "kind mismatch (machine onto kernel)" (fun () ->
+      Snapshot.restore_kernel (captured_machine_snapshot ())
+        (Kernel.boot (kernel_images ())));
+  expect_incompatible "kind mismatch (net onto kernel)" (fun () ->
+      Snapshot.restore_kernel nsnap (Kernel.boot (kernel_images ())))
 
 (* --- hostile input ---------------------------------------------------------- *)
 
@@ -402,6 +552,38 @@ let u16_length_overflow = leb128 ((max_int / 2) + 1)
    register array must not be allocated before the truncation shows. *)
 let int_array_length_beyond_input =
   leb128 0 ^ leb128 0 ^ leb128 4_000_000 ^ leb128 0
+
+(* A well-formed machine payload, every field at its reset value except
+   [pc]: flash erased, SRAM and registers zero, SP at the top of data
+   memory, the preemption horizon parked at [max_int], peripherals idle. *)
+let machine_payload ~pc =
+  let ints = List.map leb128 in
+  String.concat ""
+    ([ leb128 0x10000; String.make (2 * 0x10000) '\xff';
+       leb128 0x1100; String.make 0x1100 '\000';
+       leb128 32; String.make 32 '\000' ]
+     @ ints [ pc; 0x10FF; 0 ]  (* pc, sp, sreg *)
+     @ ints [ 0; 0; 0; 0; 0; 0; 0 ]  (* cycles .. io_writes *)
+     @ [ "\000"; "\000"; leb128 max_int ]  (* halted, sleeping, preempt_at *)
+     @ [ "\000"; "\000" ]  (* adc_enabled, adc_start *)
+     @ ints [ 0; 0; 0; 0; 0; 0; 0; 0 ])  (* adc_value .. temp *)
+
+(* A PC outside the 64 K-word flash would index past the decode and
+   block tables: the decoder refuses it, so no restored machine can run
+   from there.  The in-range twin decodes, restores and runs. *)
+let hostile_pc_rejected () =
+  (match Snapshot.of_string (crafted (machine_payload ~pc:0xFFFF)) with
+   | Error msg -> Alcotest.failf "refused an in-range pc: %s" msg
+   | Ok s ->
+     let m = Machine.Cpu.create () in
+     Snapshot.restore_machine s m;
+     ignore (Machine.Cpu.run ~tier:1 ~max_cycles:1_000 m));
+  List.iter
+    (fun pc ->
+      match Snapshot.of_string (crafted (machine_payload ~pc)) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted pc 0x%x" pc)
+    [ 0x10000; 0x1000000; 0x40000000; -1 ]
 
 (* --- bisection -------------------------------------------------------------- *)
 
@@ -493,6 +675,9 @@ let () =
            net_checkpoint_cadence ]);
       ("serialization",
        [ Alcotest.test_case "round-trip" `Quick serialization_round_trip;
+         Alcotest.test_case "wire bytes pinned" `Quick wire_bytes_pinned;
+         Alcotest.test_case "empty diff iff equal bytes" `Quick
+           diff_iff_equal_bytes;
          Alcotest.test_case "corrupt inputs rejected" `Quick
            corrupt_inputs_rejected;
          Alcotest.test_case "save/load file" `Quick save_load_file ]);
@@ -503,7 +688,8 @@ let () =
        [ Alcotest.test_case "u16 array length overflow" `Quick
            (hostile_length_rejected u16_length_overflow);
          Alcotest.test_case "int array length beyond input" `Quick
-           (hostile_length_rejected int_array_length_beyond_input) ]);
+           (hostile_length_rejected int_array_length_beyond_input);
+         Alcotest.test_case "pc outside flash" `Quick hostile_pc_rejected ]);
       ("bisect",
        [ Alcotest.test_case "clean tiers are identical" `Quick
            bisect_clean_tiers;
