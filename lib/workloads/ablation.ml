@@ -7,7 +7,7 @@
       preemption is small enough to ignore;
    3. the round-robin time-slice length.
 
-   Each returns printable rows; the bench harness includes them. *)
+   Each returns typed rows; {!Experiments} prints them. *)
 
 let assemble = Asm.Assembler.assemble
 
@@ -18,13 +18,6 @@ type group_row = {
   bytes : int;  (** naturalized size of the CRC benchmark *)
   cycles : int;  (** cycles to run it under the kernel *)
 }
-
-let run_with ~rewrite img =
-  let k = Kernel.boot ~rewrite [ img ] in
-  (match Kernel.run k with
-   | Machine.Cpu.Halted Break_hit -> ()
-   | s -> Fmt.failwith "ablation run: %a" Machine.Cpu.pp_stop s);
-  k.m.cycles
 
 let grouping () : group_row list =
   (* A frame-heavy program shows the grouped LDD/STD and SP effects. *)
@@ -48,7 +41,7 @@ let grouping () : group_row list =
     let nat = Rewriter.Rewrite.run ~config:rewrite ~base:0 img in
     { variant = name;
       bytes = Rewriter.Naturalized.total_bytes nat;
-      cycles = run_with ~rewrite img }
+      cycles = (Kernel_bench.run_to_break ~rewrite name [ img ]).m.cycles }
   in
   let d = Rewriter.Rewrite.default_config in
   [ variant "all groupings on" d;
@@ -57,12 +50,6 @@ let grouping () : group_row list =
     variant "no grouped pushes" { d with group_pushes = false };
     variant "all groupings off"
       { d with group_accesses = false; group_sp = false; group_pushes = false } ]
-
-let print_grouping fmt rows =
-  Format.fprintf fmt "%-24s %10s %12s@." "variant" "bytes" "cycles";
-  List.iter
-    (fun r -> Format.fprintf fmt "%-24s %10d %12d@." r.variant r.bytes r.cycles)
-    rows
 
 (* --- 2: software-trap period --------------------------------------------- *)
 
@@ -105,15 +92,6 @@ let trap_period_sweep ?(periods = [ 16; 64; 128; 256 ]) () : trap_row list =
         max_latency_us = us s.preempt_delay_max })
     periods
 
-let print_trap fmt rows =
-  Format.fprintf fmt "%8s %12s %16s %16s@." "period" "cycles" "avg-latency(us)"
-    "max-latency(us)";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%8d %12d %16.2f %16.2f@." r.period r.cycles
-        r.avg_latency_us r.max_latency_us)
-    rows
-
 (* --- 3: slice length ------------------------------------------------------ *)
 
 type slice_row = {
@@ -130,15 +108,6 @@ let slice_sweep ?(slices = [ 2048; 8192; 32768 ]) () : slice_row list =
           assemble (Programs.Crc_bench.program ~passes:10 ()) ]
       in
       let config = { Kernel.default_config with slice_cycles = slice } in
-      let k = Kernel.boot ~config imgs in
-      (match Kernel.run k with
-       | Machine.Cpu.Halted Break_hit -> ()
-       | s -> Fmt.failwith "slice sweep: %a" Machine.Cpu.pp_stop s);
+      let k = Kernel_bench.run_to_break ~config "slice sweep" imgs in
       { slice; switches = k.stats.context_switches; total_cycles = k.m.cycles })
     slices
-
-let print_slice fmt rows =
-  Format.fprintf fmt "%10s %10s %14s@." "slice" "switches" "total-cycles";
-  List.iter
-    (fun r -> Format.fprintf fmt "%10d %10d %14d@." r.slice r.switches r.total_cycles)
-    rows

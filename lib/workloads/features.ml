@@ -46,16 +46,3 @@ let rows : row list =
 let columns =
   [ "TinyOS/TinyThread"; "Mate"; "MANTIS OS"; "t-kernel"; "RETOS"; "LiteOS";
     "SenSmart" ]
-
-let print fmt () =
-  Format.fprintf fmt "%-26s" "Feature";
-  List.iter (fun c -> Format.fprintf fmt " %-18s" c) columns;
-  Format.fprintf fmt "@.";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%-26s" r.feature;
-      List.iter
-        (fun v -> Format.fprintf fmt " %-18s" (show v))
-        [ r.tinyos; r.mate; r.mantis; r.tkernel; r.retos; r.liteos; r.sensmart ];
-      Format.fprintf fmt "@.")
-    rows

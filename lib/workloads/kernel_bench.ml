@@ -5,6 +5,14 @@
 
 let assemble = Asm.Assembler.assemble
 
+(** Boot [images] under the kernel and run them to the final BREAK;
+    any other stop fails, naming [what]. *)
+let run_to_break ?config ?rewrite ?max_cycles what images =
+  let k = Kernel.boot ?config ?rewrite images in
+  match Kernel.run ?max_cycles k with
+  | Machine.Cpu.Halted Break_hit -> k
+  | s -> Fmt.failwith "%s stopped: %a" what Machine.Cpu.pp_stop s
+
 (** The benchmark programs, in the paper's order.  [scale] multiplies
     iteration counts for longer, less noisy runs. *)
 let programs ?(scale = 1) () : (string * Asm.Ast.program) list =
@@ -29,29 +37,17 @@ type size_row = {
 
 let sensmart_total r = r.rewritten_bytes + r.shift_bytes + r.tramp_bytes
 
-let fig4 ?scale () : size_row list =
-  List.map
-    (fun (name, prog) ->
-      let img = assemble prog in
-      let nat = Rewriter.Rewrite.run ~base:0 img in
-      let tk = Tkernel.Rewrite.run img in
-      { name;
-        native_bytes = Asm.Image.total_bytes img;
-        rewritten_bytes = 2 * (nat.text_words + nat.rodata_words);
-        shift_bytes = 2 * Rewriter.Shift_table.size nat.shift;
-        tramp_bytes = 2 * nat.support_words;
-        tkernel_bytes = Tkernel.Rewrite.total_bytes tk })
-    (programs ?scale ())
+let size_row name img =
+  let nat = Rewriter.Rewrite.run ~base:0 img in
+  { name;
+    native_bytes = Asm.Image.total_bytes img;
+    rewritten_bytes = 2 * (nat.text_words + nat.rodata_words);
+    shift_bytes = 2 * Rewriter.Shift_table.size nat.shift;
+    tramp_bytes = 2 * nat.support_words;
+    tkernel_bytes = Tkernel.Rewrite.total_bytes (Tkernel.Rewrite.run img) }
 
-let print_fig4 fmt rows =
-  Format.fprintf fmt "%-12s %8s %10s %8s %12s %10s %10s@." "program" "native"
-    "rewritten" "shift" "trampoline" "sensmart" "t-kernel";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%-12s %8d %10d %8d %12d %10d %10d@." r.name
-        r.native_bytes r.rewritten_bytes r.shift_bytes r.tramp_bytes
-        (sensmart_total r) r.tkernel_bytes)
-    rows
+let fig4 ?scale () : size_row list =
+  List.map (fun (name, prog) -> size_row name (assemble prog)) (programs ?scale ())
 
 (* Compiler-scale inflation: the same benchmarks written in minic and
    compiled are several times larger than the hand-assembled versions —
@@ -62,17 +58,16 @@ let fig4_minic () : size_row list =
     (fun (name, _) ->
       match Programs.Minic_suite.compile name with
       | exception _ -> None
-      | img ->
-        let nat = Rewriter.Rewrite.run ~base:0 img in
-        let tk = Tkernel.Rewrite.run img in
-        Some
-          { name;
-            native_bytes = Asm.Image.total_bytes img;
-            rewritten_bytes = 2 * (nat.text_words + nat.rodata_words);
-            shift_bytes = 2 * Rewriter.Shift_table.size nat.shift;
-            tramp_bytes = 2 * nat.support_words;
-            tkernel_bytes = Tkernel.Rewrite.total_bytes tk })
+      | img -> Some (size_row name img))
     Programs.Minic_suite.sources
+
+(** Inflation on firmware as a base station receives it: the rewrite
+    report of every avr-gcc-shaped fixture image, re-loaded from its
+    Intel-HEX bytes without symbols. *)
+let firmware () : Rewriter.Report.t list =
+  List.map
+    (fun f -> snd (Rewriter.Rewrite.pipeline ~base:0 (Loader.Firmware.load_hex f)))
+    (Loader.Firmware.all ())
 
 (* --- Figure 5: execution time -------------------------------------------- *)
 
@@ -86,24 +81,16 @@ type time_row = {
 
 let seconds c = Avr.Cycles.to_seconds c
 
-let run_sensmart ~rewrite img =
-  let k = Kernel.boot ~rewrite [ img ] in
-  (match Kernel.run k with
-   | Machine.Cpu.Halted Break_hit -> k
-   | s -> Fmt.failwith "sensmart run of %s stopped: %a" img.Asm.Image.name
-            Machine.Cpu.pp_stop s)
-
 let fig5 ?scale () : time_row list =
   List.map
     (fun (name, prog) ->
       let img = assemble prog in
       let native = (Native.run img).cycles in
+      let sensmart rewrite = (run_to_break ~rewrite name [ img ]).m.cycles in
       let mem_only =
-        (run_sensmart
-           ~rewrite:{ Rewriter.Rewrite.default_config with preempt = false }
-           img).m.cycles
+        sensmart { Rewriter.Rewrite.default_config with preempt = false }
       in
-      let full = (run_sensmart ~rewrite:Rewriter.Rewrite.default_config img).m.cycles in
+      let full = sensmart Rewriter.Rewrite.default_config in
       let tk = Tkernel.Run.run (Tkernel.Rewrite.run img) in
       (match tk.halt with
        | Some Break_hit -> ()
@@ -116,12 +103,3 @@ let fig5 ?scale () : time_row list =
         full_s = seconds full;
         tkernel_s = seconds (tk.cycles - tk.warmup_cycles) })
     (programs ?scale ())
-
-let print_fig5 fmt rows =
-  Format.fprintf fmt "%-12s %10s %14s %14s %10s@." "program" "native"
-    "sensmart-mem" "sensmart-full" "t-kernel";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%-12s %9.3fs %13.3fs %13.3fs %9.3fs@." r.name
-        r.native_s r.mem_only_s r.full_s r.tkernel_s)
-    rows

@@ -91,13 +91,7 @@ let collect ?(window = 2_000_000) () : Trace.t =
      symbol-less — what a base station actually ingests.  The summed
      "rewrite.*" counters include rewrite.bytes_inflated_permille,
      Figure 4's inflation axis. *)
-  let rewrite_reports =
-    List.map
-      (fun f ->
-        snd (Rewriter.Rewrite.pipeline ~base:0 (Loader.Firmware.load_hex f)))
-      (Loader.Firmware.all ())
-  in
-  Rewriter.Report.publish trace rewrite_reports;
+  Rewriter.Report.publish trace (Kernel_bench.firmware ());
   trace
 
 (** Write the snapshot to [path] (default ["sensmart_metrics.json"] in

@@ -31,11 +31,8 @@ let run_micro ~setup ~body ~tail =
        @ loop16 20 21 iters body
        @ [ break ] @ tail)
   in
-  let k = Kernel.boot ~rewrite:no_preempt [ assemble prog ] in
-  (match Kernel.run k with
-   | Machine.Cpu.Halted Break_hit -> ()
-   | s -> Fmt.failwith "microbench stopped: %a" Machine.Cpu.pp_stop s);
-  k.m.cycles
+  (Kernel_bench.run_to_break ~rewrite:no_preempt "microbench" [ assemble prog ])
+    .m.cycles
 
 (* Per-operation total cycles, rounded. *)
 let measure ?(setup = []) ?(tail = []) body =
@@ -47,7 +44,7 @@ type row = {
   operation : string;
   paper : string;  (** cycles reported in the paper's Table II *)
   measured : int;  (** overhead measured here (total minus native cost) *)
-  modeled : bool;  (** true if the number comes from a Costing formula *)
+  note : string;  (** how the cost arises; "modeled" rows are Costing formulas *)
 }
 
 let table () : row list =
@@ -82,25 +79,17 @@ let table () : row list =
   let save = Kernel.Costing.context_save in
   let restore = Kernel.Costing.context_restore in
   let full = save + restore + Kernel.Costing.schedule_decision in
-  [ { operation = "System initialization"; paper = "5738"; measured = init; modeled = false };
-    { operation = "Mem xlat: direct, I/O area"; paper = "2"; measured = direct_io; modeled = false };
-    { operation = "Mem xlat: direct, others"; paper = "28"; measured = direct_heap; modeled = false };
-    { operation = "Mem xlat: indirect, I/O area"; paper = "54"; measured = ind_io; modeled = false };
-    { operation = "Mem xlat: indirect, heap"; paper = "~44-66"; measured = ind_heap; modeled = false };
-    { operation = "Mem xlat: indirect, stack frame"; paper = "~44-66"; measured = ind_stack; modeled = false };
-    { operation = "Stack operation (push check)"; paper = "16-44"; measured = stack_op; modeled = false };
-    { operation = "Program memory (indirect br)"; paper = "376"; measured = prog_mem; modeled = false };
-    { operation = "Get stack pointer"; paper = "45"; measured = get_sp; modeled = false };
-    { operation = "Set stack pointer"; paper = "94"; measured = set_sp; modeled = false };
-    { operation = "Stack relocation (260 B)"; paper = "2326"; measured = reloc; modeled = true };
-    { operation = "Context saving"; paper = "932"; measured = save; modeled = true };
-    { operation = "Context restoring"; paper = "976"; measured = restore; modeled = true };
-    { operation = "Full context switch"; paper = "2298"; measured = full; modeled = true } ]
-
-let print fmt rows =
-  Format.fprintf fmt "%-34s %10s %10s  %s@." "Operation" "paper" "measured" "";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%-34s %10s %10d  %s@." r.operation r.paper r.measured
-        (if r.modeled then "(modeled)" else ""))
-    rows
+  [ { operation = "System initialization"; paper = "5738"; measured = init; note = "measured at boot; scales with region size" };
+    { operation = "Mem xlat: direct, I/O area"; paper = "2"; measured = direct_io; note = "unmodified instruction" };
+    { operation = "Mem xlat: direct, others"; paper = "28"; measured = direct_heap; note = "displacement trampoline" };
+    { operation = "Mem xlat: indirect, I/O area"; paper = "54"; measured = ind_io; note = "classification only, identity mapping" };
+    { operation = "Mem xlat: indirect, heap"; paper = "~44-66"; measured = ind_heap; note = "classify + displace + bounds" };
+    { operation = "Mem xlat: indirect, stack frame"; paper = "~44-66"; measured = ind_stack; note = "LDD through Y" };
+    { operation = "Stack operation (push check)"; paper = "16-44"; measured = stack_op; note = "push check incl. shared service call" };
+    { operation = "Program memory (indirect br)"; paper = "376"; measured = prog_mem; note = "shift-table binary search" };
+    { operation = "Get stack pointer"; paper = "45"; measured = get_sp; note = "kernel service" };
+    { operation = "Set stack pointer"; paper = "94"; measured = set_sp; note = "kernel service" };
+    { operation = "Stack relocation (260 B)"; paper = "2326"; measured = reloc; note = "modeled: `Costing.relocation_move 260`" };
+    { operation = "Context saving"; paper = "932"; measured = save; note = "modeled: `Costing.context_save`" };
+    { operation = "Context restoring"; paper = "976"; measured = restore; note = "modeled: `Costing.context_restore`" };
+    { operation = "Full context switch"; paper = "2298"; measured = full; note = "modeled: save + restore + schedule decision" } ]

@@ -22,10 +22,10 @@ let run_point ~period ~activations insns : point =
   (* Native. *)
   let n = Native.run img in
   (* SenSmart. *)
-  let k = Kernel.boot [ img ] in
-  (match Kernel.run ~max_cycles:4_000_000_000 k with
-   | Machine.Cpu.Halted Break_hit -> ()
-   | s -> Fmt.failwith "sensmart periodic: %a" Machine.Cpu.pp_stop s);
+  let k =
+    Kernel_bench.run_to_break ~max_cycles:4_000_000_000 "sensmart periodic"
+      [ img ]
+  in
   (* t-kernel (fresh image: rewriting happens on node at load). *)
   let tk = Tkernel.Run.run (Tkernel.Rewrite.run img) in
   (* Maté bytecode equivalent. *)
@@ -46,12 +46,6 @@ let run_point ~period ~activations insns : point =
 let sweep ?(period = Programs.Periodic_task.default_period) ?(activations = 20)
     (insn_points : int list) : point list =
   List.map (run_point ~period ~activations) insn_points
-
-(** The paper's x-axis, scaled: the paper sweeps up to ~10^6 instructions
-    with 300 activations on real motes; the default here is a laptop-
-    friendly subset with the same saturation shape. *)
-let default_points =
-  [ 2_000; 10_000; 20_000; 40_000; 60_000; 90_000; 130_000; 180_000 ]
 
 (* --- concurrent periodic tasks (Table I: "Concurrent Applications") ----- *)
 
@@ -89,22 +83,3 @@ let multi ?(period = Programs.Periodic_task.default_period) ?(activations = 6)
         total_s = seconds kern.m.cycles;
         avg_current_ma = Machine.Energy.avg_current_ma kern.m })
     task_counts
-
-let print_multi fmt pts =
-  Format.fprintf fmt "%8s %10s %12s %14s@." "tasks" "finished" "total(s)"
-    "avg-mA";
-  List.iter
-    (fun p ->
-      Format.fprintf fmt "%8d %10s %12.2f %14.3f@." p.tasks
-        (if p.all_finished then "yes" else "NO") p.total_s p.avg_current_ma)
-    pts
-
-let print_fig6 fmt pts =
-  Format.fprintf fmt "%10s %10s %9s %10s %9s %10s %12s@." "insns" "native(s)"
-    "util" "sensmart" "util" "t-kernel" "mate(s)";
-  List.iter
-    (fun p ->
-      Format.fprintf fmt "%10d %10.2f %8.1f%% %10.2f %8.1f%% %10.2f %12.2f@."
-        p.insns p.native_s (100. *. p.native_util) p.sensmart_s
-        (100. *. p.sensmart_util) p.tkernel_s p.mate_s)
-    pts

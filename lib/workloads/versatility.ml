@@ -94,15 +94,6 @@ let fig7 ?(trees = 6) ?(window = 3_000_000) ?(k_cap = 42)
       | None -> { nodes; max_tasks; avg_stack = 0.; relocations = 0 })
     node_sizes
 
-let print_fig7 fmt rows =
-  Format.fprintf fmt "%8s %18s %18s %14s@." "nodes" "schedulable-tasks"
-    "avg-stack(bytes)" "relocations";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%8d %18d %18.1f %14d@." r.nodes r.max_tasks
-        r.avg_stack r.relocations)
-    rows
-
 (* --- Figure 8: SenSmart vs LiteOS under equal stack budgets ------------- *)
 
 type fig8_row = {
@@ -117,13 +108,11 @@ type fig8_row = {
 let liteos_max ~trees ~nodes ~window ~thread_stack ~k_cap =
   let builders k =
     ("feed",
-     fun ~data_base ~sp_top ->
-       Programs.Bintree.feeder ~name:"feed" ~sp_top ~trees ~nodes ()
-       |> fun p -> ignore data_base; p)
+     fun ~data_base:_ ~sp_top ->
+       Programs.Bintree.feeder ~name:"feed" ~sp_top ~trees ~nodes ())
     :: List.init k (fun i ->
            ( Printf.sprintf "search%d" i,
-             fun ~data_base ~sp_top ->
-               ignore data_base;
+             fun ~data_base:_ ~sp_top ->
                Programs.Bintree.search
                  ~name:(Printf.sprintf "search%d" i)
                  ~sp_top ~nodes
@@ -166,12 +155,3 @@ let fig8 ?(trees = 2) ?(window = 3_000_000) ?(k_cap = 40)
       in
       { nodes; sensmart_tasks; liteos_tasks; budget })
     node_sizes
-
-let print_fig8 fmt rows =
-  Format.fprintf fmt "%8s %10s %16s %14s@." "nodes" "budget" "sensmart-tasks"
-    "liteos-tasks";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%8d %10d %16d %14d@." r.nodes r.budget
-        r.sensmart_tasks r.liteos_tasks)
-    rows

@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate: full build, test suite (which also diffs the metrics smoke
-# snapshot against the golden bench/baseline_metrics.json), execution-
+# snapshot against the golden bench/baseline_metrics.json and
+# EXPERIMENTS.md against its regenerated experiment tables), execution-
 # tier equivalence, domain determinism, and CLI smokes.  Host time is
 # measured by perfbench (BENCHMARK.json), not here.
 set -eu
@@ -56,6 +57,19 @@ dune exec bin/sensmart_cli.exe -- attack --trials 1 --report > /dev/null
 # numbers land in the committed baseline as rewrite.* counters).
 dune exec bin/sensmart_cli.exe -- rewrite --report > /dev/null
 
+# Paper experiments through the generated CLI path: `all --quick` must
+# print a section for every entry of the experiment registry.
+cli=_build/default/bin/sensmart_cli.exe
+all_out=$("$cli" all --quick)
+titles=$("$cli" list --experiments | cut -f 2)
+[ -n "$titles" ] || { echo "check.sh: no experiments registered" >&2; exit 1; }
+echo "$titles" | while IFS= read -r title; do
+    if ! printf '%s\n' "$all_out" | grep -qxF "=== $title ==="; then
+        echo "check.sh: all --quick is missing \"$title\"" >&2
+        exit 1
+    fi
+done
+
 # Campaign-service smoke: a short seeded load test through the CLI
 # serve path must drain cleanly (serve exits nonzero iff any job
 # failed, so the exit code is the gate).
@@ -71,7 +85,6 @@ fi
 # Tier-2 compiles in the background: a cold-cache run shorter than its
 # compile prints exactly what tier 1 prints and exits 0, with or
 # without an OCaml compiler on PATH, and leaves no compiler running.
-cli=_build/default/bin/sensmart_cli.exe
 cold=$(mktemp -d)
 want=$("$cli" native crc_mc --tier 1)
 got=$(SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2)

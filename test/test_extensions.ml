@@ -1,6 +1,6 @@
 (* Tests for the extension features: run-time task spawning, the
-   configurable trap period, preemption-latency accounting, ablation
-   sanity, and content preservation across stack relocation. *)
+   configurable trap period, preemption-latency accounting, and content
+   preservation across stack relocation. *)
 
 open Asm.Macros
 
@@ -97,23 +97,6 @@ let preemption_latency_recorded () =
   Alcotest.(check bool) "bounded" true
     (k.stats.preempt_delay_max < 256 * 64)
 
-(* --- ablation sanity ----------------------------------------------------- *)
-
-let grouping_ablation_ordering () =
-  let rows = Workloads.Ablation.grouping () in
-  let get v = List.find (fun (r : Workloads.Ablation.group_row) -> r.variant = v) rows in
-  let on = get "all groupings on" and off = get "all groupings off" in
-  Alcotest.(check bool) "grouping shrinks code" true (on.bytes < off.bytes);
-  Alcotest.(check bool) "grouping saves cycles" true (on.cycles < off.cycles)
-
-let trap_sweep_latency_monotone () =
-  let rows = Workloads.Ablation.trap_period_sweep ~periods:[ 16; 256 ] () in
-  match rows with
-  | [ a; b ] ->
-    Alcotest.(check bool) "longer period, higher max latency" true
-      (b.max_latency_us > a.max_latency_us)
-  | _ -> Alcotest.fail "expected two rows"
-
 (* --- relocation preserves stack contents --------------------------------- *)
 
 (* Each recursion level stores a distinctive byte pattern in its frame
@@ -187,9 +170,6 @@ let () =
       ("scheduling",
        [ Alcotest.test_case "trap period" `Quick trap_period_controls_overhead;
          Alcotest.test_case "preemption latency" `Quick preemption_latency_recorded ]);
-      ("ablation",
-       [ Alcotest.test_case "grouping ordering" `Quick grouping_ablation_ordering;
-         Alcotest.test_case "trap sweep monotone" `Quick trap_sweep_latency_monotone ]);
       ("relocation",
        [ Alcotest.test_case "contents preserved" `Quick relocation_preserves_contents ]);
       ("events",
