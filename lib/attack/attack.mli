@@ -107,8 +107,9 @@ val pp_matrix : Format.formatter -> matrix -> unit
     pair with the full probe battery (the CLI's [--packet]). *)
 val replay : ?tier:int -> ?spacing:int -> int list list -> trial * Trace.t
 
-(** Parse a hex packet spec ("a7 04 11 22 33 44", spaces optional) via
-    the fault engine's validated byte parser. *)
+(** Parse a hex packet spec ("a7 04 11 22 33 44", spaces optional):
+    hex digit pairs only, 1 to 4096 bytes, via {!Fault.Plan.frame_of_hex}.
+    An error quotes the spec as given. *)
 val packet_of_spec : string -> (int list, string) result
 
 (** A deterministic digest of a campaign — verdicts, probe outcomes,

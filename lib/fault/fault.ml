@@ -130,9 +130,12 @@ module Plan = struct
     in
     { seed; injections = sort (gen n []) }
 
-  (* Typed range checks, shared by every spec parser in the CLI
-     ([--inject] and [attack --packet]): a bad field is a one-line
-     [Error], never a raw exception or a silently ignored injection. *)
+  (* The longest crafted radio frame an injection may carry. *)
+  let max_frame_bytes = 4096
+
+  (* Typed range checks on a parsed [--inject] spec: a bad field is a
+     one-line [Error], never a raw exception or a silently ignored
+     injection. *)
   let validate (i : injection) =
     let err fmt = Fmt.kstr Result.error fmt in
     let in_range what v lo hi =
@@ -175,7 +178,7 @@ module Plan = struct
       let* () = in_range "count" count 1 0xFFFF in
       Ok i
     | Radio_frame { bytes } ->
-      let* () = in_range "frame length" (List.length bytes) 1 4096 in
+      let* () = in_range "frame length" (List.length bytes) 1 max_frame_bytes in
       let rec bytes_ok = function
         | [] -> Ok i
         | b :: rest ->
@@ -194,24 +197,27 @@ module Plan = struct
       Ok i
     | Crash | Reboot -> Ok i
 
-  (* "a7 05 41..." or "a70541...": hex bytes, spaces optional. *)
-  let bytes_of_hex s =
+  (* "a7 05 41..." or "a70541...": hex digit pairs, spaces optional,
+     1 to [max_frame_bytes] bytes.  Errors quote [s] as given. *)
+  let frame_of_hex s =
     let compact =
       String.concat ""
         (String.split_on_char ' ' (String.trim s))
     in
     let n = String.length compact in
-    if n = 0 || n mod 2 <> 0 then
+    let digit = function
+      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+      | _ -> false
+    in
+    match Seq.find (fun c -> not (digit c)) (String.to_seq compact) with
+    | Some c -> Error (Fmt.str "bad hex digit %C in %S" c s)
+    | None when n = 0 || n mod 2 <> 0 ->
       Error (Fmt.str "bad hex byte string %S (need an even digit count)" s)
-    else
-      let rec go i acc =
-        if i >= n then Ok (List.rev acc)
-        else
-          match int_of_string_opt ("0x" ^ String.sub compact i 2) with
-          | Some b -> go (i + 2) (b :: acc)
-          | None -> Error (Fmt.str "bad hex byte %S in %S" (String.sub compact i 2) s)
-      in
-      go 0 []
+    | None when n / 2 > max_frame_bytes ->
+      Error (Fmt.str "frame of %d bytes exceeds %d" (n / 2) max_frame_bytes)
+    | None ->
+      Ok (List.init (n / 2) (fun i ->
+              int_of_string ("0x" ^ String.sub compact (2 * i) 2)))
 
   let injection_of_spec s =
     let ( let* ) = Result.bind in
@@ -264,7 +270,7 @@ module Plan = struct
           let* count = int_of c in
           Ok (Radio_drop { count })
         | [ "frame"; hex ] ->
-          let* bytes = bytes_of_hex hex in
+          let* bytes = frame_of_hex hex in
           Ok (Radio_frame { bytes })
         | [ "adc_stuck"; v ] ->
           let* value = int_of v in

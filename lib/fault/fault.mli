@@ -107,6 +107,12 @@ module Plan : sig
       field is a one-line typed [Error], never a raw exception. *)
   val injection_of_spec : string -> (injection, string) result
 
+  (** The bytes of a crafted radio frame, spelled as the ["frame"] spec
+      field and [sensmart_cli attack --packet] take them: hex digit
+      pairs, spaces optional ("a7 05 41" or "a70541"), 1 to 4096 bytes.
+      Anything else is an [Error] that quotes the string as given. *)
+  val frame_of_hex : string -> (int list, string) result
+
   val pp : Format.formatter -> t -> unit
 end
 

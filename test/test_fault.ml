@@ -374,7 +374,11 @@ let spec_round_trip () =
       match Fault.Plan.injection_of_spec bad with
       | Ok _ -> Alcotest.failf "accepted bad spec %S" bad
       | Error _ -> ())
-    [ ""; "abc"; "1000:frobnicate"; "1000:sram:xyz:1"; "1000@x:crash" ]
+    [ ""; "abc"; "1000:frobnicate"; "1000:sram:xyz:1"; "1000@x:crash";
+      (* frame bytes are hex digit pairs only: "0x"-literal parsing would
+         also take an underscore *)
+      "10:frame:f_"; "10:frame:_f"; "10:frame:a7 0_"; "10:frame:zz" ];
+  ok "10:frame:a7 0F" "10@0:radio_frame[a70f]"
 
 let () =
   Alcotest.run "fault"
