@@ -25,6 +25,10 @@ let fig7_sizes = { full = [ 10; 20; 30; 40; 50; 60; 80 ]; quick = [ 10; 40; 80 ]
 let fig8_sizes = { full = [ 10; 20; 30; 40 ]; quick = [ 10; 40 ] }
 let concurrent_tasks = { full = [ 1; 2; 4; 8 ]; quick = [ 1; 4 ] }
 
+(* Seeded packet variants per (system, class) cell; the full size is
+   [sensmart_cli attack]'s default. *)
+let attack_trials = { full = 2; quick = 1 }
+
 (** Markdown rows of a table: header, rule, one line per row. *)
 let lines { header; rows } =
   let line cells = "| " ^ String.concat " | " cells ^ " |" in
@@ -151,7 +155,20 @@ let all =
         table [ "slice (cycles)"; "switches"; "total cycles" ]
           (fun (r : Ablation.slice_row) ->
             [ int r.slice; int r.switches; int r.total_cycles ])
-          (Ablation.slice_sweep ())) ]
+          (Ablation.slice_sweep ()));
+    swept "attack-matrix"
+      "Attack containment: worst verdict per system and attack class"
+      attack_trials (fun trials ->
+        let m = Attack.campaign ~trials ~seed:1 () in
+        table ("system" :: List.map Attack.cls_name Attack.all_classes)
+          (fun s ->
+            s
+            :: List.map
+                 (fun c ->
+                   Option.fold ~none:"-" ~some:Attack.verdict_name
+                     (Attack.cell m s c))
+                 Attack.all_classes)
+          Attack.all_systems) ]
 
 let find name = List.find_opt (fun e -> e.name = name) all
 

@@ -410,6 +410,22 @@ let slice_sweep_switches () =
   let lo = List.fold_left min max_int cycles and hi = List.fold_left max 0 cycles in
   Alcotest.(check bool) "total cycles within 5%" true (hi * 100 < lo * 105)
 
+(* --- attack containment ----------------------------------------------------- *)
+
+(* EXPERIMENTS.md "attack containment": in the generated matrix at full
+   size, SenSmart contains 2 attack classes, t-kernel 0 and LiteOS 1. *)
+let attack_contained_counts () =
+  let e = Option.get (Workloads.Experiments.find "attack-matrix") in
+  let rows = (e.table ~quick:false).rows in
+  List.iter
+    (fun (system, n) ->
+      match List.find_opt (fun row -> List.hd row = system) rows with
+      | Some (_ :: cells) ->
+        Alcotest.(check int) (system ^ " contained classes") n
+          (List.length (List.filter (( = ) "contained") cells))
+      | _ -> Alcotest.failf "no %s row" system)
+    [ ("sensmart", 2); ("tkernel", 0); ("liteos", 1) ]
+
 (* --- the experiment registry ----------------------------------------------- *)
 
 let experiment_names_unique () =
@@ -510,6 +526,8 @@ let () =
        [ Alcotest.test_case "grouping ordering" `Quick grouping_ablation_ordering;
          Alcotest.test_case "trap sweep monotone" `Quick trap_sweep_latency_monotone;
          Alcotest.test_case "slice switches" `Quick slice_sweep_switches ]);
+      ("attack",
+       [ Alcotest.test_case "contained classes" `Quick attack_contained_counts ]);
       ("experiments",
        [ Alcotest.test_case "names unique" `Quick experiment_names_unique;
          Alcotest.test_case "doc regenerate" `Quick doc_regenerate ]);
