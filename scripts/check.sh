@@ -48,8 +48,22 @@ rm -rf "$fleet_dir"
 # Adversarial attack campaign smoke: the cross-kernel containment
 # matrix must cover all four comparators and SenSmart must contain
 # strictly more attack classes than at least one of them (asserted by
-# the suite; this run keeps the CLI path itself exercised in CI).
+# the suite; this run keeps the CLI path itself exercised in CI).  The
+# matrix printed at tier 0 must equal tier 1's, and a --packet that is
+# not hex digit pairs is a usage error.
 dune exec bin/sensmart_cli.exe -- attack --trials 1 --report > /dev/null
+attack0=$(dune exec bin/sensmart_cli.exe -- attack --trials 1 --tier 0)
+attack1=$(dune exec bin/sensmart_cli.exe -- attack --trials 1 --tier 1)
+if [ "$attack0" != "$attack1" ]; then
+    echo "check.sh: attack --tier 0 differs from --tier 1" >&2
+    exit 1
+fi
+for packet in a_ a7:01; do
+    if dune exec bin/sensmart_cli.exe -- attack --packet "$packet" > /dev/null 2>&1; then
+        echo "check.sh: attack --packet $packet was accepted" >&2
+        exit 1
+    fi
+done
 
 # Rewriting-pipeline smoke: the fixture firmware set (avr-gcc-shaped
 # Intel-HEX, loaded symbol-less) must rewrite cleanly and emit the
