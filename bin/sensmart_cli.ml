@@ -619,13 +619,6 @@ let serve_cmd =
              ~doc:"Per-attempt cooperative deadline in milliseconds \
                    (0 = none).")
   in
-  let stall_us =
-    Arg.(value & opt (some int) None
-         & info [ "stall-us" ] ~docv:"US"
-             ~doc:"Post-job ingest stall in microseconds, modelling \
-                   result-upload latency (default: 20000 under \
-                   $(b,--loadtest), else 0).")
-  in
   let progress =
     Arg.(value & flag
          & info [ "progress" ]
@@ -637,8 +630,7 @@ let serve_cmd =
          & info [ "o"; "output" ] ~docv:"FILE"
              ~doc:"Write result JSONL here instead of stdout.")
   in
-  let exec spec loadtest seed workers max_retries job_timeout stall_us
-      progress out =
+  let exec spec loadtest seed workers max_retries job_timeout progress out =
     let specs =
       match loadtest with
       | Some n -> Service.Engine.loadtest_mix ~seed n
@@ -659,10 +651,6 @@ let serve_cmd =
         workers;
         max_retries;
         job_timeout_ms = (if job_timeout > 0 then Some job_timeout else None);
-        stall_us =
-          (match stall_us with
-           | Some us -> us
-           | None -> if loadtest <> None then 20_000 else 0);
         progress }
     in
     let oc = match out with Some f -> open_out f | None -> stdout in
@@ -680,7 +668,7 @@ let serve_cmd =
        ~doc:"Serve campaign/bisect/bench/attack/fleet jobs over a \
              work-stealing domain pool (spec JSONL in, result JSONL out)")
     Term.(const exec $ spec $ loadtest $ seed $ workers $ max_retries
-          $ job_timeout $ stall_us $ progress $ out)
+          $ job_timeout $ progress $ out)
 
 (* compile: minic source file -> run or disassemble *)
 let compile_cmd =

@@ -10,13 +10,7 @@
    for byte.  Heavy jobs land on indices congruent to 0 mod 4: under
    round-robin distribution they pile onto worker 0's deque at any
    even worker count, which is exactly what forces the other workers
-   to steal (the [service.stolen] >= 1 acceptance check).
-
-   Each load-test job ends with a configurable ingest stall
-   ([stall_us], default 20 ms) modelling the result-upload latency of a
-   serving pipeline; it is what makes worker scaling measurable on a
-   single-core host (sleeps overlap, compute does not) and it is
-   reported honestly in EXPERIMENTS.md. *)
+   to steal (the [service.stolen] >= 1 acceptance check). *)
 
 (* splitmix-style mixer, the same shape lib/fault uses: spreads a
    user seed over the mix without any global Random state. *)
@@ -46,7 +40,7 @@ let loadtest_mix ?(seed = 1) n : Spec.t list =
           | 1 ->
             Spec.Fleet
               { motes = 5; periods = 2; copies = 1; loss_permille = 100;
-                topology = Spec.Line }
+                topology = Workloads.Fleet.Line }
           | _ ->
             (* two bisect families only: every job past the first two is
                a warm-snapshot dedup hit *)
@@ -70,22 +64,6 @@ let loadtest_mix ?(seed = 1) n : Spec.t list =
                 budget = 60_000; seed = r; disruptive = true }
       in
       { Spec.id = i + 1; kind })
-
-(** The test mix: the load-test mix with deterministic failure jobs
-    woven in (raising, flaky, timing-out), so the worker-count identity
-    tests cover the containment and retry paths too. *)
-let test_mix ?(seed = 1) n : Spec.t list =
-  List.map
-    (fun (s : Spec.t) ->
-      let kind =
-        match s.id mod 29 with
-        | 7 -> Spec.Raise { message = Printf.sprintf "boom %d" s.id }
-        | 14 -> Spec.Flaky { fails = 1 }
-        | 21 -> Spec.Sleep { ms = 2 }
-        | _ -> s.kind
-      in
-      { s with kind })
-    (loadtest_mix ~seed n)
 
 type outcome = {
   summary : Pool.summary;
@@ -118,7 +96,7 @@ let serve ?(config = Pool.default_config) ?(sigint = false) ?(trace = Trace.crea
         | None -> ())
       (fun () ->
         let store = Store.create () in
-        Pool.run ~config:{ config with Pool.stop } ~store ~emit specs)
+        Pool.run ~config:{ config with Pool.stop } ~store ~job:Job.run ~emit specs)
   in
   Pool.publish trace summary;
   { summary;

@@ -1,16 +1,16 @@
 (* Execute one job spec to its canonical result payload.
 
    The contract the scheduler leans on: a payload is a pure function of
-   the spec (and, for [Flaky], the attempt number) — no wall clock, no
-   worker identity, no steal order leaks into it.  Everything
-   scheduling-dependent (worker id, wall time, backtraces) is added by
-   the pool to the *stream* record only, never to the canonical line.
+   the spec — no wall clock, no worker identity, no steal order leaks
+   into it.  Everything scheduling-dependent (worker id, wall time,
+   backtraces) is added by the pool to the *stream* record only, never
+   to the canonical line.
 
    Timeouts are cooperative: jobs poll {!check} at their natural
-   segment boundaries (between campaign trials, between bench slices,
-   every couple of milliseconds of a sleep), so a deadline can only be
-   overrun by one segment.  {!Timeout} propagates to the pool, which
-   classifies it separately from job exceptions. *)
+   segment boundaries (between campaign trials, between bench slices),
+   so a deadline can only be overrun by one segment.  {!Timeout}
+   propagates to the pool, which classifies it separately from job
+   exceptions. *)
 
 exception Timeout
 
@@ -160,12 +160,6 @@ let run_attack ctx ~system ~trials ~seed =
 
 let run_fleet ctx ~motes ~periods ~copies ~loss_permille ~topology =
   check ctx;
-  let topology =
-    match topology with
-    | Spec.Line -> Workloads.Fleet.Line
-    | Spec.Grid cols -> Workloads.Fleet.Grid cols
-    | Spec.Rgg { seed; radius } -> Workloads.Fleet.Random_geometric { seed; radius }
-  in
   let net =
     Workloads.Fleet.create ~loss_permille ~periods ~copies ~topology motes
   in
@@ -178,23 +172,10 @@ let run_fleet ctx ~motes ~periods ~copies ~loss_permille ~topology =
     "{\"motes\":%d,\"live\":%d,\"sent\":%d,\"retrans\":%d,\"overflow\":%d,\"heard\":%d,\"routed\":%d,\"dropped\":%d}"
     s.motes s.live s.sent s.retrans s.overflow s.heard s.routed s.dropped
 
-let run_sleep ctx ~ms =
-  let until = Unix.gettimeofday () +. (float_of_int ms /. 1000.) in
-  let rec nap () =
-    check ctx;
-    let now = Unix.gettimeofday () in
-    if now < until then begin
-      Unix.sleepf (Float.min 0.002 (until -. now));
-      nap ()
-    end
-  in
-  nap ();
-  Printf.sprintf "{\"slept_ms\":%d}" ms
-
-(** Run [spec] (attempt numbers start at 1) to its canonical payload.
-    Raises {!Timeout} past the deadline and arbitrary exceptions for
-    failing jobs — the pool owns retry/containment policy. *)
-let run ctx ~attempt (spec : Spec.t) : string =
+(** Run [spec] to its canonical payload.  Raises {!Timeout} past the
+    deadline and arbitrary exceptions for failing jobs — the pool owns
+    retry/containment policy. *)
+let run ctx (spec : Spec.t) : string =
   check ctx;
   match spec.kind with
   | Spec.Campaign { programs; trials; faults; budget; seed; disruptive } ->
@@ -205,9 +186,3 @@ let run ctx ~attempt (spec : Spec.t) : string =
   | Spec.Attack { system; trials; seed } -> run_attack ctx ~system ~trials ~seed
   | Spec.Fleet { motes; periods; copies; loss_permille; topology } ->
     run_fleet ctx ~motes ~periods ~copies ~loss_permille ~topology
-  | Spec.Raise { message } -> failwith message
-  | Spec.Flaky { fails } ->
-    if attempt <= fails then
-      failwith (Printf.sprintf "flaky: deliberate failure %d/%d" attempt fails)
-    else Printf.sprintf "{\"succeeded_attempt\":%d}" attempt
-  | Spec.Sleep { ms } -> run_sleep ctx ~ms

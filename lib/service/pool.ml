@@ -61,10 +61,7 @@ type config = {
   workers : int;  (** domains serving jobs (>= 1; 1 disables stealing) *)
   max_retries : int;  (** extra attempts after the first failure *)
   job_timeout_ms : int option;  (** per-attempt cooperative deadline *)
-  stall_us : int;
-      (** post-job ingest stall, microseconds — the load-test harness
-          models the I/O latency of a serving pipeline with it (0 in
-          normal serving) *)
+  stall_us : int;  (** post-job sleep, microseconds (0 = none) *)
   progress : bool;  (** stream {!Trace.Job} lifecycle events too *)
   stop : unit -> bool;
       (** polled between jobs: [true] drains the pool (SIGINT) *)
@@ -117,7 +114,10 @@ let publish trace (s : summary) =
 (* One claimed unit of work. *)
 type ticket = { spec : Spec.t; was_stolen : bool }
 
-let run ?(config = default_config) ~store ~emit (specs : Spec.t list) : summary =
+(** Serve [specs], running each attempt with [job] ({!Job.run} in
+    production; tests pass fakes over it to drive the failure paths). *)
+let run ?(config = default_config) ~store ~job ~emit (specs : Spec.t list) :
+    summary =
   let cfg = config in
   let n = max 1 cfg.workers in
   let specs_arr = Array.of_list specs in
@@ -140,7 +140,6 @@ let run ?(config = default_config) ~store ~emit (specs : Spec.t list) : summary 
   let stolen = Atomic.make 0 in
   let retried = Atomic.make 0 in
   let timeouts = Atomic.make 0 in
-  let running = Atomic.make 0 in
   let images = Hashtbl.create 32 in
   let images_mutex = Mutex.create () in
   (* Prefill the image cache on the coordinator: every program any spec
@@ -151,7 +150,7 @@ let run ?(config = default_config) ~store ~emit (specs : Spec.t list) : summary 
         match s.kind with
         | Spec.Campaign { programs; _ } | Spec.Bisect { programs; _ } -> programs
         | Spec.Bench { program; _ } -> [ program ]
-        | _ -> []
+        | Spec.Attack _ | Spec.Fleet _ -> []
       in
       List.iter
         (fun p ->
@@ -190,12 +189,12 @@ let run ?(config = default_config) ~store ~emit (specs : Spec.t list) : summary 
   let run_job w (t : ticket) =
     let spec = t.spec in
     let id = spec.Spec.id in
-    let job = Spec.kind_name spec.Spec.kind in
+    let kind = Spec.kind_name spec.Spec.kind in
     let t0 = Unix.gettimeofday () in
     let attempts_allowed = 1 + max 0 cfg.max_retries in
     if t.was_stolen then
-      progress_event ~worker:w ~id ~attempt:0 ~phase:"stolen" ~detail:job;
-    progress_event ~worker:w ~id ~attempt:1 ~phase:"start" ~detail:job;
+      progress_event ~worker:w ~id ~attempt:0 ~phase:"stolen" ~detail:kind;
+    progress_event ~worker:w ~id ~attempt:1 ~phase:"start" ~detail:kind;
     let rec attempt k =
       let deadline =
         Option.map
@@ -208,9 +207,9 @@ let run ?(config = default_config) ~store ~emit (specs : Spec.t list) : summary 
             (fun ~phase ~detail ->
               progress_event ~worker:w ~id ~attempt:k ~phase ~detail) }
       in
-      match Job.run ctx ~attempt:k spec with
+      match job ctx spec with
       | payload ->
-        { id; job; status = Done; attempts = k; payload; error = "";
+        { id; job = kind; status = Done; attempts = k; payload; error = "";
           timed_out = false; worker = w; stolen = t.was_stolen;
           wall_us = 0; backtrace = "" }
       | exception e ->
@@ -230,7 +229,7 @@ let run ?(config = default_config) ~store ~emit (specs : Spec.t list) : summary 
                 (Option.value ~default:0 cfg.job_timeout_ms)
             else Printexc.to_string e
           in
-          { id; job; status = Failed; attempts = k; payload = ""; error;
+          { id; job = kind; status = Failed; attempts = k; payload = ""; error;
             timed_out; worker = w; stolen = t.was_stolen; wall_us = 0;
             backtrace }
     in
@@ -238,36 +237,19 @@ let run ?(config = default_config) ~store ~emit (specs : Spec.t list) : summary 
     let r = { r with wall_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) } in
     progress_event ~worker:w ~id ~attempt:r.attempts
       ~phase:(match r.status with Done -> "done" | Failed -> "failed")
-      ~detail:(match r.status with Done -> job | Failed -> r.error);
+      ~detail:(match r.status with Done -> kind | Failed -> r.error);
     emit_line (stream_line r);
     results.(w) <- r :: results.(w);
     if cfg.stall_us > 0 then Unix.sleepf (float_of_int cfg.stall_us /. 1e6)
   in
-  (* When domains outnumber cores, the stop-the-world minor collector
-     becomes the bottleneck: every minor GC spins all domains through a
-     barrier the single core must schedule one by one.  A roomier
-     per-domain nursery cuts the barrier rate by an order of magnitude
-     (measured ~10x wall on the 1000-job mix at 4 workers on one
-     core).  Scheduling-level only — canonical results and the
-     deterministic counters are unaffected.  Restored on the way out so
-     serve does not permanently retune the host process. *)
-  let nursery_words = 8 * 1024 * 1024 in
-  let gc_prev = Gc.get () in
-  let widen_nursery () =
-    if n > 1 then
-      Gc.set { (Gc.get ()) with minor_heap_size = nursery_words }
-  in
   let worker w =
-    widen_nursery ();
     let rec loop () =
       if cfg.stop () then ()
       else
         match next_ticket w with
         | None -> ()
         | Some t ->
-          Atomic.incr running;
-          Fun.protect ~finally:(fun () -> Atomic.decr running) (fun () ->
-              run_job w t);
+          run_job w t;
           loop ()
     in
     loop ()
@@ -276,11 +258,8 @@ let run ?(config = default_config) ~store ~emit (specs : Spec.t list) : summary 
   let domains =
     Array.init (n - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
   in
-  Fun.protect
-    ~finally:(fun () -> if n > 1 then Gc.set gc_prev)
-    (fun () ->
-      worker 0;
-      Array.iter Domain.join domains);
+  worker 0;
+  Array.iter Domain.join domains;
   let wall_s = Unix.gettimeofday () -. t0 in
   (* Anything still queued was cancelled by a drain. *)
   let cancelled =

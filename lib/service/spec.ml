@@ -12,11 +12,6 @@
    budgets, seeds): a job's result is a pure function of its spec, the
    determinism contract the 1/2/4-worker identity tests pin. *)
 
-type topology =
-  | Line
-  | Grid of int  (** columns *)
-  | Rgg of { seed : int; radius : int }
-
 type kind =
   | Campaign of {
       programs : string list;
@@ -42,16 +37,8 @@ type kind =
       periods : int;
       copies : int;
       loss_permille : int;
-      topology : topology;
+      topology : Workloads.Fleet.topology;
     }  (** a {!Workloads.Fleet} sense-and-send run, single domain *)
-  | Raise of { message : string }
-      (** deliberately raises — the crashed-worker containment probe *)
-  | Flaky of { fails : int }
-      (** fails its first [fails] attempts, then succeeds — pins the
-          bounded-retry semantics *)
-  | Sleep of { ms : int }
-      (** sleeps cooperatively, checking the deadline every few ms —
-          pins the timeout semantics and models I/O-bound jobs *)
 
 type t = { id : int; kind : kind }
 
@@ -61,18 +48,15 @@ let kind_name = function
   | Bench _ -> "bench"
   | Attack _ -> "attack"
   | Fleet _ -> "fleet"
-  | Raise _ -> "raise"
-  | Flaky _ -> "flaky"
-  | Sleep _ -> "sleep"
 
 (* --- topology spec ------------------------------------------------------- *)
 
-let topology_to_string = function
+let topology_to_string : Workloads.Fleet.topology -> string = function
   | Line -> "line"
   | Grid cols -> Printf.sprintf "grid:%d" cols
-  | Rgg { seed; radius } -> Printf.sprintf "rgg:%d:%d" seed radius
+  | Random_geometric { seed; radius } -> Printf.sprintf "rgg:%d:%d" seed radius
 
-let topology_of_string s =
+let topology_of_string s : (Workloads.Fleet.topology, string) result =
   match String.split_on_char ':' s with
   | [ "line" ] -> Ok Line
   | [ "grid"; cols ] -> (
@@ -81,7 +65,8 @@ let topology_of_string s =
     | _ -> Error (Printf.sprintf "bad grid columns %S" cols))
   | [ "rgg"; seed; radius ] -> (
     match (int_of_string_opt seed, int_of_string_opt radius) with
-    | Some s, Some r when r >= 1 && r <= 1415 -> Ok (Rgg { seed = s; radius = r })
+    | Some s, Some r when r >= 1 && r <= 1415 ->
+      Ok (Random_geometric { seed = s; radius = r })
     | _ -> Error (Printf.sprintf "bad rgg parameters %S:%S" seed radius))
   | _ ->
     Error
@@ -141,10 +126,7 @@ let to_json (t : t) =
      int "periods" periods;
      int "copies" copies;
      int "loss" loss_permille;
-     str "topology" (topology_to_string topology)
-   | Raise { message } -> str "message" message
-   | Flaky { fails } -> int "fails" fails
-   | Sleep { ms } -> int "ms" ms);
+     str "topology" (topology_to_string topology));
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -253,15 +235,6 @@ let of_json ?(id = 0) line : (t, string) result =
       let* loss = Result.bind (int ~default:0 "loss") (fun v -> in_range "loss" v 0 1_000) in
       let* topology = Result.bind (str ~default:"line" "topology") topology_of_string in
       Ok (Fleet { motes; periods; copies; loss_permille = loss; topology })
-    | "raise" ->
-      let* message = str ~default:"deliberate service self-test failure" "message" in
-      Ok (Raise { message })
-    | "flaky" ->
-      let* fails = Result.bind (int ~default:1 "fails") (fun v -> in_range "fails" v 0 100) in
-      Ok (Flaky { fails })
-    | "sleep" ->
-      let* ms = Result.bind (int ~default:1 "ms") (fun v -> in_range "ms" v 0 600_000) in
-      Ok (Sleep { ms })
     | other -> Error (Printf.sprintf "unknown job kind %S" other)
   in
   (* Reject typos loudly rather than silently ignoring a field the
@@ -278,9 +251,12 @@ let of_json ?(id = 0) line : (t, string) result =
 
 (** Parse a whole spec file (JSONL; blank lines and [#] comments
     skipped).  Jobs without an explicit ["id"] get their line number.
-    The first offence wins: [Error "line N: ..."]. *)
+    Ids must be unique: results are sorted and hashed by id, so a
+    repeated id would make the digest depend on the schedule.  The
+    first offence wins: [Error "line N: ..."]. *)
 let parse_lines text : (t list, string) result =
   let lines = String.split_on_char '\n' text in
+  let first_line = Hashtbl.create 64 in
   let rec go n acc = function
     | [] -> Ok (List.rev acc)
     | line :: rest ->
@@ -288,8 +264,16 @@ let parse_lines text : (t list, string) result =
       if trimmed = "" || trimmed.[0] = '#' then go (n + 1) acc rest
       else (
         match of_json ~id:n trimmed with
-        | Ok t -> go (n + 1) (t :: acc) rest
-        | Error e -> Error (Printf.sprintf "line %d: %s" n e))
+        | Error e -> Error (Printf.sprintf "line %d: %s" n e)
+        | Ok t -> (
+          match Hashtbl.find_opt first_line t.id with
+          | Some m ->
+            Error
+              (Printf.sprintf "line %d: duplicate job id %d (first on line %d)" n
+                 t.id m)
+          | None ->
+            Hashtbl.add first_line t.id n;
+            go (n + 1) (t :: acc) rest))
   in
   go 1 [] lines
 

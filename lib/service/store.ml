@@ -1,99 +1,70 @@
-(* Content-addressed snapshot store shared by every job in a serve run.
+(* Snapshot store shared by every job in a serve run.
 
-   Two-level addressing:
-
-   - a {e semantic} key ("what would this capture be?" — e.g.
-     ["warm|feeder,search|120000"]) maps to the content digest of the
-     blob that key produced, so a job can skip the capture work
-     entirely when an equal job got there first;
-   - the {e content} digest (MD5 of the serialized snapshot, the same
-     address the v2 flash section uses for shared images) maps to the
-     blob itself, so two different semantic keys whose captures happen
-     to serialize identically still share one copy of the bytes.
+   A {e semantic} key ("what would this capture be?" — e.g.
+   ["warm|feeder,search|120000"]) maps straight to the captured blob and
+   its content digest (MD5 of the serialized snapshot), so a job skips
+   the capture work entirely when an equal job got there first.
 
    Hit accounting is deterministic in aggregate whatever the worker
-   count or steal order: [get_or_capture] linearizes each semantic key
-   under the store mutex with a Pending slot, so of [n] jobs asking for
-   the same key exactly one computes and [n - 1] count as hits —
-   concurrent askers block on the condition variable instead of
-   double-computing.  That is what lets the test suite pin
-   [service.dedup_hits] exactly. *)
+   count or steal order: [get_or_capture] linearizes each key under the
+   store mutex with a Pending slot, so of [n] jobs asking for the same
+   key exactly one computes and [n - 1] count as hits — concurrent
+   askers block on the condition variable instead of double-computing.
+   That is what lets the test suite pin [service.dedup_hits] exactly. *)
 
-type slot = Pending | Ready of string  (** content digest *)
+type slot = Pending | Ready of string * string  (** blob, digest *)
 
 type t = {
   mutex : Mutex.t;
   ready : Condition.t;
-  semantic : (string, slot) Hashtbl.t;  (** semantic key -> digest *)
-  blobs : (string, string) Hashtbl.t;  (** content digest -> blob *)
-  mutable hits : int;  (** semantic hits + cross-key content hits *)
-  mutable misses : int;  (** captures actually computed *)
-  mutable stored_bytes : int;  (** distinct blob bytes held *)
+  slots : (string, slot) Hashtbl.t;
+  mutable hits : int;
 }
 
 let create () =
   { mutex = Mutex.create ();
     ready = Condition.create ();
-    semantic = Hashtbl.create 64;
-    blobs = Hashtbl.create 64;
-    hits = 0;
-    misses = 0;
-    stored_bytes = 0 }
+    slots = Hashtbl.create 64;
+    hits = 0 }
 
 let hits t = t.hits
-let misses t = t.misses
-let stored_bytes t = t.stored_bytes
-let entries t = Hashtbl.length t.blobs
 
-(** [get_or_capture t ~key f] returns [(blob, digest)] for the semantic
-    [key], computing it with [f] at most once per key across all
-    workers.  If [f] raises, the Pending slot is removed and waiters
-    retry (the next asker recomputes), so a failed capture poisons
-    nobody. *)
+(** Stored blobs; read once the run is over, when no Pending slot is
+    left. *)
+let entries t = Hashtbl.length t.slots
+
+(** [get_or_capture t ~key f] returns [(blob, digest)] for [key],
+    computing it with [f] at most once per key across all workers.  If
+    [f] raises, the Pending slot is removed and waiters retry (the next
+    asker recomputes), so a failed capture poisons nobody. *)
 let get_or_capture t ~key f =
   let rec await () =
-    match Hashtbl.find_opt t.semantic key with
-    | Some (Ready digest) ->
+    match Hashtbl.find_opt t.slots key with
+    | Some (Ready (blob, digest)) ->
       t.hits <- t.hits + 1;
-      let blob = Hashtbl.find t.blobs digest in
       Mutex.unlock t.mutex;
       (blob, digest)
     | Some Pending ->
       Condition.wait t.ready t.mutex;
       await ()
     | None ->
-      Hashtbl.replace t.semantic key Pending;
+      Hashtbl.replace t.slots key Pending;
       Mutex.unlock t.mutex;
       let blob =
         try f ()
         with e ->
           Mutex.lock t.mutex;
-          Hashtbl.remove t.semantic key;
+          Hashtbl.remove t.slots key;
           Condition.broadcast t.ready;
           Mutex.unlock t.mutex;
           raise e
       in
       let digest = Digest.to_hex (Digest.string blob) in
       Mutex.lock t.mutex;
-      t.misses <- t.misses + 1;
-      (if Hashtbl.mem t.blobs digest then
-         (* same bytes via a different semantic key: share the blob *)
-         t.hits <- t.hits + 1
-       else begin
-         Hashtbl.replace t.blobs digest blob;
-         t.stored_bytes <- t.stored_bytes + String.length blob
-       end);
-      Hashtbl.replace t.semantic key (Ready digest);
+      Hashtbl.replace t.slots key (Ready (blob, digest));
       Condition.broadcast t.ready;
       Mutex.unlock t.mutex;
       (blob, digest)
   in
   Mutex.lock t.mutex;
   await ()
-
-(** Fetch a blob by content digest (e.g. to re-serve a stored capture). *)
-let find t digest =
-  Mutex.lock t.mutex;
-  let r = Hashtbl.find_opt t.blobs digest in
-  Mutex.unlock t.mutex;
-  r

@@ -87,7 +87,22 @@ done
 # Campaign-service smoke: a short seeded load test through the CLI
 # serve path must drain cleanly (serve exits nonzero iff any job
 # failed, so the exit code is the gate).
-dune exec bin/sensmart_cli.exe -- serve --loadtest 32 --workers 4 --stall-us 0 > /dev/null
+dune exec bin/sensmart_cli.exe -- serve --loadtest 32 --workers 4 > /dev/null
+
+# A spec file that names a job kind serve does not have, or repeats a
+# job id, is a usage error (exit 2) before any job runs.
+serve_rejects() {
+    status=0
+    printf '%b' "$2" | dune exec bin/sensmart_cli.exe -- serve --workers 2 \
+        > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "check.sh: serve with $1 exited $status, expected 2" >&2
+        exit 1
+    fi
+}
+serve_rejects "a sleep job" '{"job":"sleep","ms":1}\n'
+serve_rejects "a repeated job id" \
+    '{"id":1,"job":"bench","program":"crc"}\n{"id":1,"job":"bench","program":"lfsr"}\n'
 
 # The shared --tier flag is validated: a tier outside 0-2 is a usage
 # error, never a silent clamp to the nearest tier.

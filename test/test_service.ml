@@ -3,17 +3,22 @@
    deterministic snapshot-dedup accounting, spec-file round-trips with
    line-numbered rejection, and the SIGINT drain path. *)
 
-let serve ?(workers = 4) ?(max_retries = 0) ?job_timeout_ms ?(sigint = false)
-    specs =
+let config ~workers ~max_retries ~job_timeout_ms =
+  { Service.Pool.default_config with workers; max_retries; job_timeout_ms }
+
+(* Serve [specs] through [Engine.serve], or straight through the pool
+   when a fake [job] function stands in for [Job.run]. *)
+let serve ?(workers = 4) ?(max_retries = 0) ?job_timeout_ms ?job specs =
   let buf = Buffer.create 4096 in
-  let config =
-    { Service.Pool.default_config with
-      workers; max_retries; job_timeout_ms; stall_us = 0 }
+  let config = config ~workers ~max_retries ~job_timeout_ms in
+  let emit = Buffer.add_string buf in
+  let summary =
+    match job with
+    | None -> (Service.Engine.serve ~config ~emit specs).summary
+    | Some job ->
+      Service.Pool.run ~config ~store:(Service.Store.create ()) ~job ~emit specs
   in
-  let outcome =
-    Service.Engine.serve ~config ~sigint ~emit:(Buffer.add_string buf) specs
-  in
-  (outcome, Buffer.contents buf)
+  (summary, Buffer.contents buf)
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -23,23 +28,81 @@ let contains ~needle hay =
 let stream_lines text =
   List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
 
+(* --- deliberate failures --------------------------------------------------- *)
+
+(* Production specs have no failing job kinds, so the failure paths run
+   through fake job functions over [Job.run]. *)
+type fault =
+  | Pass  (** run the real job *)
+  | Raise  (** every attempt raises *)
+  | Fail_first of int  (** the first [n] attempts raise, then the real job *)
+  | Nap of int
+      (** sleep [ms] first, polling the deadline like a real job's
+          segment boundaries, then the real job *)
+
+let nap ctx ms =
+  let until = Unix.gettimeofday () +. (float_of_int ms /. 1000.) in
+  let rec go () =
+    Service.Job.check ctx;
+    let now = Unix.gettimeofday () in
+    if now < until then begin
+      Unix.sleepf (Float.min 0.002 (until -. now));
+      go ()
+    end
+  in
+  go ()
+
+(* A fresh fake per serve run: attempts are counted per job id, and a
+   job runs on one worker at a time, so the count is its attempt
+   number at any worker count. *)
+let faulty plan =
+  let attempts = Hashtbl.create 16 and m = Mutex.create () in
+  let attempt id =
+    Mutex.protect m (fun () ->
+        let k = 1 + Option.value ~default:0 (Hashtbl.find_opt attempts id) in
+        Hashtbl.replace attempts id k;
+        k)
+  in
+  fun ctx (spec : Service.Spec.t) ->
+    match plan spec with
+    | Pass -> Service.Job.run ctx spec
+    | Raise -> failwith (Printf.sprintf "boom %d" spec.id)
+    | Fail_first n ->
+      let k = attempt spec.id in
+      if k <= n then
+        failwith (Printf.sprintf "flaky: deliberate failure %d/%d" k n)
+      else Service.Job.run ctx spec
+    | Nap ms ->
+      nap ctx ms;
+      Service.Job.run ctx spec
+
 (* --- worker-count identity over the seeded 200-job mix ------------------- *)
 
-(* The test mix weaves deliberate failures into the load-test mix: ids
-   congruent to 7 mod 29 raise (7 jobs in 1..200), 14 mod 29 fail once
-   then succeed (7 jobs), 21 mod 29 sleep.  With max_retries = 2 the
-   raising jobs burn 2 retries each and the flaky jobs 1, so the retry
-   counter itself is schedule-independent: 7*2 + 7*1 = 21. *)
-let mix = lazy (Service.Engine.test_mix ~seed:1 200)
+(* Deliberate failures woven into the load-test mix: ids congruent to
+   7 mod 29 raise (7 jobs in 1..200), 14 mod 29 fail once then succeed
+   (7 jobs), 21 mod 29 nap 2 ms.  With max_retries = 2 the raising jobs
+   burn 2 retries each and the flaky jobs 1, so the retry counter
+   itself is schedule-independent: 7*2 + 7*1 = 21. *)
+let mix = lazy (Service.Engine.loadtest_mix ~seed:1 200)
+
+let mix_faults (spec : Service.Spec.t) =
+  match spec.id mod 29 with
+  | 7 -> Raise
+  | 14 -> Fail_first 1
+  | 21 -> Nap 2
+  | _ -> Pass
 
 let workers_identity () =
   let runs =
     List.map
-      (fun w -> (w, serve ~workers:w ~max_retries:2 (Lazy.force mix)))
+      (fun w ->
+        ( w,
+          serve ~workers:w ~max_retries:2 ~job:(faulty mix_faults)
+            (Lazy.force mix) ))
       [ 1; 2; 4 ]
   in
   let digests =
-    List.map (fun (w, (o, _)) -> (w, o.Service.Engine.digest)) runs
+    List.map (fun (w, (s, _)) -> (w, Service.Pool.canonical_digest s)) runs
   in
   (match digests with
    | (_, d1) :: rest ->
@@ -51,8 +114,7 @@ let workers_identity () =
        rest
    | [] -> assert false);
   List.iter
-    (fun (w, ((o : Service.Engine.outcome), text)) ->
-      let s = o.summary in
+    (fun (w, ((s : Service.Pool.summary), text)) ->
       Alcotest.(check int)
         (Printf.sprintf "%d workers: every job served" w)
         200 (s.completed + s.failed);
@@ -98,12 +160,16 @@ let workers_identity () =
 
 (* --- retry / timeout semantics ------------------------------------------- *)
 
+let crc_bench id =
+  { Service.Spec.id;
+    kind = Service.Spec.Bench { program = "crc"; budget = 150_000; tier = 1 } }
+
 let timeout_semantics () =
-  let specs =
-    [ { Service.Spec.id = 1; kind = Service.Spec.Sleep { ms = 500 } } ]
+  let s, text =
+    serve ~workers:1 ~max_retries:1 ~job_timeout_ms:25
+      ~job:(faulty (fun _ -> Nap 500))
+      [ crc_bench 1 ]
   in
-  let o, text = serve ~workers:1 ~max_retries:1 ~job_timeout_ms:25 specs in
-  let s = o.summary in
   Alcotest.(check int) "job failed" 1 s.failed;
   Alcotest.(check int) "both attempts timed out" 2 s.timeouts;
   Alcotest.(check int) "one retry consumed" 1 s.retried;
@@ -120,20 +186,20 @@ let timeout_semantics () =
   | _ -> Alcotest.fail "expected exactly one result"
 
 let flaky_retry () =
-  let specs =
-    [ { Service.Spec.id = 1; kind = Service.Spec.Flaky { fails = 2 } } ]
-  in
+  let specs = [ crc_bench 1 ] in
+  let flaky () = faulty (fun _ -> Fail_first 2) in
   (* Not enough retries: the job fails with its last deliberate error. *)
-  let o, _ = serve ~workers:1 ~max_retries:1 specs in
-  Alcotest.(check int) "fails when retries run out" 1 o.summary.failed;
-  (* One more attempt and it lands. *)
-  let o, _ = serve ~workers:1 ~max_retries:2 specs in
-  Alcotest.(check int) "succeeds with enough retries" 1 o.summary.completed;
-  match o.summary.results with
-  | [ r ] ->
+  let s, _ = serve ~workers:1 ~max_retries:1 ~job:(flaky ()) specs in
+  Alcotest.(check int) "fails when retries run out" 1 s.failed;
+  (* One more attempt and it lands, with the payload a clean run gives. *)
+  let s, _ = serve ~workers:1 ~max_retries:2 ~job:(flaky ()) specs in
+  Alcotest.(check int) "succeeds with enough retries" 1 s.completed;
+  let clean, _ = serve ~workers:1 specs in
+  match (s.results, clean.results) with
+  | [ r ], [ c ] ->
     Alcotest.(check int) "third attempt succeeded" 3 r.attempts;
-    Alcotest.(check string) "attempt number in payload"
-      "{\"succeeded_attempt\":3}" r.payload
+    Alcotest.(check string) "retried payload equals a clean run's" c.payload
+      r.payload
   | _ -> Alcotest.fail "expected exactly one result"
 
 (* --- snapshot dedup accounting ------------------------------------------- *)
@@ -152,8 +218,7 @@ let dedup_accounting () =
      worker count, because the store linearizes each semantic key. *)
   List.iter
     (fun w ->
-      let o, _ = serve ~workers:w specs in
-      let s = o.Service.Engine.summary in
+      let s, _ = serve ~workers:w specs in
       Alcotest.(check int)
         (Printf.sprintf "%d workers: all six bisects served" w)
         6 s.completed;
@@ -167,8 +232,18 @@ let dedup_accounting () =
 
 (* --- spec round-trip and rejection --------------------------------------- *)
 
+let fleet id topology =
+  { Service.Spec.id;
+    kind =
+      Service.Spec.Fleet
+        { motes = 4; periods = 2; copies = 1; loss_permille = 0; topology } }
+
 let spec_roundtrip () =
-  let specs = Service.Engine.test_mix ~seed:3 64 in
+  let specs =
+    Service.Engine.loadtest_mix ~seed:3 64
+    @ [ fleet 65 (Workloads.Fleet.Grid 3);
+        fleet 66 (Workloads.Fleet.Random_geometric { seed = 5; radius = 300 }) ]
+  in
   let text =
     String.concat "\n" (List.map Service.Spec.to_json specs) ^ "\n"
   in
@@ -178,7 +253,17 @@ let spec_roundtrip () =
     Alcotest.(check (list string))
       "printed specs parse back byte-identically"
       (List.map Service.Spec.to_json specs)
-      (List.map Service.Spec.to_json parsed)
+      (List.map Service.Spec.to_json parsed);
+  (* The topology wire strings are the fleet CLI's. *)
+  List.iter
+    (fun (topology, wire) ->
+      let json = Service.Spec.to_json (fleet 1 topology) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s carries topology %S" json wire)
+        true
+        (contains ~needle:(Printf.sprintf "\"topology\":\"%s\"" wire) json))
+    [ (Workloads.Fleet.Line, "line"); (Grid 3, "grid:3");
+      (Random_geometric { seed = 5; radius = 300 }, "rgg:5:300") ]
 
 let spec_rejection () =
   let reject name text needle =
@@ -192,12 +277,16 @@ let spec_rejection () =
   in
   reject "non-JSON line" "nonsense\n" "line 1";
   reject "second line bad"
-    "{\"job\":\"sleep\",\"ms\":1}\nnonsense\n" "line 2";
+    "{\"job\":\"bench\",\"program\":\"crc\"}\nnonsense\n" "line 2";
   reject "unknown job kind" "{\"job\":\"mine\"}\n" "unknown job kind";
+  (* The test-only failure kinds are not production job kinds. *)
+  reject "no raise kind" "{\"job\":\"raise\"}\n" "unknown job kind";
+  reject "no flaky kind" "{\"job\":\"flaky\"}\n" "unknown job kind";
+  reject "no sleep kind" "{\"job\":\"sleep\",\"ms\":1}\n" "unknown job kind";
   reject "unknown program"
     "{\"job\":\"bench\",\"program\":\"nope\"}\n" "unknown program";
   reject "unknown field"
-    "{\"job\":\"sleep\",\"ms\":1,\"bogus\":7}\n" "unknown field";
+    "{\"job\":\"bench\",\"program\":\"crc\",\"bogus\":7}\n" "unknown field";
   reject "range check"
     "{\"job\":\"bisect\",\"programs\":\"crc\",\"warm\":500000,\"budget\":100000}\n"
     "warm";
@@ -206,10 +295,34 @@ let spec_rejection () =
     "poke";
   (* Comments and blank lines are skipped but still count for line
      numbering and default ids. *)
-  match Service.Spec.parse_lines "# header\n\n{\"job\":\"sleep\",\"ms\":1}\n" with
-  | Ok [ { Service.Spec.id = 3; kind = Service.Spec.Sleep { ms = 1 } } ] -> ()
+  match
+    Service.Spec.parse_lines "# header\n\n{\"job\":\"bench\",\"program\":\"crc\"}\n"
+  with
+  | Ok
+      [ { Service.Spec.id = 3;
+          kind = Service.Spec.Bench { program = "crc"; budget = 500_000; tier = 1 } } ]
+    -> ()
   | Ok _ -> Alcotest.fail "comment/blank handling changed the parse"
   | Error e -> Alcotest.fail ("commented spec rejected: " ^ e)
+
+(* Results are sorted and hashed by id, so a repeated id would make the
+   digest depend on the worker count: the parser refuses it, whether
+   the id is explicit or defaulted from the line number. *)
+let spec_duplicate_ids () =
+  let expect name text err =
+    match Service.Spec.parse_lines text with
+    | Ok _ -> Alcotest.fail (name ^ ": duplicate id accepted")
+    | Error e -> Alcotest.(check string) name err e
+  in
+  expect "explicit ids"
+    "{\"id\":1,\"job\":\"bench\",\"program\":\"crc\"}\n\
+     {\"id\":1,\"job\":\"bench\",\"program\":\"lfsr\"}\n"
+    "line 2: duplicate job id 1 (first on line 1)";
+  expect "explicit id hits a line-number default"
+    "{\"job\":\"bench\",\"program\":\"crc\"}\n\
+     # comment\n\
+     {\"id\":1,\"job\":\"bench\",\"program\":\"lfsr\"}\n"
+    "line 3: duplicate job id 1 (first on line 1)"
 
 (* --- SIGINT drain ---------------------------------------------------------- *)
 
@@ -221,16 +334,26 @@ let sigint_drain () =
   let previous = Sys.signal Sys.sigint Sys.Signal_ignore in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint previous)
   @@ fun () ->
+  (* feeder never exits, so each bench job runs its whole budget
+     (a few ms of host time). *)
   let specs =
     List.init 60 (fun i ->
-        { Service.Spec.id = i + 1; kind = Service.Spec.Sleep { ms = 5 } })
+        { Service.Spec.id = i + 1;
+          kind =
+            Service.Spec.Bench { program = "feeder"; budget = 6_000_000; tier = 1 } })
   in
   let killer =
     Domain.spawn (fun () ->
         Unix.sleepf 0.05;
         Unix.kill (Unix.getpid ()) Sys.sigint)
   in
-  let o, text = serve ~workers:2 ~sigint:true specs in
+  let buf = Buffer.create 4096 in
+  let o =
+    Service.Engine.serve
+      ~config:(config ~workers:2 ~max_retries:0 ~job_timeout_ms:None)
+      ~sigint:true ~emit:(Buffer.add_string buf) specs
+  in
+  let text = Buffer.contents buf in
   Domain.join killer;
   let s = o.summary in
   Alcotest.(check bool) "interrupt observed" true o.interrupted;
@@ -261,4 +384,5 @@ let () =
          Alcotest.test_case "sigint drain" `Quick sigint_drain ]);
       ("spec",
        [ Alcotest.test_case "round-trip" `Quick spec_roundtrip;
-         Alcotest.test_case "rejection" `Quick spec_rejection ]) ]
+         Alcotest.test_case "rejection" `Quick spec_rejection;
+         Alcotest.test_case "duplicate ids" `Quick spec_duplicate_ids ]) ]

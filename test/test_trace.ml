@@ -140,9 +140,14 @@ let escape_round_trip () =
        (List.assoc_opt "kind" fields = Some (Trace.J_str nasty)
         && List.assoc_opt "message" fields = Some (Trace.J_str nasty))
    | Error msg -> Alcotest.failf "parse diagnostic: %s" msg);
-  let job = { Service.Spec.id = 7; kind = Raise { message = nasty } } in
-  match Service.Spec.of_json ~id:7 (Service.Spec.to_json job) with
-  | Ok job' -> Alcotest.(check bool) "spec strings survive" true (job = job')
+  let job =
+    { Service.Spec.id = 7;
+      kind = Bench { program = nasty; budget = 500_000; tier = 1 } }
+  in
+  match Trace.parse_flat_json (Service.Spec.to_json job) with
+  | Ok fields ->
+    Alcotest.(check bool) "spec strings survive" true
+      (List.assoc_opt "program" fields = Some (Trace.J_str nasty))
   | Error msg -> Alcotest.failf "parse spec: %s" msg
 
 (* --- dump/restore (snapshot support) -------------------------------------- *)
