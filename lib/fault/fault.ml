@@ -324,9 +324,11 @@ let apply (k : Kernel.t) = function
   | Sreg_flip { bit } -> k.m.sreg <- k.m.sreg lxor (1 lsl (bit land 7))
   | Flash_flip { waddr; xor } ->
     (* through Cpu.load, the only flash-write path: invalidates the
-       decode cache and compiled blocks so both tiers see the change *)
+       decode cache and compiled blocks so both tiers see the change,
+       and grows the flash when [w] lies past the image's end *)
     let w = waddr land (Machine.Layout.flash_words - 1) in
-    Machine.Cpu.load ~at:w k.m [| (k.m.flash.(w) lxor xor) land 0xFFFF |]
+    let v = Machine.Cpu.flash_word k.m.flash w lxor xor in
+    Machine.Cpu.load ~at:w k.m [| v land 0xFFFF |]
   | Radio_corrupt { index; xor } ->
     ignore (Machine.Io.corrupt_rx k.m.io ~index ~xor)
   | Radio_drop { count } -> ignore (Machine.Io.drop_rx k.m.io ~count)

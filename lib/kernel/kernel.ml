@@ -367,16 +367,18 @@ let handle_syscall k _m n =
 
 (* --- boot ----------------------------------------------------------------- *)
 
-(** A prepared boot recipe: the naturalized programs and one fully
-    populated 64 K-word flash image, reusable across any number of
-    motes.  {!boot_from} aliases the image and its caches copy-on-write
+(** A prepared boot recipe: the naturalized programs and one flash
+    image holding them, reusable across any number of motes.  The image
+    is sized to its content: it ends at the 256-word chunk after
+    [t_next_flash], and the rest of the flash reads as erased.
+    {!boot_from} aliases the image and its caches copy-on-write
     ({!Machine.Cpu.create_shared}), so a 10 000-mote fleet of one
     program costs one flash array instead of 10 000 and compiles each
     tier-1 block once. *)
 type template = {
   t_config : config;
   t_nats : Naturalized.t list;
-  t_image : Machine.Cpu.image;  (** full flash image, nats placed *)
+  t_image : Machine.Cpu.image;  (** flash image, nats placed *)
   t_next_flash : int;  (** first free flash word after the placed nats *)
 }
 
@@ -399,16 +401,16 @@ let prepare ?(config = default_config) ?(rewrite = Rewrite.default_config)
      let last = List.nth nats (List.length nats - 1) in
      if last.base + Naturalized.total_words last > Machine.Layout.flash_words then
        raise (Admission_failure "program memory exhausted"));
-  let flash = Array.make Machine.Layout.flash_words 0xFFFF in
-  List.iter
-    (fun (nat : Naturalized.t) ->
-      Array.blit nat.words 0 flash nat.base (Array.length nat.words))
-    nats;
   let next_flash =
     List.fold_left
       (fun a (nat : Naturalized.t) -> max a (nat.base + Naturalized.total_words nat))
       0 nats
   in
+  let flash = Machine.Cpu.erased_flash next_flash in
+  List.iter
+    (fun (nat : Naturalized.t) ->
+      Array.blit nat.words 0 flash nat.base (Array.length nat.words))
+    nats;
   { t_config = config; t_nats = nats; t_image = Machine.Cpu.image_of flash;
     t_next_flash = next_flash }
 

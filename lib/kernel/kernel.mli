@@ -75,9 +75,11 @@ val find_task : t -> int -> Task.t
     networked kernel this includes sibling motes' events). *)
 val event_log : t -> Trace.event list
 
-(** A prepared boot recipe: naturalized programs plus one fully
-    populated 64 K-word flash image, reusable across any number of
-    motes.  {!boot_from} aliases the image copy-on-write (see
+(** A prepared boot recipe: naturalized programs plus one flash image
+    holding them, reusable across any number of motes.  The image is
+    sized to its content — it ends at the 256-word chunk after the last
+    placed word, and the rest of the flash reads as erased.
+    {!boot_from} aliases the image copy-on-write (see
     {!Machine.Cpu.create_shared}), so a fleet of same-program motes
     shares a single flash array, decode cache and tier-1 block table
     until a mote first writes its flash. *)

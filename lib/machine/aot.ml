@@ -52,9 +52,10 @@ let generator_version = 4
 (* Content digest *)
 
 let digest_of_flash (flash : int array) : string =
-  let n = Array.length flash in
-  let b = Bytes.create (n * 2) in
-  for i = 0 to n - 1 do
+  (* The whole 64 K-word flash: the erased tail past the array's end is
+     hashed too, so the digest depends on content, not on length. *)
+  let b = Bytes.make (Layout.flash_words * 2) '\xFF' in
+  for i = 0 to min (Array.length flash) Layout.flash_words - 1 do
     let w = Array.unsafe_get flash i in
     Bytes.unsafe_set b (i * 2) (Char.unsafe_chr (w land 0xFF));
     Bytes.unsafe_set b (i * 2 + 1) (Char.unsafe_chr ((w lsr 8) land 0xFF))
@@ -95,14 +96,15 @@ let max_blocks = 4096
    unreachable blocks — the scan needs no reachability oracle and is a
    pure function of the image, which keeps the digest → artifact map
    exact), plus block fall-throughs and call return sites found while
-   collecting. *)
+   collecting.  Only entries below [hi] are kept: the generated dispatch
+   table has [hi] slots, and a PC past the image misses to tier-1. *)
 let discover fetch hi : (int, Block.superblock) Hashtbl.t =
   let blocks = Hashtbl.create 64 in
   let seen = Hashtbl.create 64 in
   let pending = Queue.create () in
   let push pc =
     let pc = pc land 0xFFFF in
-    if not (Hashtbl.mem seen pc) then begin
+    if pc < hi && not (Hashtbl.mem seen pc) then begin
       Hashtbl.add seen pc ();
       Queue.add pc pending
     end
@@ -904,12 +906,12 @@ let emit_block st blocks entry (b : Block.superblock) ~first =
   stmt st "end";
   st.ind <- 0
 
-(* Translate a full flash image to the source of one plugin module.
-   [None] when the image is blank.  Deterministic: block set and
+(* Translate a flash image (erased past its end) to the source of one
+   plugin module.  [None] when the image is blank.  Deterministic: block set and
    emission order are functions of the image alone, so one digest maps
    to exactly one source text. *)
 let translate ~digest (flash : int array) : string option =
-  let fetch a = flash.(a land 0xFFFF) in
+  let fetch = flash_word flash in
   let hi = ref (Array.length flash) in
   while !hi > 0 && flash.(!hi - 1) = 0xFFFF do decr hi done;
   let hi = !hi in
@@ -1413,7 +1415,7 @@ let make_ctx (m : t) : Aot_runtime.ctx =
     else Io.write m.io ~cycles:c.cycles a v
   in
   let lpm (_ : Aot_runtime.ctx) z =
-    let w = Array.unsafe_get m.flash ((z lsr 1) land 0xFFFF) in
+    let w = flash_word m.flash (z lsr 1) in
     (if z land 1 = 0 then w else w lsr 8) land 0xFF
   in
   { Aot_runtime.regs = m.regs;
@@ -1537,10 +1539,10 @@ let attempt (m : t) : (Aot_runtime.program * Aot_runtime.ctx) option =
 (* Batch pre-compilation: translate many images and compile them in
    chunks, one job each, waiting for the jobs as the eager path does.
    Used by the differential test harness, where 1200 randomized
-   programs would otherwise mean 1200 compiler invocations.  Images
-   shorter than full flash are padded with erased words exactly as
-   {!State.create} does, so digests match a machine booted from the same
-   image. *)
+   programs would otherwise mean 1200 compiler invocations.  An image
+   reads as erased past its end, exactly as a machine's flash does
+   ({!State.flash_word}), so no padding is needed: digests match a
+   machine booted from the same image. *)
 
 let preload (images : int array list) : unit =
   Mutex.lock big_lock;
@@ -1552,15 +1554,7 @@ let preload (images : int array list) : unit =
     let missing =
       List.filter_map
         (fun img ->
-          let fl =
-            if Array.length img = Layout.flash_words then img
-            else begin
-              let fl = Array.make Layout.flash_words 0xFFFF in
-              Array.blit img 0 fl 0 (Array.length img);
-              fl
-            end
-          in
-          let digest = digest_of_flash fl in
+          let digest = digest_of_flash img in
           if Hashtbl.mem seen digest || Aot_runtime.find digest <> None then None
           else begin
             Hashtbl.add seen digest ();
@@ -1570,7 +1564,7 @@ let preload (images : int array list) : unit =
               | Some j ->
                 waits := j :: !waits;
                 None
-              | None -> Option.map (fun src -> (digest, src)) (translate ~digest fl)
+              | None -> Option.map (fun src -> (digest, src)) (translate ~digest img)
           end)
         images
     in

@@ -175,7 +175,7 @@ let form fetch entry : superblock option =
 
 (* Compile and cache the block entered at [entry]; [None] as {!form}. *)
 let compile m entry : block option =
-  match form (fun a -> m.flash.(a land 0xFFFF)) entry with
+  match form (flash_word m.flash) entry with
   | None -> None
   | Some sb ->
     let ops = Array.map fst sb.body in

@@ -33,8 +33,8 @@ exception
 val pp_halt : Format.formatter -> halt -> unit
 val pp_stop : Format.formatter -> stop -> unit
 
-(** A 64 K-word flash image together with the caches derived from its
-    words alone: the decode cache, the tier-1 compiled-block table and
+(** A flash image together with the caches derived from its words
+    alone: the decode cache, the tier-1 compiled-block table and
     its heat counts, and the tier-2 content digest.  Every machine on a
     shared image ({!create_shared}, {!adopt_flash}) uses those caches,
     so a fleet booted from one template decodes and compiles each block
@@ -45,9 +45,12 @@ type image = State.image
 
 type t = State.t = {
   mutable flash : int array;
-      (** 64 K words of program memory: the words of [image], possibly
-          shared with sibling motes (see {!create_shared}) — {!load}
-          detaches the machine before the first write (copy-on-write) *)
+      (** program memory: the words of [image], possibly shared with
+          sibling motes (see {!create_shared}) — {!load} detaches the
+          machine before the first write (copy-on-write).  Sized to its
+          content: the array ends at the 256-word chunk after its last
+          written word, and every word past the end, up to the 64 K-word
+          flash, reads as erased [0xFFFF] ({!flash_word}) *)
   mutable flash_shared : bool;
       (** whether [image] is a shared template image *)
   mutable image : image;
@@ -111,15 +114,35 @@ and t2 = State.t2 =
   | T2_wait of string * int
   | T2_ready of Aot_runtime.program * Aot_runtime.ctx
 
-(** [create ?flash ()] makes a machine with private flash holding
-    [flash] (default empty), padded with erased words, and private
-    caches. *)
+(** [flash_word fl a] is the word at address [a] (taken modulo the
+    64 K-word flash) of the flash array [fl], or erased [0xFFFF] past
+    its end.  Every flash read of every tier goes through it. *)
+val flash_word : int array -> int -> int
+
+(** [erased_flash n] is an all-erased flash array just long enough for
+    words [0, n): it ends at the 256-word chunk after word [n - 1]. *)
+val erased_flash : int -> int array
+
+(** [canonical_init n word] is the canonical flash holding [word a] at
+    each [a < n] and erased words above: a fresh array ending at the
+    256-word chunk after its last non-erased word.  Two flashes with the
+    same content have equal canonical forms. *)
+val canonical_init : int -> (int -> int) -> int array
+
+(** [canonical fl] is [fl] itself when it is already canonical (see
+    {!canonical_init}), else its canonical copy. *)
+val canonical : int array -> int array
+
+(** [create ?flash ()] makes a machine with private flash holding a copy
+    of [flash] (default empty), sized to it with an erased tail, and
+    private caches.  Raises {!Flash_overflow} when [flash] is longer
+    than the 64 K-word flash. *)
 val create : ?flash:int array -> unit -> t
 
-(** [image_of flash] makes an image over the full-length flash [flash]
-    (exactly [Layout.flash_words] words; {!Flash_overflow} otherwise)
-    with empty caches.  The image aliases [flash]: callers must not
-    mutate it afterwards. *)
+(** [image_of flash] makes an image over [flash] (at most
+    [Layout.flash_words] words; {!Flash_overflow} otherwise; every word
+    past its end reads as erased) with empty caches.  The image aliases
+    [flash]: callers must not mutate it afterwards. *)
 val image_of : int array -> image
 
 (** [create_shared image] makes a machine whose flash and caches
@@ -143,9 +166,12 @@ val adopt_flash : t -> image -> unit
     flash-write path, so self-modifying code — the kernel's trampoline
     patching — always observes its new code in both execution tiers.  A
     machine on a shared image ({!create_shared}) is first detached: it
-    gets a private copy of the words and fresh private caches, and its
-    siblings keep the image.  Raises {!Flash_overflow} when the image
-    does not fit in flash. *)
+    gets a private copy of the image's words (only as many as the image
+    holds) and fresh private caches, and its siblings keep the image.
+    A write that lands past the end of the flash array grows it to the
+    256-word chunk after the write; the words in between read as erased
+    before and after.  Raises {!Flash_overflow} when the image does not
+    fit in the 64 K-word flash. *)
 val load : ?at:int -> t -> int array -> unit
 
 (** Cycles spent executing (total minus idle). *)

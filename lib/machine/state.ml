@@ -50,8 +50,10 @@ let fi = 7
 
 type t = {
   mutable flash : int array;
-      (* 64 K words of program memory: [image.i_flash], held here too
-         so the hot paths read it without an indirection. *)
+      (* program memory: [image.i_flash], held here too so the hot
+         paths read it without an indirection.  Sized to its content: it
+         ends at the chunk after its last written word, and every word
+         past the end reads as erased [0xFFFF] (see [flash_word]). *)
   mutable flash_shared : bool;
       (* whether [image] may be shared with sibling motes booted from
          the same program template; the first write through [load]
@@ -138,7 +140,8 @@ and t2 =
    value, and none changes simulated state, because every tier is
    bit-identical to tier-0 under any block partitioning. *)
 and image = {
-  i_flash : int array;  (* exactly [Layout.flash_words] words *)
+  i_flash : int array;
+      (* at most [Layout.flash_words] words, with an erased tail *)
   i_code : Isa.t option array array;
   i_blocks : block option array array;
   i_heat : int array array;
@@ -160,11 +163,46 @@ let no_heat : int array = Array.make chunk_words 0
    block overlapping the write is dropped; {!Block} enforces the cap. *)
 let max_block_span = 128
 
-(** An image over [flash] (which must be exactly [Layout.flash_words]
-    words long) with empty caches.  The image aliases [flash]: callers
+(* Flash arrays are sized to their content: one ends at the chunk after
+   its last written word, and every word past its end reads as erased.
+   [flash_word] is the one reader of flash words. *)
+let[@inline] flash_word fl a =
+  let a = a land 0xFFFF in
+  if a < Array.length fl then Array.unsafe_get fl a else 0xFFFF
+
+(* The length of a flash array whose written words all lie below [n]:
+   [n] rounded up to whole chunks. *)
+let flash_length n = (n + chunk_words - 1) / chunk_words * chunk_words
+
+(* An erased flash array long enough to hold words [0, n). *)
+let erased_flash n = Array.make (flash_length n) 0xFFFF
+
+(* The canonical length of the flash holding [word a] at each [a < n]
+   and erased words above: up to the chunk after its last non-erased
+   word.  Two flashes with the same content have equal canonical
+   forms. *)
+let canonical_length n word =
+  let rec last a = if a >= 0 && word a = 0xFFFF then last (a - 1) else a in
+  flash_length (last (n - 1) + 1)
+
+(* That flash in canonical form, as a fresh array. *)
+let canonical_init n word =
+  let fl = erased_flash (canonical_length n word) in
+  for a = 0 to min n (Array.length fl) - 1 do
+    Array.unsafe_set fl a (word a)
+  done;
+  fl
+
+(* [fl] itself when it is canonical, else its canonical copy. *)
+let canonical fl =
+  let n = Array.length fl and word = Array.unsafe_get fl in
+  if canonical_length n word = n then fl else canonical_init n word
+
+(** An image over [flash] (at most [Layout.flash_words] words, with an
+    erased tail) with empty caches.  The image aliases [flash]: callers
     must not mutate it afterwards. *)
 let image_of flash =
-  if Array.length flash <> Layout.flash_words then
+  if Array.length flash > Layout.flash_words then
     raise (Flash_overflow { at = 0; words = Array.length flash });
   { i_flash = flash;
     i_code = Array.make chunk_count no_code_chunk;
@@ -201,7 +239,7 @@ let machine ~shared image =
     t2 = T2_unknown }
 
 let create ?(flash = [||]) () =
-  let fl = Array.make Layout.flash_words 0xFFFF in
+  let fl = erased_flash (Array.length flash) in
   Array.blit flash 0 fl 0 (Array.length flash);
   machine ~shared:false (image_of fl)
 
@@ -242,14 +280,27 @@ let invalidate_code m lo hi =
     blocks are invalidated over [at - max_block_span, at + length), which
     covers every block that can overlap the write.  A machine on a
     shared image ({!create_shared}/{!adopt_flash}) is first detached onto
-    a private copy of the words with fresh private caches, so the write
-    never leaks into sibling motes.  Raises {!Flash_overflow} when the
-    image does not fit the flash. *)
+    a private copy of the used words with fresh private caches, so the
+    write never leaks into sibling motes; a write past the end of a
+    private flash grows the array to the chunk after it.  Raises
+    {!Flash_overflow} when the image does not fit the flash. *)
 let load ?(at = 0) m (image : int array) =
   let words = Array.length image in
   if at < 0 || words > Layout.flash_words - at then
     raise (Flash_overflow { at; words });
-  if m.flash_shared then attach m ~shared:false (image_of (Array.copy m.flash));
+  let len = Array.length m.flash in
+  if m.flash_shared || at + words > len then begin
+    let fl = erased_flash (max len (at + words)) in
+    Array.blit m.flash 0 fl 0 len;
+    if m.flash_shared then attach m ~shared:false (image_of fl)
+    else begin
+      (* Grown in place: the private caches stay valid, because every
+         word past the old end read as erased and still does outside
+         the range written below (which is invalidated). *)
+      m.flash <- fl;
+      m.image <- { m.image with i_flash = fl }
+    end
+  end;
   Array.blit image 0 m.flash at words;
   let lo = max 0 (at - 1) in
   let hi = min Layout.flash_words (at + words) in
@@ -512,7 +563,7 @@ let fetch_decode m pc =
   match Array.unsafe_get chunk (pc land 0xFF) with
   | Some i -> i
   | None ->
-    (match Decode.at (fun a -> m.flash.(a land 0xFFFF)) pc with
+    (match Decode.at (flash_word m.flash) pc with
      | i, _ ->
        let chunk =
          if chunk != no_code_chunk then chunk
@@ -581,7 +632,7 @@ let[@inline] exec_data m (insn : Isa.t) =
   | Sts (a, r) -> write8 m a (rg m (r))
   | Lpm (d, inc) ->
     let z = zreg m in
-    let w = m.flash.((z lsr 1) land 0xFFFF) in
+    let w = flash_word m.flash (z lsr 1) in
     rs m (d) @@ (if z land 1 = 0 then w else w lsr 8) land 0xFF;
     if inc then set_zreg m ((z + 1) land 0xFFFF)
   | Push r -> push8 m (rg m (r))

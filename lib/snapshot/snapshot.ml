@@ -244,13 +244,19 @@ let machine : Cpu.t comp =
     [ Leaf
         { name = "flash";
           ty = Flash;
-          (* A shared template flash is immutable by the copy-on-write
-             contract ({!Machine.Cpu.create_shared}), so aliasing it is
+          (* Captured canonical ({!Machine.Cpu.canonical_init}), so two
+             flashes of equal content capture equal whatever their
+             array lengths.  A shared template flash is immutable by the
+             copy-on-write contract ({!Machine.Cpu.create_shared}), so
+             when it is already canonical (templates are) aliasing it is
              safe — and it is what lets the encoder emit each
              fleet-shared image once. *)
           get =
             (fun m ->
-              Vints (if m.Cpu.flash_shared then m.flash else Array.copy m.flash));
+              let fl = m.Cpu.flash in
+              Vints
+                (if m.flash_shared then Cpu.canonical fl
+                 else Cpu.canonical_init (Array.length fl) (Array.get fl)));
           act = Adopt Cpu.adopt_flash };
       into "sram" mem (fun m -> m.Cpu.sram);
       into "regs" (ints_in 0 0xFF) (fun m -> m.Cpu.regs);
@@ -505,9 +511,9 @@ let rec walk : type h.
           (show ty x) (show ty y) hint
     | Leaf { name; act = Into live; _ }, x ->
       if write then blit x (live h) else sized path name x (length (live h))
-    | Leaf { name; act = Adopt adopt; _ }, x ->
+    | Leaf { act = Adopt adopt; _ }, x ->
+      (* Captured and decoded flashes are canonical, so they fit. *)
       if write then adopt h (image_of (ints x))
-      else sized path name x Machine.Layout.flash_words
     | Nest n, x ->
       let path () = path () ^ n.name ^ "." in
       walk ~write image_of path n.comp (n.sub h) (fields_of x)
@@ -575,7 +581,13 @@ let describe s =
 
 (* --- encode and decode -------------------------------------------------------- *)
 
-(* [flash] writes one machine's flash: inline, or as a pool index. *)
+(* [flash] writes one machine's flash: inline, or as a pool index.  On
+   the wire a flash is always [Layout.flash_words] words, erased tail
+   included ([write_flash]); [read_flash] requires exactly that many and
+   allocates only the canonical prefix. *)
+let write_flash b fl = W.u16_array b fl Machine.Layout.flash_words
+let read_flash r = R.u16_array r "flash" Machine.Layout.flash_words Cpu.canonical_init
+
 let rec write ~flash b ty v =
   match ty, v with
   | Int _, Vint i -> W.int b i
@@ -654,7 +666,7 @@ let to_string (s : t) : string =
     in
     scan 0 !pool
   in
-  let flash = if s.kind.pooled then fun b fl -> W.int b (index_of fl) else W.u16_array in
+  let flash = if s.kind.pooled then fun b fl -> W.int b (index_of fl) else write_flash in
   let encode f =
     let b = Buffer.create 256 in
     f b;
@@ -674,7 +686,7 @@ let to_string (s : t) : string =
     w_section b "flash"
       (encode (fun b ->
            W.int b (List.length !pool);
-           List.iter (W.u16_array b) !pool));
+           List.iter (write_flash b) !pool));
   Array.iteri (fun i (name, _) -> w_section b name body.(i)) s.kind.sections.cols;
   Buffer.contents b
 
@@ -701,16 +713,16 @@ let of_string (data : string) : (t, string) result =
       | None -> corrupt "missing %S section" name
     in
     let s = { at = 0; programs = []; kind = kinds.(0); body = [||] } in
-    let meta_v = read ~flash:R.u16_array "meta" (Comp meta.schema) (section "meta") in
+    let meta_v = read ~flash:read_flash "meta" (Comp meta.schema) (section "meta") in
     walk ~write:true Cpu.image_of (fun () -> "") meta s (fields_of meta_v);
     let flash =
-      if not s.kind.pooled then R.u16_array
+      if not s.kind.pooled then read_flash
       else begin
         (* Decode the pool first; machines then read indices into it.
            Same-index machines share the one decoded array, so restore
            re-establishes the fleet's structural flash sharing. *)
         let r = section "flash" in
-        let pool = Array.init (R.length r ~width:1 "flash") (fun _ -> R.u16_array r) in
+        let pool = Array.init (R.length r ~width:1 "flash") (fun _ -> read_flash r) in
         fun r ->
           let i = R.int r in
           if i < 0 || i >= Array.length pool then

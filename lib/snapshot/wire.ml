@@ -31,14 +31,20 @@ module W = struct
     int b (String.length s);
     Buffer.add_string b s
 
-  (* Dense array of values in [0, 0xFFFF], two bytes LE each (flash). *)
-  let u16_array b (a : int array) =
-    int b (Array.length a);
+  (* Dense array of [n] values in [0, 0xFFFF], two bytes LE each: the
+     values of [a], then [0xFFFF] up to [n] (a flash and its erased
+     tail). *)
+  let u16_array b (a : int array) n =
+    int b n;
     Array.iter
       (fun v ->
         u8 b (v land 0xFF);
         u8 b ((v lsr 8) land 0xFF))
-      a
+      a;
+    for _ = Array.length a to n - 1 do
+      u8 b 0xFF;
+      u8 b 0xFF
+    done
 end
 
 (* --- readers ------------------------------------------------------------- *)
@@ -85,14 +91,16 @@ module R = struct
   (* [string]'s result is fresh and unshared, so it becomes the bytes. *)
   let bytes r = Bytes.unsafe_of_string (string r)
 
-  let u16_array r =
-    let n = length r ~width:2 "u16 array" in
-    let a = Array.init n (fun i ->
-        let base = r.pos + (2 * i) in
-        Char.code r.s.[base] lor (Char.code r.s.[base + 1] lsl 8))
-    in
-    r.pos <- r.pos + (2 * n);
-    a
+  (* A [u16_array] [what] of exactly [n] values, read in place: the
+     result is [f n get], where [get i] is value [i], so [f] decides
+     what to allocate. *)
+  let u16_array r what n f =
+    let got = length r ~width:2 what in
+    if got <> n then corrupt "%s has %d entries, expected %d" what got n;
+    let base = r.pos in
+    r.pos <- base + (2 * n);
+    f n (fun i ->
+        Char.code r.s.[base + (2 * i)] lor (Char.code r.s.[base + (2 * i) + 1] lsl 8))
 end
 
 (* --- self-describing sections -------------------------------------------- *)

@@ -65,6 +65,16 @@ for packet in a_ a7:01; do
     fi
 done
 
+# Fault campaign at tiers 0 and 1: its Flash_flip addresses fall in
+# [0, 0x2000), mostly past the end of the image, so the campaign grows
+# private flash through Cpu.load.  Both tiers must print the same.
+fault0=$(dune exec bin/sensmart_cli.exe -- fault feeder search --trials 40 --tier 0)
+fault1=$(dune exec bin/sensmart_cli.exe -- fault feeder search --trials 40 --tier 1)
+if [ "$fault0" != "$fault1" ]; then
+    echo "check.sh: fault --tier 0 differs from --tier 1" >&2
+    exit 1
+fi
+
 # Rewriting-pipeline smoke: the fixture firmware set (avr-gcc-shaped
 # Intel-HEX, loaded symbol-less) must rewrite cleanly and emit the
 # machine-readable report (schema sensmart.rewrite.report/1; the same

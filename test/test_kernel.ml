@@ -348,6 +348,27 @@ let relocation_preserves_invariants =
       a.p_l <= a.p_h && a.p_h <= a.sp + 1 && a.sp < a.p_u && a.p_u = b.p_l
       && b.p_l <= b.p_h && b.p_h <= b.sp + 1 && b.sp < b.p_u)
 
+(* Flash is sized to its content: booting a small program allocates
+   kilobytes, not a 512 KiB flash array per template or machine.  The
+   bounds leave room for the kernel's own allocation; the full-length
+   flash alone would exceed both. *)
+let allocation_bounded () =
+  let crc = Option.get (Workloads.Registry.find_image "crc") in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    f ();
+    Gc.allocated_bytes () -. before
+  in
+  let within what bound bytes =
+    if bytes > bound then
+      Alcotest.failf "%s allocated %.0f KiB, bound %.0f KiB" what (bytes /. 1024.)
+        (bound /. 1024.)
+  in
+  within "prepare + boot_from + run of crc" (256. *. 1024.)
+    (allocated (fun () -> expect_all_exit (Kernel.boot_from (Kernel.prepare [ crc ]))));
+  within "Cpu.create + load of crc" (16. *. 1024.)
+    (allocated (fun () -> Machine.Cpu.load (Machine.Cpu.create ()) crc.words))
+
 let () =
   ignore deep_prog;
   Alcotest.run "kernel"
@@ -359,7 +380,8 @@ let () =
          Alcotest.test_case "recursion" `Quick recursion_under_kernel;
          Alcotest.test_case "icall" `Quick icall_function_pointer;
          Alcotest.test_case "lpm flash data" `Quick lpm_flash_data;
-         Alcotest.test_case "getsp logical" `Quick getsp_logical ]);
+         Alcotest.test_case "getsp logical" `Quick getsp_logical;
+         Alcotest.test_case "allocation bounded" `Quick allocation_bounded ]);
       ("protection",
        [ Alcotest.test_case "out of bounds faults" `Quick out_of_bounds_faults;
          Alcotest.test_case "admission failure" `Quick admission_failure ]);

@@ -266,7 +266,8 @@ let lpm_reads_flash () =
   let code = Encode.program
       [ Ldi (30, 10); Ldi (31, 0); Lpm (16, true); Lpm (17, false); Break ] in
   Machine.Cpu.load m code;
-  m.flash.(5) <- 0xBEEF;
+  (* through [load], the only flash-write path *)
+  Machine.Cpu.load ~at:5 m [| 0xBEEF |];
   ignore (Machine.Cpu.run_native m);
   Alcotest.(check int) "low byte" 0xEF m.regs.(16);
   Alcotest.(check int) "high byte" 0xBE m.regs.(17)

@@ -521,12 +521,13 @@ let leb128 n =
 
 (* A well-framed SENSNAP machine snapshot whose "machine" section holds
    [payload]. *)
-let crafted payload =
+let framed sections =
   let str s = leb128 (String.length s) ^ s in
-  let section name body = str name ^ str body in
   "SENSNAP0" ^ leb128 2
-  ^ section "meta" (leb128 0 ^ leb128 0 ^ "\000")
-  ^ section "machine" payload
+  ^ String.concat "" (List.map (fun (name, body) -> str name ^ str body) sections)
+
+let crafted payload =
+  framed [ ("meta", leb128 0 ^ leb128 0 ^ "\000"); ("machine", payload) ]
 
 (* The decoder must return its own [Error] — no stray exception — and
    allocate nothing sized by the hostile length field. *)
@@ -556,10 +557,10 @@ let int_array_length_beyond_input =
 (* A well-formed machine payload, every field at its reset value except
    [pc]: flash erased, SRAM and registers zero, SP at the top of data
    memory, the preemption horizon parked at [max_int], peripherals idle. *)
-let machine_payload ~pc =
+let machine_payload ?(flash_words = 0x10000) ~pc () =
   let ints = List.map leb128 in
   String.concat ""
-    ([ leb128 0x10000; String.make (2 * 0x10000) '\xff';
+    ([ leb128 flash_words; String.make (2 * flash_words) '\xff';
        leb128 0x1100; String.make 0x1100 '\000';
        leb128 32; String.make 32 '\000' ]
      @ ints [ pc; 0x10FF; 0 ]  (* pc, sp, sreg *)
@@ -572,7 +573,7 @@ let machine_payload ~pc =
    block tables: the decoder refuses it, so no restored machine can run
    from there.  The in-range twin decodes, restores and runs. *)
 let hostile_pc_rejected () =
-  (match Snapshot.of_string (crafted (machine_payload ~pc:0xFFFF)) with
+  (match Snapshot.of_string (crafted (machine_payload ~pc:0xFFFF ())) with
    | Error msg -> Alcotest.failf "refused an in-range pc: %s" msg
    | Ok s ->
      let m = Machine.Cpu.create () in
@@ -580,10 +581,116 @@ let hostile_pc_rejected () =
      ignore (Machine.Cpu.run ~tier:1 ~max_cycles:1_000 m));
   List.iter
     (fun pc ->
-      match Snapshot.of_string (crafted (machine_payload ~pc)) with
+      match Snapshot.of_string (crafted (machine_payload ~pc ())) with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted pc 0x%x" pc)
     [ 0x10000; 0x1000000; 0x40000000; -1 ]
+
+(* [leb128]'s inverse: the value at [pos] and the position after it. *)
+let read_leb128 s pos =
+  let rec go pos shift acc =
+    let byte = Char.code s.[pos] in
+    let acc = acc lor ((byte land 0x7F) lsl shift) in
+    if byte land 0x80 <> 0 then go (pos + 1) (shift + 7) acc
+    else if byte land 0x40 <> 0 then (acc lor (-1 lsl (shift + 7)), pos + 1)
+    else (acc, pos + 1)
+  in
+  go pos 0 0
+
+(* The named sections of SENSNAP bytes, in order (see [framed]). *)
+let sections_of data =
+  let rec go pos acc =
+    if pos >= String.length data then List.rev acc
+    else
+      let n, pos = read_leb128 data pos in
+      let name = String.sub data pos n in
+      let len, pos = read_leb128 data (pos + n) in
+      go (pos + len) ((name, String.sub data pos len) :: acc)
+  in
+  go (snd (read_leb128 data 8)) []
+
+(* A flash on the wire is exactly 64 K words, erased tail included: a
+   65535- or 65537-word flash is corrupt input, inline or in a net
+   snapshot's flash pool.  The 64 K-word twins decode. *)
+let hostile_flash_length () =
+  let net_data = Snapshot.to_string (Snapshot.of_net (two_mote_net ())) in
+  let pooled flash_words =
+    framed
+      (List.map
+         (function
+           | "flash", body ->
+             let images, _ = read_leb128 body 0 in
+             let image = leb128 flash_words ^ String.make (2 * flash_words) '\xff' in
+             ("flash", leb128 images ^ String.concat "" (List.init images (fun _ -> image)))
+           | section -> section)
+         (sections_of net_data))
+  in
+  let inline flash_words = crafted (machine_payload ~flash_words ~pc:0 ()) in
+  List.iter
+    (fun (what, data) ->
+      match Snapshot.of_string (data 0x10000) with
+      | Error msg -> Alcotest.failf "%s: refused a 64 K-word flash: %s" what msg
+      | Ok _ ->
+        List.iter
+          (fun n ->
+            match Snapshot.of_string (data n) with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s: accepted a %d-word flash" what n)
+          [ 0xFFFF; 0x10001 ])
+    [ ("inline", inline); ("pooled", pooled) ]
+
+(* A [Flash_flip] past the end of an image grows the kernel's private
+   flash; a snapshot captures it canonical (trimmed to the chunk after
+   its last non-erased word), so the grown flash round-trips exactly, and
+   erasing the last word again shortens the capture back. *)
+let grown_flash_round_trip () =
+  let k = Kernel.boot [ image "crc" ] in
+  ignore (Kernel.run ~max_cycles:20_000 k);
+  let flip waddr xor =
+    Fault.inject ~trace:(Trace.create ()) k
+      { Fault.at = k.m.cycles; mote = 0; kind = Flash_flip { waddr; xor } }
+  in
+  let canonical_words () = Array.length (Machine.Cpu.canonical k.m.flash) in
+  let base = Snapshot.of_kernel k and base_words = canonical_words () in
+  flip 0x1F00 0x1234;
+  Alcotest.(check int) "flash grew" 0x2000 (Array.length k.m.flash);
+  Alcotest.(check int) "captured through the grown chunk" 0x2000 (canonical_words ());
+  let grown = Snapshot.of_kernel k in
+  let decoded = decode grown in
+  Alcotest.(check bool) "grown: equal bytes" true
+    (Snapshot.to_string grown = Snapshot.to_string decoded);
+  check_identical "grown: decoded" grown decoded;
+  let k' = Kernel.boot [ image "crc" ] in
+  Snapshot.restore_kernel decoded k';
+  check_identical "grown: restored" grown (Snapshot.of_kernel k');
+  (* The image's last word is now 0x1F00: erasing it shortens the
+     capture although the live array keeps its length. *)
+  flip 0x1F00 0x1234;
+  Alcotest.(check int) "live array kept" 0x2000 (Array.length k.m.flash);
+  Alcotest.(check int) "capture shortened" base_words (canonical_words ());
+  let erased = Snapshot.of_kernel k in
+  (* Erase the image's own last word too. *)
+  let rec last w = if Machine.Cpu.flash_word k.m.flash w = 0xFFFF then last (w - 1) else w in
+  let w = last 0x1FFF in
+  flip w (Machine.Cpu.flash_word k.m.flash w lxor 0xFFFF);
+  let trimmed = Snapshot.of_kernel k in
+  let captures =
+    [ ("base", base); ("grown", grown); ("decoded", decoded); ("erased", erased);
+      ("trimmed", trimmed) ]
+  in
+  List.iter
+    (fun (wa, a) ->
+      List.iter
+        (fun (wb, b) ->
+          Alcotest.(check bool)
+            (wa ^ " vs " ^ wb ^ ": empty diff iff equal bytes")
+            (Snapshot.to_string a = Snapshot.to_string b)
+            (Snapshot.diff a b = []))
+        captures)
+    captures;
+  check_identical "erasing the grown word restores the base capture" base erased;
+  Alcotest.(check bool) "erasing the image's last word changes the bytes" false
+    (Snapshot.to_string base = Snapshot.to_string trimmed)
 
 (* --- bisection -------------------------------------------------------------- *)
 
@@ -678,6 +785,7 @@ let () =
          Alcotest.test_case "wire bytes pinned" `Quick wire_bytes_pinned;
          Alcotest.test_case "empty diff iff equal bytes" `Quick
            diff_iff_equal_bytes;
+         Alcotest.test_case "grown flash round-trip" `Quick grown_flash_round_trip;
          Alcotest.test_case "corrupt inputs rejected" `Quick
            corrupt_inputs_rejected;
          Alcotest.test_case "save/load file" `Quick save_load_file ]);
@@ -689,7 +797,8 @@ let () =
            (hostile_length_rejected u16_length_overflow);
          Alcotest.test_case "int array length beyond input" `Quick
            (hostile_length_rejected int_array_length_beyond_input);
-         Alcotest.test_case "pc outside flash" `Quick hostile_pc_rejected ]);
+         Alcotest.test_case "pc outside flash" `Quick hostile_pc_rejected;
+         Alcotest.test_case "flash not 64 K words" `Quick hostile_flash_length ]);
       ("bisect",
        [ Alcotest.test_case "clean tiers are identical" `Quick
            bisect_clean_tiers;

@@ -227,6 +227,88 @@ let cow_invalidation_tier1 () =
     (m2.blocks == (boot ()).blocks);
   Alcotest.(check int) "mote 2 undisturbed" 5 (rerun m2)
 
+(* Flash arrays are sized to their content, and every word past the end
+   reads as erased.  So a machine booted from an image's words and one
+   booted from the same words padded to the full 64 K-word flash must be
+   indistinguishable: same digest, same snapshot bytes, and the same
+   state after a run at every tier. *)
+let flash_length_invisible () =
+  let full = Machine.Layout.flash_words in
+  let padded (w : int array) =
+    let fl = Array.make full 0xFFFF in
+    Array.blit w 0 fl 0 (Array.length w);
+    fl
+  in
+  let sensnap m = Snapshot.to_string (Snapshot.of_machine m) in
+  let check_same what a b =
+    check_snapshots what (snapshot a) (snapshot b);
+    Alcotest.(check bool) (what ^ ": SENSNAP bytes") true (sensnap a = sensnap b);
+    Alcotest.(check (list string)) (what ^ ": diff") []
+      (Snapshot.diff (Snapshot.of_machine a) (Snapshot.of_machine b))
+  in
+  List.iter
+    (fun name ->
+      let img = Option.get (Workloads.Registry.find_image name) in
+      let boot flash =
+        let m = Machine.Cpu.create ~flash () in
+        List.iter (fun (a, b) -> Machine.Cpu.write8 m a b) img.data_init;
+        m.pc <- img.entry;
+        m
+      in
+      let short = img.words and long = padded img.words in
+      Alcotest.(check bool) (name ^ ": short flash array") true
+        (Array.length (boot short).flash < full);
+      Alcotest.(check string) (name ^ ": digest")
+        (Machine.Aot.digest_of_flash long) (Machine.Aot.digest_of_flash short);
+      check_same (name ^ ": booted") (boot short) (boot long);
+      List.iter
+        (fun tier ->
+          let run flash =
+            let m = boot flash in
+            ignore (Machine.Cpu.run_native ~tier ~max_cycles:200_000_000 m);
+            m
+          in
+          check_same (Printf.sprintf "%s: tier-%d" name tier) (run short) (run long))
+        [ 0; 1; 2 ])
+    Workloads.Registry.names;
+  (* Past the end of the image: a jump lands on erased words, and LPM
+     reads erased bytes, identically at every tier and with either
+     array length.  The erased word 0xFFFF decodes as SYSCALL 127, so a
+     bare machine halts on a syscall with no kernel.  At tier 2 the jump
+     target lies past the translated image, whose dispatch table ends at
+     its last word: the target must miss to tier 1, not be compiled. *)
+  let at_tiers what code check =
+    let words = Avr.Encode.program code in
+    List.iter
+      (fun tier ->
+        let run flash =
+          let m = Machine.Cpu.create ~flash () in
+          ignore (Machine.Cpu.run_native ~tier ~max_cycles:1_000_000 m);
+          m
+        in
+        let what = Printf.sprintf "%s (tier-%d)" what tier in
+        let m = run words in
+        check_same what m (run (padded words));
+        check what m)
+      [ 0; 1; 2 ]
+  in
+  at_tiers "jump past the end" [ Avr.Isa.Jmp 0x280 ] (fun what m ->
+      Alcotest.(check string) what "fault: syscall 127 with no kernel"
+        (Fmt.str "%a" Fmt.(option Machine.Cpu.pp_halt) m.halted);
+      Alcotest.(check int) (what ^ ": pc") 0x281 m.pc);
+  at_tiers "lpm past the end"
+    [ Ldi (30, 0x01); Ldi (31, 0x08); Lpm (16, true); Lpm (17, false); Break ]
+    (fun what m ->
+      Alcotest.(check (pair int int)) what (0xFF, 0xFF) (m.regs.(16), m.regs.(17)));
+  (* A write at the top of flash grows the array to the end. *)
+  let m = Machine.Cpu.create ~flash:[| 0x1234 |] () in
+  Machine.Cpu.load ~at:(full - 4) m [| 1; 2; 3; 4 |];
+  Alcotest.(check int) "grown to the top" full (Array.length m.flash);
+  Alcotest.(check (list int)) "top words read back"
+    [ 0x1234; 0xFFFF; 1; 2; 3; 4 ]
+    (List.map (Machine.Cpu.flash_word m.flash)
+       [ 0; full - 5; full - 4; full - 3; full - 2; full - 1 ])
+
 (* Fault containment under tier-2: the same seeded plan replayed at
    tier 0 and at tier 2 must produce identical final state. *)
 let fault_tier2 () =
@@ -328,6 +410,8 @@ let () =
          Alcotest.test_case "shared-table self-patch invalidation (tier-1)"
            `Quick cow_invalidation_tier1;
          Alcotest.test_case "fault plan differential" `Quick fault_tier2;
+         Alcotest.test_case "flash length is invisible" `Quick
+           flash_length_invisible;
          Alcotest.test_case "fleet 1/2/4 domains" `Slow fleet_tier2;
          Alcotest.test_case "randomized programs (preloaded)" `Slow fuzz_tier2 ]);
       ("fuzz", List.map Gen.to_alcotest [ prop_tiers ]) ]
