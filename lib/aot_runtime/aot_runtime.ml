@@ -85,10 +85,3 @@ let find digest =
   let r = Hashtbl.find_opt registry digest in
   Mutex.unlock lock;
   r
-
-(** Number of distinct compiled programs currently loaded. *)
-let loaded () =
-  Mutex.lock lock;
-  let n = Hashtbl.length registry in
-  Mutex.unlock lock;
-  n

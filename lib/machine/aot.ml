@@ -35,8 +35,10 @@
    gated behind an executed-instruction threshold so short runs never
    pay a toolchain invocation, and even past it nothing blocks: the
    compile runs as a child process in the background while the machine
-   keeps running on tier-1, and binds when the artifact loads.  A run
-   that ends first kills its compile at exit.  When no working
+   keeps running on tier-1, and binds when the artifact loads.  One
+   compile runs at a time; a machine whose image is not the one
+   compiling waits on tier-1, untranslated, until the slot is free.  A
+   run that ends first kills its compile at exit.  When no working
    toolchain is available tier-2 disables itself globally with a single
    warning and callers fall back to tier-1. *)
 
@@ -46,7 +48,7 @@ open State
 (* Bumped whenever generated code or the ABI changes shape: it salts
    the content digest, so stale on-disk artifacts can never be loaded
    into a newer simulator. *)
-let generator_version = 4
+let generator_version = 5
 
 (* ------------------------------------------------------------------ *)
 (* Content digest *)
@@ -956,12 +958,13 @@ let translate ~digest (flash : int array) : string option =
 
 (* ------------------------------------------------------------------ *)
 (* Toolchain: compile generated source out of process and Dynlink the
-   artifact.  A compile is a job in one FIFO queue, and at most one job
-   runs at a time, as a child process: the simulator keeps its core
-   while the machines that wait for the job carry on at tier-1.
-   [big_lock] guards the jobs, the counters and Dynlink; it is never
-   held across a compile (only across the one-time [-version] probe).  A failure disables tier-2 for the process with
-   one warning (callers fall back to tier-1, never an error). *)
+   artifact.  One slot holds the only compile in flight, a child
+   process: the simulator keeps its core while the machines that wait
+   for the slot, or for the compile in it, carry on at tier-1.
+   [big_lock] guards the slot, the counters and Dynlink; it is never
+   held across a compile (only across the one-time [-version] probe).
+   A failure disables tier-2 for the process with one warning (callers
+   fall back to tier-1, never an error). *)
 
 let big_lock = Mutex.create ()
 let enabled = ref true
@@ -977,9 +980,7 @@ let disabled : string option ref = ref None
 type stat = {
   compiles : int;  (** toolchain runs that produced an artifact *)
   launched : int;  (** toolchain runs started *)
-  abandoned : int;
-      (** compile jobs that never finished: killed in flight, or dropped
-          from the queue at shutdown or when tier-2 turned itself off *)
+  abandoned : int;  (** compiles killed in flight by {!shutdown} *)
   cache_hits : int;  (** cached artifacts that loaded and registered *)
   compile_ms : float;  (** host ms callers spent blocked on the toolchain *)
   disabled : string option;  (** why tier-2 turned itself off, if it did *)
@@ -994,8 +995,8 @@ let stats () =
     disabled = !disabled }
 
 (* Compile threshold, in executed instructions: a machine must retire
-   this many instructions after its flash is (re)installed before its
-   compile is queued, so short runs — and kernels that keep patching
+   this many instructions after its flash is (re)installed before it
+   asks for a compile, so short runs — and kernels that keep patching
    their image — stay on tier-1.  A disk-cached artifact bypasses the
    wait (the fleet case: mote #2..#10000 pay only a registry lookup).
    At 0 every machine compiles before it runs and waits for the result
@@ -1133,47 +1134,22 @@ let load_artifact path : (unit, string) result =
   | Dynlink.Error e -> Error (Dynlink.error_message e)
   | e -> Error (Printexc.to_string e)
 
-(* A compile job: one toolchain run that links the modules of [sources]
-   (digest, source) into the artifact [out]. *)
-type job = {
-  sources : (string * string) list;
-  out : string;
-  mutable state : job_state;
-}
+(* The compile in flight: one toolchain run that links the modules of
+   [digests] into the artifact [out], as compiler [pid] in build dir
+   [tmp]. *)
+type compile = { digests : string list; out : string; pid : int; tmp : string }
 
-and job_state =
-  | Queued
-  | Running of int * string  (* compiler pid, build dir *)
-  | Done  (* artifact cached and loaded *)
-  | Failed  (* the toolchain failed, or the job was abandoned *)
-
-let queue : job Queue.t = Queue.create ()
-let running : job option ref = ref None
+let slot : compile option ref = ref None
 
 (* Set while a caller waits on the running compiler with [big_lock]
    released: nobody else may reap it meanwhile. *)
 let reaping = ref false
 
-(* Broadcast whenever a job settles or leaves the queue. *)
+(* Broadcast whenever that caller is done waiting. *)
 let settled = Condition.create ()
-
-let pending_for digest =
-  let builds j = List.mem_assoc digest j.sources in
-  match !running with
-  | Some j when builds j -> Some j
-  | _ -> Seq.find builds (Queue.to_seq queue)
 
 (* From here to [shutdown], which takes it itself, callers hold
    [big_lock]. *)
-
-let drop_queue () =
-  Queue.iter
-    (fun j ->
-      j.state <- Failed;
-      incr abandoned)
-    queue;
-  Queue.clear queue;
-  Condition.broadcast settled
 
 let disable msg =
   if !enabled then begin
@@ -1181,12 +1157,7 @@ let disable msg =
     disabled := Some msg;
     Printf.eprintf "sensmart: tier-2 unavailable (%s); falling back to tier-1\n%!"
       msg
-  end;
-  drop_queue ()
-
-let fail j msg =
-  j.state <- Failed;
-  disable msg
+  end
 
 (* Kill [pid] and every process it started: the compiler driver runs
    the compiler proper, the assembler and the linker as children of its
@@ -1227,16 +1198,18 @@ let kill_tree pid =
   in
   settle 1000
 
-let start j =
+(* Start compiling [sources] (digest, source) into the artifact [out]
+   in the slot, which must be free. *)
+let start sources out =
   match (Dynlink.is_native, Lazy.force compiler, find_inc_dir ()) with
-  | false, _, _ -> fail j "tier-2 needs a native-code build"
-  | _, None, _ -> fail j "no OCaml compiler on PATH"
-  | _, _, None -> fail j "aot_runtime.cmi not found (set SENSMART_AOT_INC)"
+  | false, _, _ -> disable "tier-2 needs a native-code build"
+  | _, None, _ -> disable "no OCaml compiler on PATH"
+  | _, _, None -> disable "aot_runtime.cmi not found (set SENSMART_AOT_INC)"
   | true, Some cc, Some inc -> (
     let tmp =
-      Filename.concat (Filename.dirname j.out)
+      Filename.concat (Filename.dirname out)
         (Printf.sprintf "build-%d-%s" (Unix.getpid ())
-           (String.sub (fst (List.hd j.sources)) 0 16))
+           (String.sub (fst (List.hd sources)) 0 16))
     in
     mkdirs tmp;
     let mls =
@@ -1245,14 +1218,14 @@ let start j =
           let ml = Filename.concat tmp (unit_name digest ^ ".ml") in
           Out_channel.with_open_bin ml (fun oc -> output_string oc src);
           ml)
-        j.sources
+        sources
     in
     let argv =
       Array.concat
         [ cc;
           [| "-shared"; "-w"; "-a"; "-I"; inc |];
           Array.of_list mls;
-          [| "-o"; Filename.concat tmp (Filename.basename j.out) |] ]
+          [| "-o"; Filename.concat tmp (Filename.basename out) |] ]
     in
     (* The toolchain's own temporary files go to the build dir too, so
        removing it leaves nothing behind, even after a kill. *)
@@ -1267,96 +1240,87 @@ let start j =
     match spawn ~env argv ~log:(Filename.concat tmp "log") with
     | None ->
       remove_dir tmp;
-      fail j ("cannot start " ^ cc.(0))
+      disable ("cannot start " ^ cc.(0))
     | Some pid ->
       incr launched;
-      j.state <- Running (pid, tmp);
-      running := Some j)
+      slot := Some { digests = List.map fst sources; out; pid; tmp })
 
-(* Start the next queued job when none is running. *)
-let pump () = if Option.is_none !running then Option.iter start (Queue.take_opt queue)
-
-(* Settle the running job [j], whose compiler has exited with
-   [status]: move its artifact into the cache and load it, or disable
-   tier-2 with the toolchain's first line of output. *)
-let finish j tmp status =
-  running := None;
+(* Empty the slot of [c], whose compiler has exited with [status]: move
+   its artifact into the cache and load it, or disable tier-2 with the
+   toolchain's first line of output. *)
+let finish c status =
+  slot := None;
   (match status with
    | Unix.WEXITED 0 -> (
      incr compiles;
-     match Sys.rename (Filename.concat tmp (Filename.basename j.out)) j.out with
-     | exception Sys_error msg -> fail j msg
+     match Sys.rename (Filename.concat c.tmp (Filename.basename c.out)) c.out with
+     | exception Sys_error msg -> disable msg
      | () -> (
-       match load_artifact j.out with
-       | Error msg -> fail j msg
-       | Ok () when List.exists (fun (d, _) -> Aot_runtime.find d = None) j.sources ->
-         fail j "loaded module did not register"
-       | Ok () -> j.state <- Done))
+       match load_artifact c.out with
+       | Error msg -> disable msg
+       | Ok () when List.exists (fun d -> Aot_runtime.find d = None) c.digests ->
+         disable "loaded module did not register"
+       | Ok () -> ()))
    | status ->
      let first_line =
-       try In_channel.with_open_bin (Filename.concat tmp "log") In_channel.input_line
+       try In_channel.with_open_bin (Filename.concat c.tmp "log") In_channel.input_line
        with Sys_error _ -> None
      in
-     fail j
+     disable
        (Printf.sprintf "toolchain %s%s"
           (match status with
            | WEXITED n -> Printf.sprintf "exit %d" n
            | WSIGNALED n | WSTOPPED n -> Printf.sprintf "killed by signal %d" n)
           (match first_line with Some l when l <> "" -> ": " ^ l | _ -> "")));
-  remove_dir tmp;
-  Condition.broadcast settled;
-  pump ()
+  remove_dir c.tmp
 
-(* Reap the running compiler if it has exited, then start the next job:
-   one [waitpid] that never blocks. *)
+(* Empty the slot if its compiler has exited: one [waitpid] that never
+   blocks. *)
 let poll () =
-  (match !running with
-   | Some ({ state = Running (pid, tmp); _ } as j) when not !reaping ->
-     Option.iter (finish j tmp) (reap [ WNOHANG ] pid)
-   | _ -> ());
-  pump ()
+  match !slot with
+  | Some c when not !reaping -> Option.iter (finish c) (reap [ WNOHANG ] c.pid)
+  | _ -> ()
 
-(* Block until [j] settles, reaping each compiler that runs ahead of it
-   in the queue with [big_lock] released. *)
-let wait_for j =
+(* Block until the slot is free, reaping its compiler with [big_lock]
+   released unless another caller already does. *)
+let wait_slot () =
   let t0 = Unix.gettimeofday () in
   let rec loop () =
-    match (j.state, !running) with
-    | (Done | Failed), _ | _, None -> ()
-    | _, Some ({ state = Running (pid, tmp); _ } as r) when not !reaping ->
+    match !slot with
+    | None -> ()
+    | Some _ when !reaping ->
+      Condition.wait settled big_lock;
+      loop ()
+    | Some c ->
       reaping := true;
       Mutex.unlock big_lock;
-      let status = reap [] pid in
+      let status = reap [] c.pid in
       Mutex.lock big_lock;
       reaping := false;
-      (* [shutdown] may have abandoned the job meanwhile. *)
-      (match (status, r.state) with
-       | Some status, Running _ -> finish r tmp status
-       | _ -> Condition.broadcast settled);
-      loop ()
-    | _, Some _ ->
-      Condition.wait settled big_lock;
+      (* [shutdown] may have killed it meanwhile. *)
+      (match !slot with
+       | Some c' when c' == c -> Option.iter (finish c) status
+       | _ -> ());
+      Condition.broadcast settled;
       loop ()
   in
   loop ();
   compile_ms := !compile_ms +. ((Unix.gettimeofday () -. t0) *. 1000.)
 
-(** Kill the compile in flight, drop the queue and remove the build
-    dir, so no compiler outlives the process and a run shorter than its
-    compile leaves no artifact.  Runs at exit; tier-2 stays usable, and
-    a machine that is still waiting simply queues a new job. *)
+(** Kill the compile in flight and remove its build dir, so no compiler
+    outlives the process and a run shorter than its compile leaves no
+    artifact.  Runs at exit; tier-2 stays usable, and a machine that is
+    still waiting simply starts a new compile. *)
 let shutdown () =
   Mutex.lock big_lock;
-  drop_queue ();
-  (match !running with
-   | Some ({ state = Running (pid, tmp); _ } as j) ->
-     running := None;
-     j.state <- Failed;
+  (match !slot with
+   | Some c ->
+     slot := None;
      incr abandoned;
-     kill_tree pid;
-     if not !reaping then ignore (reap [] pid);
-     remove_dir tmp
-   | _ -> ());
+     kill_tree c.pid;
+     if not !reaping then ignore (reap [] c.pid);
+     remove_dir c.tmp
+   | None -> ());
   Mutex.unlock big_lock
 
 let () = at_exit shutdown
@@ -1470,44 +1434,42 @@ let bind_cached m digest =
   bind_ready m digest || (load_cached (artifact digest) [ digest ] && bind_ready m digest)
 
 (* Tier-1 instructions a machine retires between two polls of the
-   compile it waits for; a poll is one lock and one [waitpid]. *)
+   compile slot; a poll is one lock and one [waitpid]. *)
 let poll_every = 16_384
 
 (* [m] is due for tier-2: bind it when its program is loaded or loads
-   from the cache.  Otherwise make sure a compile of its flash is queued
-   (translated now, deduplicated by digest) and either wait for it
-   ([~eager]) or look again after [poll_every] more instructions. *)
+   from the cache.  Otherwise, if the slot is free, translate its flash
+   and start the compile; while another compile holds the slot, [m]
+   translates nothing.  Then either wait for the compile ([~eager],
+   which first waits for the slot) or look again after [poll_every]
+   more instructions. *)
 let advance ~eager m digest =
   Mutex.lock big_lock;
   poll ();
-  (if not (bind_cached m digest) then
-     let job =
-       match pending_for digest with
-       | Some _ as j -> j
-       | None ->
-         Option.map
-           (fun source ->
-             let j = { sources = [ (digest, source) ]; out = artifact digest; state = Queued } in
-             Queue.add j queue;
-             pump ();
-             j)
-           (translate ~digest m.flash)
-     in
-     match job with
+  if eager then wait_slot ();
+  (if bind_cached m digest then ()
+   else if not !enabled then m.t2 <- T2_off
+   else if Option.is_some !slot then m.t2 <- T2_wait (digest, m.insns + poll_every)
+   else
+     match translate ~digest m.flash with
      | None -> m.t2 <- T2_off (* blank image: nothing tier-2 can run *)
-     | Some j when eager ->
-       wait_for j;
-       if not (bind_ready m digest) then m.t2 <- T2_off
-     | Some _ -> m.t2 <- T2_wait (digest, m.insns + poll_every));
+     | Some source ->
+       start [ (digest, source) ] (artifact digest);
+       if not eager then m.t2 <- T2_wait (digest, m.insns + poll_every)
+       else begin
+         wait_slot ();
+         if not (bind_ready m digest) then m.t2 <- T2_off
+       end);
   Mutex.unlock big_lock
 
 (* The tier-2 run loop's entry point: the compiled program and ctx for
    [m]'s current flash, if available now.  Drives the [t2] state
    machine: digest on first sight, bind at once from the registry or
    the disk cache, otherwise wait out the execution-count threshold,
-   then queue a background compile and poll it until it binds.  At
-   threshold 0 the machine waits for its compile instead.  Cheap on the
-   hot paths: [T2_ready] is field access; [T2_wait] is an int compare. *)
+   then start a background compile once the slot is free and poll it
+   until it binds.  At threshold 0 the machine waits for its compile
+   instead.  Cheap on the hot paths: [T2_ready] is field access;
+   [T2_wait] is an int compare. *)
 let attempt (m : t) : (Aot_runtime.program * Aot_runtime.ctx) option =
   match m.t2 with
   | T2_ready (p, c) -> Some (p, c)
@@ -1537,20 +1499,20 @@ let attempt (m : t) : (Aot_runtime.program * Aot_runtime.ctx) option =
 
 (* ------------------------------------------------------------------ *)
 (* Batch pre-compilation: translate many images and compile them in
-   chunks, one job each, waiting for the jobs as the eager path does.
-   Used by the differential test harness, where 1200 randomized
-   programs would otherwise mean 1200 compiler invocations.  An image
-   reads as erased past its end, exactly as a machine's flash does
-   ({!State.flash_word}), so no padding is needed: digests match a
+   chunks through the slot, one after another, waiting for each as the
+   eager path does.  Used by the differential test harness, where 1200
+   randomized programs would otherwise mean 1200 compiler invocations.
+   An image reads as erased past its end, exactly as a machine's flash
+   does ({!State.flash_word}), so no padding is needed: digests match a
    machine booted from the same image. *)
 
 let preload (images : int array list) : unit =
   Mutex.lock big_lock;
+  wait_slot ();
   if !enabled then begin
-    let seen = Hashtbl.create 64 and waits = ref [] in
+    let seen = Hashtbl.create 64 in
     (* Load per-digest artifacts that already exist (before paying any
-       translation), join the jobs already pending, and translate the
-       rest. *)
+       translation), and translate the rest. *)
     let missing =
       List.filter_map
         (fun img ->
@@ -1559,12 +1521,7 @@ let preload (images : int array list) : unit =
           else begin
             Hashtbl.add seen digest ();
             if load_cached (artifact digest) [ digest ] then None
-            else
-              match pending_for digest with
-              | Some j ->
-                waits := j :: !waits;
-                None
-              | None -> Option.map (fun src -> (digest, src)) (translate ~digest img)
+            else Option.map (fun src -> (digest, src)) (translate ~digest img)
           end)
         images
     in
@@ -1579,15 +1536,12 @@ let preload (images : int array list) : unit =
            recompiling. *)
         let key = Digest.to_hex (Digest.string (String.concat "" (List.map fst now))) in
         let out = artifact ("batch-" ^ key) in
-        if not (load_cached out (List.map fst now)) then begin
-          let j = { sources = now; out; state = Queued } in
-          Queue.add j queue;
-          waits := j :: !waits
+        if !enabled && not (load_cached out (List.map fst now)) then begin
+          start now out;
+          wait_slot ()
         end;
         batches rest
     in
-    batches missing;
-    pump ();
-    List.iter wait_for (List.rev !waits)
+    batches missing
   end;
   Mutex.unlock big_lock

@@ -114,8 +114,8 @@ and block = { exec : t -> int -> bool; worst : int }
 (* Tier-2 (ahead-of-time compiled) binding states, managed by {!Aot}.
    [T2_wait (digest, ready_at)] runs the machine on tier-1 until it has
    retired [ready_at] instructions: first the heat threshold, so short
-   runs never queue a compile they cannot amortize, then the interval
-   between two polls of the background compile it waits for. *)
+   runs never start a compile they cannot amortize, then the interval
+   between two polls of the compile slot. *)
 and t2 =
   | T2_unknown  (* flash not yet digested *)
   | T2_off  (* tier-2 unavailable for this image (or globally) *)

@@ -138,6 +138,27 @@ if pgrep -f sensmart_aot_ >/dev/null; then
     exit 1
 fi
 
+# A cold-cache fault campaign at tier 2: its Flash_flips give many
+# flash digests in one process, which take turns in the one compile
+# slot.  At the default threshold the campaign starts no compile at
+# all, so the threshold is lowered for its digests to ask for one.  It
+# prints exactly what tier 1 prints, and at exit no compiler is running
+# and no build directory is left in the cache.
+cold=$(mktemp -d)
+want=$("$cli" fault feeder search --trials 40 --tier 1)
+got=$(SENSMART_AOT_THRESHOLD=1000 SENSMART_AOT_CACHE="$cold" \
+    "$cli" fault feeder search --trials 40 --tier 2)
+leftover=$(find "$cold" -maxdepth 1 -name 'build-*')
+rm -rf "$cold"
+if [ "$got" != "$want" ]; then
+    echo "check.sh: cold-cache fault --tier 2 differs from --tier 1" >&2
+    exit 1
+fi
+if pgrep -f sensmart_aot_ >/dev/null || [ -n "$leftover" ]; then
+    echo "check.sh: a tier-2 compile outlived the fault campaign" >&2
+    exit 1
+fi
+
 # Snapshot/resume through the CLI: a feeder/search kernel captured
 # mid-run and resumed at each tier prints exactly what the
 # uninterrupted run prints (the "resumed" banner and wall time aside).

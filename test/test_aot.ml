@@ -125,6 +125,78 @@ let pending_at_halt () =
   Alcotest.(check bool) "no artifact" false
     (Sys.file_exists (Filename.concat cache (digest img ^ ".cmxs")))
 
+(* One compile at a time: an image that crosses the threshold while
+   another image's compile runs waits on tier-1 without a compile of
+   its own, so shutdown has exactly one compile to kill. *)
+let one_compile_at_a_time () =
+  Machine.Aot.set_threshold 1_000;
+  let s0 = Machine.Aot.stats () in
+  ignore (run ~tier:2 (image "crc"));
+  let img = image "crc_mc" in
+  let m = run ~tier:2 img in
+  Alcotest.(check int) "one compile launched" 1
+    ((Machine.Aot.stats ()).launched - s0.launched);
+  Alcotest.(check bool) "second image waiting" true
+    (match m.t2 with T2_wait _ -> true | _ -> false);
+  Alcotest.(check (list string)) "matches tier-1" (snapshot (run ~tier:1 img)) (snapshot m);
+  Machine.Aot.shutdown ();
+  Alcotest.(check int) "one compile abandoned" 1
+    ((Machine.Aot.stats ()).abandoned - s0.abandoned);
+  Alcotest.(check (list string)) "no build dir" [] (build_dirs ())
+
+(* The image that waited for the slot starts its compile once the first
+   image's compile has left it, and binds in turn.  Both machines are
+   sliced, and each waits out the compiler it started, so the order of
+   events does not depend on how long a compile takes. *)
+let waiting_image_binds_next () =
+  Machine.Aot.set_threshold 1_000;
+  let a = image "crc" and b = image "lfsr_mc" in
+  let ma = boot a and mb = boot b in
+  let s0 = Machine.Aot.stats () in
+  let launched () = (Machine.Aot.stats ()).launched - s0.launched in
+  let deadline = Unix.gettimeofday () +. 120. in
+  let rec slice m until =
+    if not (until ()) then begin
+      if Unix.gettimeofday () > deadline then Alcotest.fail "deadline passed";
+      (match Machine.Cpu.run_native ~tier:2 ~max_cycles:(m.Machine.Cpu.cycles + 500) m with
+       | Some _ -> Alcotest.fail "halted before its compile bound"
+       | None -> ());
+      slice m until
+    end
+  in
+  (* The compiler just launched: let it show up, then wait for it to
+     exit.  The machine that started it reaps it at its next poll. *)
+  let compiler_exits () =
+    ignore (compiler_appears ());
+    let rec wait () =
+      if compilers_alive () then begin
+        if Unix.gettimeofday () > deadline then Alcotest.fail "compiler still running";
+        Unix.sleepf 0.02;
+        wait ()
+      end
+    in
+    wait ()
+  in
+  slice ma (fun () -> launched () = 1);
+  (* Past its threshold, and polled once, while [a] compiles. *)
+  slice mb (fun () -> mb.insns > 3_000);
+  Alcotest.(check int) "waiting image starts no compile" 1 (launched ());
+  compiler_exits ();
+  slice ma (fun () -> bound ma);
+  Alcotest.(check bool) "second image still waiting" true
+    (match mb.t2 with T2_wait _ -> true | _ -> false);
+  slice mb (fun () -> launched () = 2);
+  compiler_exits ();
+  slice mb (fun () -> bound mb);
+  List.iter
+    (fun (img, m) ->
+      ignore (Machine.Cpu.run_native ~tier:2 m);
+      Alcotest.(check (list string)) "matches tier-0" (snapshot (run ~tier:0 img)) (snapshot m);
+      Alcotest.(check bool) "artifact cached" true
+        (Sys.file_exists (Filename.concat cache (digest img ^ ".cmxs"))))
+    [ (a, ma); (b, mb) ];
+  Alcotest.(check (list string)) "no build dir" [] (build_dirs ())
+
 (* A long run binds while it runs: sliced so that tier-1 keeps going
    while the compile does, until the machine is bound.  The rest runs on
    tier-2, and the final state equals tier-0's. *)
@@ -160,4 +232,6 @@ let () =
         [ ( "background",
             [ Alcotest.test_case "corrupt cached artifact" `Quick corrupt_artifact;
               Alcotest.test_case "run ends before its compile" `Quick pending_at_halt;
-              Alcotest.test_case "binds while running" `Quick binds_while_running ] ) ])
+              Alcotest.test_case "one compile at a time" `Quick one_compile_at_a_time;
+              Alcotest.test_case "binds while running" `Quick binds_while_running;
+              Alcotest.test_case "waiting image binds next" `Quick waiting_image_binds_next ] ) ])

@@ -400,47 +400,47 @@ let syscall_patches_code tier () =
    (or the emitter) that alters generated code without bumping the
    version would otherwise load stale cached artifacts silently. *)
 let pinned_translations =
-  [ ("am", "c6232708c7a19dac7cfa07a80e22d211");
-    ("amplitude", "31d2ae2cf407da1fbd46050808cb65b8");
-    ("crc", "c7fc4672e900392873b0f56e5ca8c3e8");
-    ("eventchain", "2858ccdc071ee5a173dd540146b8ed4d");
-    ("lfsr", "318174e9b7be6d2c1d9b0c24bcc4b91c");
-    ("readadc", "720de4a4830ba827dc9a2d44b7e79ef9");
-    ("timer", "0ee3bdc0daa935b4a71feaefc16a187e");
-    ("periodic", "05dd5336c31714ef9be36c48b7137e36");
-    ("feeder", "9d30d2b3ef1934048c981251e22078a2");
-    ("search", "3e58ac44f2ffb4a9c366bba67a4e8243");
-    ("rx_vuln", "64af47c1a6cadc6b04d239607cf5b3dd");
-    ("guard", "0ed6e3a5016b9491af166b34602c7d03");
-    ("lfsr_mc", "277de3c5e699370a9dfe6648709eb3dc");
-    ("crc_mc", "40960efe6d52282a268f976dd373db45");
-    ("am_mc", "112d544008604a939a7fbda8bdee75ad");
-    ("amplitude_mc", "a6b1982c6efc170f8a0b8f4d019a72e9");
-    ("readadc_mc", "2f263293a20cebc9b91356f172e78a1d");
-    ("eventchain_mc", "0af5335e8cd76cae25e1b5e755eda3b6");
-    ("timer_mc", "a379d8fd1306f1150258a66f6752fc21");
-    ("sensmart:am", "fbb32f2a080ddcf08c0631cdfbdb6352");
-    ("sensmart:amplitude", "d7d9ff6e3a028cf40cd4f401bebd1e98");
-    ("sensmart:crc", "93c8f8c88ab40307525dfac8f114bfb4");
-    ("sensmart:eventchain", "58c12c52d024c6156529919bdc1d641b");
-    ("sensmart:lfsr", "3ac10e7927f141efce465a5dd75d8bb4");
-    ("sensmart:readadc", "bc9512b39bc3aa8bfabaf6805a099cb9");
-    ("sensmart:timer", "00f07cc782edfe6dd0a1424e5db5b6a6");
-    ("sensmart:periodic", "16982bde67fdaf14539057c53e572880");
-    ("sensmart:feeder", "9c5657769c4a149293e5a8ea20fa5a32");
-    ("sensmart:search", "0e8dc3a55759be7cf695083b699fae85");
-    ("sensmart:rx_vuln", "f44a1029c87a477357c58778c3a7a679");
-    ("sensmart:guard", "ff31abafe77c0ab9b271ec6007046ede");
-    ("sensmart:lfsr_mc", "dec5ba6e98a1d2a1128266a55eeea476");
-    ("sensmart:crc_mc", "262332bf0f027d52ff93ad12bdf0bb61");
-    ("sensmart:am_mc", "950cb16b822d8e788ca38a687d16dc2e");
-    ("sensmart:amplitude_mc", "cec2bb6f18d46827c1c0283d3a75065f");
-    ("sensmart:readadc_mc", "f78755a6c1b3be64045a5f563bfb991c");
-    ("sensmart:eventchain_mc", "bf96b0a41ffa64d0d005ddc825310b32");
-    ("sensmart:timer_mc", "bab6d796113f4f1190b385fa7631e2fa");
-    ("fixture:blink", "97dc669f3e7a75f2b69a8852b34f294b");
-    ("fixture:sense", "4b5cbd5ed2f2431b82c7edad08b69a96");
-    ("fixture:dispatch", "a764f35a95c745f34dd9e0d1a4f02c8a") ]
+  [ ("am", "1b35c240a4aeed031dc16b68a5ed5d46");
+    ("amplitude", "34c320ef52106175b412b9e7d3f9385c");
+    ("crc", "96116bb8c394dce98adf8bc8a274a542");
+    ("eventchain", "7a7c586e86cf43af45f901edd799983b");
+    ("lfsr", "4d2398675f6f8cf93ef04101b51f32bc");
+    ("readadc", "be5ec3ee74442b2eea1d7393a6d37e8f");
+    ("timer", "5244fbadef877c437810d6bd14579853");
+    ("periodic", "76a318f1de7d4aed6e21c1ec3b574d5e");
+    ("feeder", "2277bb45606f24a7a91d81f6e98fadc1");
+    ("search", "d788dba3843996316f87dec2338cf33f");
+    ("rx_vuln", "09409a21bd9101041e4ee7d0a7ac8a1a");
+    ("guard", "b515ad9bb12e71ced28b0b0d43137ae2");
+    ("lfsr_mc", "32de24e666315e8b61c21e18e8bbb4cf");
+    ("crc_mc", "d2a15218803174cc470facc776a66e44");
+    ("am_mc", "7a68c0b91e79fada8544caad3ec7d398");
+    ("amplitude_mc", "33b8ab03965daae1fd6f1142dc711590");
+    ("readadc_mc", "4b56d097843737586fa81648d0d53216");
+    ("eventchain_mc", "793c7da64ee0206df906a552f8cdfd24");
+    ("timer_mc", "dce1fd129b432420febcf4fd13fae44b");
+    ("sensmart:am", "f20fb6ec1049f03be3f9e72e56dded93");
+    ("sensmart:amplitude", "8e3ae37dd481a3910866d0de4327f11d");
+    ("sensmart:crc", "6b08cae22bdaf6233f0f9895eb636a32");
+    ("sensmart:eventchain", "322841d6eec6550ad76e7c8e60069f0a");
+    ("sensmart:lfsr", "d5bdf6d8e97a257eb7dc84bad12f39da");
+    ("sensmart:readadc", "d65a8e84cd1aba272ae1c47af38572e2");
+    ("sensmart:timer", "b9904827f04b38a09a4600c912b67cf1");
+    ("sensmart:periodic", "89d911e9955c33151698823db5301f04");
+    ("sensmart:feeder", "a96aacfad7dcaaa07b29a8a237128145");
+    ("sensmart:search", "10944c7ee4085d6c42123b6fbc947e41");
+    ("sensmart:rx_vuln", "2ca4d54cf33c0aebd583aeab68a0526b");
+    ("sensmart:guard", "049a47d559fae0bb623c795742451507");
+    ("sensmart:lfsr_mc", "38617a575bc5f0bb626b15dfa58ea2a9");
+    ("sensmart:crc_mc", "2679d30d48151d53606954c070fd8932");
+    ("sensmart:am_mc", "c09f2cb532c7cfef6d3553e4aec482b5");
+    ("sensmart:amplitude_mc", "511a81115d82bf6971066abfea72670f");
+    ("sensmart:readadc_mc", "191a9602a451a22c740e1be46d7daf1b");
+    ("sensmart:eventchain_mc", "0d8fcd9b9b2ea5f20cef22895f9ec55a");
+    ("sensmart:timer_mc", "ae6e99bb8e9d488074878f242de2ece5");
+    ("fixture:blink", "a2ae78036a3239ce13ee760ae7336aa7");
+    ("fixture:sense", "3af7309ab678e208861a35dfd8f265f1");
+    ("fixture:dispatch", "974a883a942c4d830c18aa43e500f3cc") ]
 
 let translation_digests () =
   let flash_of (img : Asm.Image.t) =
@@ -472,7 +472,7 @@ let translation_digests () =
     flashes
 
 let translator_output_pinned () =
-  Alcotest.(check int) "generator version" 4 Machine.Aot.generator_version;
+  Alcotest.(check int) "generator version" 5 Machine.Aot.generator_version;
   let got = translation_digests () in
   if got <> pinned_translations then
     Alcotest.failf "translator output changed.  If aot.ml or Block.form \
