@@ -13,9 +13,11 @@
    its worst-case cycle cost fits under the caller's horizon, every
    instruction reproduces {!State.step}'s semantics exactly, and any PC
    without a compiled block returns to the host ([stop_miss]) with no
-   partial instruction executed.  Stop points and every architectural
-   counter are therefore bit-identical to tiers 0/1 under any block
-   partitioning; test/test_tiers.ml enforces this differentially.
+   partial instruction executed.  So does every SLEEP, BREAK and
+   SYSCALL: the host runs them through {!State.exec_insn}, as tiers 0
+   and 1 do.  Stop points and every architectural counter are
+   therefore bit-identical to tiers 0/1 under any block partitioning;
+   test/test_tiers.ml enforces this differentially.
 
    Flag elision: flags are fully lazy.  An ALU instruction emits no
    flag code at all — each SREG bit it writes is recorded as a pure
@@ -48,7 +50,7 @@ open State
 (* Bumped whenever generated code or the ABI changes shape: it salts
    the content digest, so stale on-disk artifacts can never be loaded
    into a newer simulator. *)
-let generator_version = 5
+let generator_version = 6
 
 (* ------------------------------------------------------------------ *)
 (* Content digest *)
@@ -530,7 +532,7 @@ let emit_write8 st a v =
 (* Emit one non-branching body instruction (own address [pc]).  The
    instruction's base cycle cost is already in [st.cyc].  Conditional
    branches are handled by [emit_seq], which owns side-exit emission. *)
-let emit_insn st (insn : Isa.t) ~pc:_ =
+let rec emit_insn st (insn : Isa.t) ~pc =
   match insn with
   | Isa.Nop | Isa.Wdr -> ()
   | Isa.Movw (d, r) ->
@@ -725,16 +727,8 @@ let emit_insn st (insn : Isa.t) ~pc:_ =
     stmt st "c.sp <- (c.sp + 1) land 0xFFFF;";
     let v = bind st "v" (read8_expr "c.sp") in
     set_reg st d v
-  | Isa.In (d, a) ->
-    flush_cyc st;
-    if a = Io.sreg then flush_sg st;
-    let v = bind st "v" (Printf.sprintf "c.io_in c %d" a) in
-    set_reg st d v
-  | Isa.Out (a, r) ->
-    let v = use_reg st r in
-    flush_cyc st;
-    stmt st "c.io_out c %d %s;" a v;
-    if a = Io.sreg then kill_sg st
+  | Isa.In (d, a) -> emit_insn st (Isa.Lds (d, Layout.io_data_addr a)) ~pc
+  | Isa.Out (a, r) -> emit_insn st (Isa.Sts (Layout.io_data_addr a, r)) ~pc
   | Isa.Bset s -> set_bit st s "1"
   | Isa.Bclr s -> set_bit st s "0"
   | Isa.Brbs _ | Isa.Brbc _ | Isa.Rjmp _ | Isa.Rcall _ | Isa.Jmp _
@@ -866,19 +860,12 @@ and emit_term st blocks (b : Block.superblock) ~budget =
        stmt st "c.pc <- (%s lsl 8) lor %s;" ph pl;
        if t = Isa.Reti then stmt st "c.sreg <- c.sreg lor 0x80;";
        stmt st "dispatch c"
-     | Isa.Sleep ->
-       exit_prologue st ~extra ~bump:1;
-       stmt st "c.pc <- %d;" fall;
-       stmt st "c.stop <- 2"
-     | Isa.Break ->
-       exit_prologue st ~extra ~bump:1;
-       stmt st "c.pc <- %d;" fall;
-       stmt st "c.stop <- 3"
-     | Isa.Syscall k ->
-       exit_prologue st ~extra ~bump:1;
-       stmt st "c.pc <- %d;" fall;
-       stmt st "c.arg <- %d;" k;
-       stmt st "c.stop <- 4"
+     | Isa.Sleep | Isa.Break | Isa.Syscall _ ->
+       (* The host runs these: miss in front of the terminator.  Never
+          a chain, which would loop on a block that is only this. *)
+       exit_prologue st ~extra:0 ~bump:0;
+       stmt st "c.pc <- %d;" (b.term_pc land 0xFFFF);
+       stmt st "c.stop <- 0"
      | _ -> invalid_arg "Aot.emit_term: not a block terminator")
 
 let emit_block st blocks entry (b : Block.superblock) ~first =
@@ -926,8 +913,7 @@ let translate ~digest (flash : int array) : string option =
         List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) blocks [])
       in
       let st = est_new () in
-      stmt st "(* Generated by the sensmart tier-2 translator (v%d)."
-        generator_version;
+      stmt st "(* Generated by the sensmart tier-2 translator.";
       stmt st "   Flash digest %s.  Do not edit. *)" digest;
       stmt st "open Aot_runtime";
       stmt st "let miss (c : ctx) = c.stop <- 0";
@@ -1326,10 +1312,12 @@ let shutdown () =
 let () = at_exit shutdown
 
 (* ------------------------------------------------------------------ *)
-(* Host-side ctx: closures that replicate State.read8/write8 and the
-   IN/OUT/LPM arms of State.step against ctx-held machine scalars
-   (ctx.pc/sp/sreg/cycles and the access counters are authoritative
-   while compiled code runs; regs and sram are aliased directly). *)
+(* Host-side ctx: closures that replicate State.read8/write8 (IN/OUT
+   included, at their data-space addresses) and State's LPM against
+   ctx-held machine scalars (ctx.pc/sp/sreg/cycles and the access
+   counters are authoritative while compiled code runs; regs and sram
+   are aliased directly), and [enter], which moves those scalars in and
+   out around compiled code. *)
 
 let make_ctx (m : t) : Aot_runtime.ctx =
   let read8 (c : Aot_runtime.ctx) addr =
@@ -1362,22 +1350,6 @@ let make_ctx (m : t) : Aot_runtime.ctx =
     else if addr < Layout.data_size then
       Bytes.unsafe_set c.sram addr (Char.unsafe_chr v)
   in
-  let io_in (c : Aot_runtime.ctx) a =
-    c.mem_reads <- c.mem_reads + 1;
-    c.io_reads <- c.io_reads + 1;
-    if a = Io.spl then c.sp land 0xFF
-    else if a = Io.sph then (c.sp lsr 8) land 0xFF
-    else if a = Io.sreg then c.sreg
-    else Io.read m.io ~cycles:c.cycles a
-  in
-  let io_out (c : Aot_runtime.ctx) a v =
-    c.mem_writes <- c.mem_writes + 1;
-    c.io_writes <- c.io_writes + 1;
-    if a = Io.spl then c.sp <- (c.sp land 0xFF00) lor v
-    else if a = Io.sph then c.sp <- (c.sp land 0x00FF) lor (v lsl 8)
-    else if a = Io.sreg then c.sreg <- v
-    else Io.write m.io ~cycles:c.cycles a v
-  in
   let lpm (_ : Aot_runtime.ctx) z =
     let w = flash_word m.flash (z lsr 1) in
     (if z land 1 = 0 then w else w lsr 8) land 0xFF
@@ -1395,12 +1367,36 @@ let make_ctx (m : t) : Aot_runtime.ctx =
     io_writes = 0;
     limit = 0;
     stop = 0;
-    arg = 0;
     read8;
     write8;
-    io_in;
-    io_out;
     lpm }
+
+(** Run [m]'s compiled program [p] from [m.pc] with [c], [m]'s ctx,
+    entering no block whose worst case would pass the cycle [limit].
+    Returns the stop code, with [m]'s fields brought up to date. *)
+let enter (m : t) (p : Aot_runtime.program) (c : Aot_runtime.ctx) ~limit =
+  c.pc <- m.pc land 0xFFFF;
+  c.sp <- m.sp;
+  c.sreg <- m.sreg;
+  c.cycles <- m.cycles;
+  c.insns <- m.insns;
+  c.mem_reads <- m.mem_reads;
+  c.mem_writes <- m.mem_writes;
+  c.io_reads <- m.io_reads;
+  c.io_writes <- m.io_writes;
+  c.limit <- limit;
+  c.stop <- Aot_runtime.stop_miss;
+  p.enter c;
+  m.pc <- c.pc;
+  m.sp <- c.sp;
+  m.sreg <- c.sreg;
+  m.cycles <- c.cycles;
+  m.insns <- c.insns;
+  m.mem_reads <- c.mem_reads;
+  m.mem_writes <- c.mem_writes;
+  m.io_reads <- c.io_reads;
+  m.io_writes <- c.io_writes;
+  c.stop
 
 (* ------------------------------------------------------------------ *)
 (* Binding a machine to its compiled program. *)

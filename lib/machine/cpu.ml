@@ -117,11 +117,11 @@ let run_blocks ?(max_cycles = max_int) m : stop =
 (** Tier-2: same contract again, entering ahead-of-time compiled code
     (see {!Aot}) whenever the machine's flash has a compiled program
     covering the current PC.  The compiled program chains superblocks
-    internally and returns through [ctx.stop]; every return reason maps
-    onto exactly the stop point the lower tiers would produce, and any
-    PC the program cannot serve — or a horizon too close for even one
-    block — falls back to one tier-1 iteration (which itself falls back
-    to tier-0), guaranteeing forward progress. *)
+    internally and returns through {!Aot.enter}; any PC the program
+    cannot serve — SLEEP, BREAK and SYSCALL included, or a horizon too
+    close for even one block — falls back to one tier-1 iteration
+    (which itself falls back to tier-0), guaranteeing forward progress
+    and the lower tiers' stop points. *)
 let run_tier2 ?(max_cycles = max_int) m : stop =
   let rec loop () =
     let ready =
@@ -135,58 +135,19 @@ let run_tier2 ?(max_cycles = max_int) m : stop =
       let limit =
         if max_cycles < m.preempt_at then max_cycles else m.preempt_at
       in
-      c.Aot_runtime.pc <- m.pc land 0xFFFF;
-      c.sp <- m.sp;
-      c.sreg <- m.sreg;
-      c.cycles <- m.cycles;
-      c.insns <- m.insns;
-      c.mem_reads <- m.mem_reads;
-      c.mem_writes <- m.mem_writes;
-      c.io_reads <- m.io_reads;
-      c.io_writes <- m.io_writes;
-      c.limit <- limit;
-      c.stop <- Aot_runtime.stop_miss;
-      c.arg <- 0;
-      p.enter c;
-      m.pc <- c.pc;
-      m.sp <- c.sp;
-      m.sreg <- c.sreg;
-      m.cycles <- c.cycles;
-      m.insns <- c.insns;
-      m.mem_reads <- c.mem_reads;
-      m.mem_writes <- c.mem_writes;
-      m.io_reads <- c.io_reads;
-      m.io_writes <- c.io_writes;
-      let s = c.stop in
-      if s = Aot_runtime.stop_sleep then
-        (* SLEEP terminator: same net effect as tier-0's set-then-clear
-           of [m.sleeping]. *)
-        Sleeping
-      else if s = Aot_runtime.stop_break then begin
-        m.halted <- Some Break_hit;
-        Halted Break_hit
-      end
-      else if s = Aot_runtime.stop_syscall then begin
-        (match m.on_syscall with
-         | Some f -> f m c.arg
-         | None ->
-           m.halted <-
-             Some (Fault (Printf.sprintf "syscall %d with no kernel" c.arg)));
-        post ()
-      end
-      else
-        (* Miss or horizon: chaining may have run the clock right up to
-           a limit before stopping. *)
-        (match stopped ~max_cycles m with
-         | Some stop -> stop
-         | None when s = Aot_runtime.stop_horizon ->
-           (* Next block's worst case overruns a horizon: single-step to
-              stay exactly on the tier-0 stop point. *)
-           step m;
-           post ()
-         | None ->
-           (* PC left compiled coverage: serve one iteration from below. *)
-           tier1_once ())
+      let s = Aot.enter m p c ~limit in
+      (* Chaining may have run the clock right up to a limit. *)
+      (match stopped ~max_cycles m with
+       | Some stop -> stop
+       | None when s = Aot_runtime.stop_horizon ->
+         (* Next block's worst case overruns a horizon: single-step to
+            stay exactly on the tier-0 stop point. *)
+         step m;
+         post ()
+       | None ->
+         (* PC left compiled coverage, or reached a SLEEP, BREAK or
+            SYSCALL: serve one iteration from below. *)
+         tier1_once ())
     | Some _ -> tier1_once ()
     | None -> (
       match m.t2 with

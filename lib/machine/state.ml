@@ -637,22 +637,8 @@ let[@inline] exec_data m (insn : Isa.t) =
     if inc then set_zreg m ((z + 1) land 0xFFFF)
   | Push r -> push8 m (rg m (r))
   | Pop d -> rs m (d) @@ pop8 m
-  | In (d, a) ->
-    m.mem_reads <- m.mem_reads + 1;
-    m.io_reads <- m.io_reads + 1;
-    rs m d @@
-      (if a = Io.spl then m.sp land 0xFF
-       else if a = Io.sph then (m.sp lsr 8) land 0xFF
-       else if a = Io.sreg then m.sreg
-       else Io.read m.io ~cycles:m.cycles a)
-  | Out (a, r) ->
-    m.mem_writes <- m.mem_writes + 1;
-    m.io_writes <- m.io_writes + 1;
-    let v = (rg m (r)) in
-    if a = Io.spl then m.sp <- (m.sp land 0xFF00) lor v
-    else if a = Io.sph then m.sp <- (m.sp land 0x00FF) lor (v lsl 8)
-    else if a = Io.sreg then m.sreg <- v
-    else Io.write m.io ~cycles:m.cycles a v
+  | In (d, a) -> rs m d @@ read8 m (Layout.io_data_addr a)
+  | Out (a, r) -> write8 m (Layout.io_data_addr a) (rg m r)
   | Bset s -> set_flag m s true
   | Bclr s -> set_flag m s false
   | Rjmp _ | Rcall _ | Jmp _ | Call _ | Ijmp | Icall | Ret | Reti

@@ -124,6 +124,8 @@ fi
 # Tier-2 compiles in the background: a cold-cache run shorter than its
 # compile prints exactly what tier 1 prints and exits 0, with or
 # without an OCaml compiler on PATH, and leaves no compiler running.
+# Every compile runs in a build-* directory under its cache directory,
+# so a leftover compiler is one whose command line names "$cold".
 cold=$(mktemp -d)
 want=$("$cli" native crc_mc --tier 1)
 got=$(SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2)
@@ -133,7 +135,7 @@ if [ "$got" != "$want" ] || [ "$got_nocc" != "$want" ]; then
     echo "check.sh: cold-cache --tier 2 differs from --tier 1" >&2
     exit 1
 fi
-if pgrep -f sensmart_aot_ >/dev/null; then
+if pgrep -f "$cold" >/dev/null; then
     echo "check.sh: a tier-2 compiler outlived its run" >&2
     exit 1
 fi
@@ -154,7 +156,7 @@ if [ "$got" != "$want" ]; then
     echo "check.sh: cold-cache fault --tier 2 differs from --tier 1" >&2
     exit 1
 fi
-if pgrep -f sensmart_aot_ >/dev/null || [ -n "$leftover" ]; then
+if pgrep -f "$cold" >/dev/null || [ -n "$leftover" ]; then
     echo "check.sh: a tier-2 compile outlived the fault campaign" >&2
     exit 1
 fi

@@ -134,17 +134,29 @@ let gen_block ~io =
   in
   let ioblk =
     (* Reads of cycle-clocked registers pin the exact cycle count at the
-       access; the radio write exercises a stateful peripheral. *)
+       access; the radio write exercises a stateful peripheral.  SREG
+       (across a flag-clobbering CP), SPL and SPH are read and written
+       back: the CPU-state arms that IN/OUT share with LDS/STS. *)
+    let one f = map (fun r -> [ f r ]) hreg in
     map
-      (fun ops -> Io ops)
+      (fun ops -> Io (List.concat ops))
       (list_size (int_range 1 4)
          (oneof
-            [ map (fun r -> in_ r Machine.Io.tcnt0) hreg;
-              map (fun r -> in_ r Machine.Io.tcnt3l) hreg;
-              map (fun r -> in_ r Machine.Io.tcnt3h) hreg;
-              map (fun r -> in_ r Machine.Io.adcl) hreg;
-              map (fun r -> in_ r Machine.Io.radio_status) hreg;
-              map (fun r -> out Machine.Io.radio_data r) hreg ]))
+            [ one (fun r -> in_ r Machine.Io.tcnt0);
+              one (fun r -> in_ r Machine.Io.tcnt3l);
+              one (fun r -> in_ r Machine.Io.tcnt3h);
+              one (fun r -> in_ r Machine.Io.adcl);
+              one (fun r -> in_ r Machine.Io.radio_status);
+              one (fun r -> out Machine.Io.radio_data r);
+              map3
+                (fun r a b ->
+                  [ in_ r Machine.Io.sreg; cp a b; out Machine.Io.sreg r ])
+                hreg reg reg;
+              map
+                (fun r ->
+                  [ in_ r Machine.Io.spl; out Machine.Io.spl r;
+                    in_ r Machine.Io.sph; out Machine.Io.sph r ])
+                hreg ]))
   in
   frequency
     ((if io then [ (2, ioblk) ] else [])
