@@ -212,12 +212,11 @@ let mem_move k ~src ~dst ~len =
     Bytes.blit k.m.sram src k.m.sram dst len;
   charge_move k len
 
+(* End [t], the current task, and schedule the next one. *)
 let terminate k (t : Task.t) reason =
   Logs.debug (fun f -> f "task %s terminated: %s" t.name reason);
   log k (Trace.Terminated { task = t.id; reason });
-  (match k.current with
-   | Some c when c == t -> Task.charge t ~cycles:k.m.cycles ~insns:k.m.insns
-   | _ -> ());
+  Task.charge t ~cycles:k.m.cycles ~insns:k.m.insns;
   t.status <- Exited reason;
   (* Preserve the heap for post-mortem inspection before the region is
      recycled. *)
@@ -229,10 +228,7 @@ let terminate k (t : Task.t) reason =
        ~move:(fun ~src ~dst ~len -> mem_move k ~src ~dst ~len));
   (* Region moves may have shifted suspended tasks' stacks. *)
   List.iter (fun t' -> if Task.is_live t' then sync_saved_sp k t') k.tasks;
-  (match k.current with
-   | Some c when c == t -> k.current <- None
-   | Some c -> (if Task.is_live c then (c.region.sp <- c.region.sp; k.m.sp <- c.region.sp))
-   | None -> ());
+  k.current <- None;
   k.m.cycles <- k.m.cycles + Costing.exit_body;
   schedule k
 

@@ -40,7 +40,8 @@
    keeps running on tier-1, and binds when the artifact loads.  One
    compile runs at a time; a machine whose image is not the one
    compiling waits on tier-1, untranslated, until the slot is free.  A
-   run that ends first kills its compile at exit.  When no working
+   run that ends first waits for its compile at exit, so the next run
+   finds the artifact in the cache.  When no working
    toolchain is available tier-2 disables itself globally with a single
    warning and callers fall back to tier-1. *)
 
@@ -958,7 +959,6 @@ let enabled = ref true
 (* Stats surfaced through bench metrics. *)
 let compiles = ref 0
 let launched = ref 0
-let abandoned = ref 0
 let cache_hits = ref 0
 let compile_ms = ref 0.0
 let disabled : string option ref = ref None
@@ -966,7 +966,6 @@ let disabled : string option ref = ref None
 type stat = {
   compiles : int;  (** toolchain runs that produced an artifact *)
   launched : int;  (** toolchain runs started *)
-  abandoned : int;  (** compiles killed in flight by {!shutdown} *)
   cache_hits : int;  (** cached artifacts that loaded and registered *)
   compile_ms : float;  (** host ms callers spent blocked on the toolchain *)
   disabled : string option;  (** why tier-2 turned itself off, if it did *)
@@ -975,7 +974,6 @@ type stat = {
 let stats () =
   { compiles = !compiles;
     launched = !launched;
-    abandoned = !abandoned;
     cache_hits = !cache_hits;
     compile_ms = !compile_ms;
     disabled = !disabled }
@@ -1035,11 +1033,11 @@ let artifact digest = Filename.concat (Lazy.force cache_dir) (digest ^ ".cmxs")
 (* Start [argv] as a child process, with no shell in between: stdin
    from /dev/null, stdout and stderr to the file [log].  [None] when the
    program cannot be started. *)
-let spawn ?(env = Unix.environment ()) argv ~log =
+let spawn argv ~log =
   let null = Unix.openfile "/dev/null" [ O_RDONLY; O_CLOEXEC ] 0 in
   let fd = Unix.openfile log [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
   let pid =
-    try Some (Unix.create_process_env argv.(0) argv env null fd fd)
+    try Some (Unix.create_process argv.(0) argv null fd fd)
     with Unix.Unix_error _ -> None
   in
   Unix.close null;
@@ -1145,45 +1143,6 @@ let disable msg =
       msg
   end
 
-(* Kill [pid] and every process it started: the compiler driver runs
-   the compiler proper, the assembler and the linker as children of its
-   own.  The tree is stopped before it is killed, so no member forks or
-   is re-parented while it is collected from /proc, and the call returns
-   once every member is dead.  Without /proc only [pid] is killed. *)
-let kill_tree pid =
-  let stat p =
-    (* "pid (comm) state ppid ...", where comm may hold any byte *)
-    match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" p) In_channel.input_all with
-    | line ->
-      let i = String.rindex line ')' + 1 in
-      Scanf.sscanf (String.sub line i (String.length line - i)) " %c %d" (fun s pp -> Some (s, pp))
-    | exception _ -> None
-  in
-  let parent p = match stat p with Some (_, pp) -> pp | None -> -1 in
-  let alive p = match stat p with Some (('Z' | 'X'), _) | None -> false | Some _ -> true in
-  let procs () =
-    try List.filter_map int_of_string_opt (Array.to_list (Sys.readdir "/proc"))
-    with Sys_error _ -> []
-  in
-  let signal s p = try Unix.kill p s with Unix.Unix_error _ -> () in
-  let rec collect tree =
-    let fresh =
-      List.filter (fun p -> (not (List.mem p tree)) && List.mem (parent p) tree) (procs ())
-    in
-    List.iter (signal Sys.sigstop) fresh;
-    if fresh = [] then tree else collect (fresh @ tree)
-  in
-  signal Sys.sigstop pid;
-  let tree = collect [ pid ] in
-  List.iter (signal Sys.sigkill) tree;
-  let rec settle n =
-    if n > 0 && List.exists alive tree then begin
-      Unix.sleepf 0.001;
-      settle (n - 1)
-    end
-  in
-  settle 1000
-
 (* Start compiling [sources] (digest, source) into the artifact [out]
    in the slot, which must be free. *)
 let start sources out =
@@ -1213,17 +1172,7 @@ let start sources out =
           Array.of_list mls;
           [| "-o"; Filename.concat tmp (Filename.basename out) |] ]
     in
-    (* The toolchain's own temporary files go to the build dir too, so
-       removing it leaves nothing behind, even after a kill. *)
-    let env =
-      Array.append
-        [| "TMPDIR=" ^ tmp |]
-        (Array.of_seq
-           (Seq.filter
-              (fun v -> not (String.starts_with ~prefix:"TMPDIR=" v))
-              (Array.to_seq (Unix.environment ()))))
-    in
-    match spawn ~env argv ~log:(Filename.concat tmp "log") with
+    match spawn argv ~log:(Filename.concat tmp "log") with
     | None ->
       remove_dir tmp;
       disable ("cannot start " ^ cc.(0))
@@ -1232,15 +1181,16 @@ let start sources out =
       slot := Some { digests = List.map fst sources; out; pid; tmp })
 
 (* Empty the slot of [c], whose compiler has exited with [status]: move
-   its artifact into the cache and load it, or disable tier-2 with the
-   toolchain's first line of output. *)
-let finish c status =
+   its artifact into the cache and, unless [~load] is false, load it;
+   or disable tier-2 with the toolchain's first line of output. *)
+let finish ?(load = true) c status =
   slot := None;
   (match status with
    | Unix.WEXITED 0 -> (
      incr compiles;
      match Sys.rename (Filename.concat c.tmp (Filename.basename c.out)) c.out with
      | exception Sys_error msg -> disable msg
+     | () when not load -> ()
      | () -> (
        match load_artifact c.out with
        | Error msg -> disable msg
@@ -1269,7 +1219,7 @@ let poll () =
 
 (* Block until the slot is free, reaping its compiler with [big_lock]
    released unless another caller already does. *)
-let wait_slot () =
+let wait_slot ?load () =
   let t0 = Unix.gettimeofday () in
   let rec loop () =
     match !slot with
@@ -1283,30 +1233,20 @@ let wait_slot () =
       let status = reap [] c.pid in
       Mutex.lock big_lock;
       reaping := false;
-      (* [shutdown] may have killed it meanwhile. *)
-      (match !slot with
-       | Some c' when c' == c -> Option.iter (finish c) status
-       | _ -> ());
+      Option.iter (finish ?load c) status;
       Condition.broadcast settled;
       loop ()
   in
   loop ();
   compile_ms := !compile_ms +. ((Unix.gettimeofday () -. t0) *. 1000.)
 
-(** Kill the compile in flight and remove its build dir, so no compiler
-    outlives the process and a run shorter than its compile leaves no
-    artifact.  Runs at exit; tier-2 stays usable, and a machine that is
-    still waiting simply starts a new compile. *)
+(** Wait for the compile in flight, if any, and move its artifact into
+    the cache without loading it, so no compiler outlives the process
+    and the next machine of that image, in this run or a later one,
+    binds from the disk cache.  Runs at exit. *)
 let shutdown () =
   Mutex.lock big_lock;
-  (match !slot with
-   | Some c ->
-     slot := None;
-     incr abandoned;
-     kill_tree c.pid;
-     if not !reaping then ignore (reap [] c.pid);
-     remove_dir c.tmp
-   | None -> ());
+  wait_slot ~load:false ();
   Mutex.unlock big_lock
 
 let () = at_exit shutdown

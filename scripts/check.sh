@@ -123,20 +123,29 @@ fi
 
 # Tier-2 compiles in the background: a cold-cache run shorter than its
 # compile prints exactly what tier 1 prints and exits 0, with or
-# without an OCaml compiler on PATH, and leaves no compiler running.
-# Every compile runs in a build-* directory under its cache directory,
-# so a leftover compiler is one whose command line names "$cold".
+# without an OCaml compiler on PATH.  At exit it waits for its compile,
+# so it leaves no compiler running, no build-* directory and exactly one
+# artifact, and a second run binds from that warmed cache and still
+# prints what tier 1 prints.  Every compile runs in a build-* directory
+# under its cache directory, so a leftover compiler is one whose command
+# line names "$cold".  The no-toolchain run gets its own empty cache, so
+# it cannot bind a cached artifact instead of falling back.
 cold=$(mktemp -d)
+nocc=$(mktemp -d)
 want=$("$cli" native crc_mc --tier 1)
 got=$(SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2)
-got_nocc=$(PATH=/nonexistent SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2 2>/dev/null)
-rm -rf "$cold"
-if [ "$got" != "$want" ] || [ "$got_nocc" != "$want" ]; then
-    echo "check.sh: cold-cache --tier 2 differs from --tier 1" >&2
+running=$(pgrep -f "$cold" || true)
+artifacts=$(find "$cold" -maxdepth 1 -name '*.cmxs' | wc -l)
+leftover=$(find "$cold" -maxdepth 1 -name 'build-*')
+got_warm=$(SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2)
+got_nocc=$(PATH=/nonexistent SENSMART_AOT_CACHE="$nocc" "$cli" native crc_mc --tier 2 2>/dev/null)
+rm -rf "$cold" "$nocc"
+if [ "$got" != "$want" ] || [ "$got_warm" != "$want" ] || [ "$got_nocc" != "$want" ]; then
+    echo "check.sh: cold-cache, warm-cache or no-toolchain --tier 2 differs from --tier 1" >&2
     exit 1
 fi
-if pgrep -f "$cold" >/dev/null; then
-    echo "check.sh: a tier-2 compiler outlived its run" >&2
+if [ -n "$running" ] || [ -n "$leftover" ] || [ "$artifacts" -ne 1 ]; then
+    echo "check.sh: a cold --tier 2 run left a compiler or build dir, or not one artifact ($artifacts)" >&2
     exit 1
 fi
 
@@ -144,20 +153,21 @@ fi
 # flash digests in one process, which take turns in the one compile
 # slot.  At the default threshold the campaign starts no compile at
 # all, so the threshold is lowered for its digests to ask for one.  It
-# prints exactly what tier 1 prints, and at exit no compiler is running
-# and no build directory is left in the cache.
+# prints exactly what tier 1 prints, and at exit no compiler is running,
+# no build directory is left in the cache and an artifact is.
 cold=$(mktemp -d)
 want=$("$cli" fault feeder search --trials 40 --tier 1)
 got=$(SENSMART_AOT_THRESHOLD=1000 SENSMART_AOT_CACHE="$cold" \
     "$cli" fault feeder search --trials 40 --tier 2)
 leftover=$(find "$cold" -maxdepth 1 -name 'build-*')
+artifacts=$(find "$cold" -maxdepth 1 -name '*.cmxs' | wc -l)
 rm -rf "$cold"
 if [ "$got" != "$want" ]; then
     echo "check.sh: cold-cache fault --tier 2 differs from --tier 1" >&2
     exit 1
 fi
-if pgrep -f "$cold" >/dev/null || [ -n "$leftover" ]; then
-    echo "check.sh: a tier-2 compile outlived the fault campaign" >&2
+if pgrep -f "$cold" >/dev/null || [ -n "$leftover" ] || [ "$artifacts" -eq 0 ]; then
+    echo "check.sh: a tier-2 compile outlived the fault campaign, or none was cached" >&2
     exit 1
 fi
 
