@@ -21,6 +21,7 @@ type error =
   | Not_little_endian
   | Not_executable of { e_type : int }
   | Not_avr of { machine : int }
+  | Bad_phentsize of { phentsize : int }
   | Truncated of { what : string; need : int; have : int }
 
 let error_message = function
@@ -31,6 +32,9 @@ let error_message = function
     Printf.sprintf "not an executable (e_type %d)" e_type
   | Not_avr { machine } ->
     Printf.sprintf "not an AVR image (e_machine 0x%02x)" machine
+  | Bad_phentsize { phentsize } ->
+    Printf.sprintf "program header entries of %d bytes (need at least %d)"
+      phentsize phdr_size
   | Truncated { what; need; have } ->
     Printf.sprintf "truncated file: %s needs %d bytes, file has %d" what need have
 
@@ -59,10 +63,22 @@ let parse (s : string) : (t, error) result =
     let phoff = u32 s 28 in
     let phentsize = u16 s 42 in
     let phnum = u16 s 44 in
+    (* The whole header table must lie in the file before any entry is
+       read: a short (or zero) entry size would otherwise read one
+       header over and over, up to 65 535 segments from a tiny file.
+       A truncated table is reported at its first header that does not
+       fit. *)
+    if phnum > 0 then begin
+      if phentsize < phdr_size then raise (Fail (Bad_phentsize { phentsize }));
+      let room = String.length s - phoff - phdr_size in
+      let fits = if room < 0 then 0 else (room / phentsize) + 1 in
+      if fits < phnum then
+        need s (Printf.sprintf "program header %d" fits)
+          (phoff + (fits * phentsize) + phdr_size)
+    end;
     let segments = ref [] in
     for i = 0 to phnum - 1 do
       let off = phoff + (i * phentsize) in
-      need s (Printf.sprintf "program header %d" i) (off + phdr_size);
       let p_type = u32 s off in
       if p_type = 1 (* PT_LOAD *) then begin
         let p_offset = u32 s (off + 4) in

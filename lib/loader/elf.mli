@@ -35,6 +35,8 @@ type error =
   | Not_little_endian
   | Not_executable of { e_type : int }  (** relocatable / shared object *)
   | Not_avr of { machine : int }  (** wrong [e_machine] *)
+  | Bad_phentsize of { phentsize : int }
+      (** program header entries shorter than the 32-byte ELF32 header *)
   | Truncated of { what : string; need : int; have : int }
       (** file ends inside the named structure *)
 

@@ -16,24 +16,35 @@
    in-body side exit, so a branchy inner loop (the common sensor-node
    code shape) still compiles into one long superblock; a taken branch
    sets the PC and leaves the block early with exact cycle and
-   instruction accounting.  {!form} builds this superblock; tier-2
-   ({!Aot}) translates the very same value, so both compiling tiers
-   partition flash identically.
+   instruction accounting.  {!form} builds this superblock, the unit
+   tier-2 ({!Aot}) translates.
+
+   Tier-1 ({!compile}) walks the same superblocks, ending each where
+   {!form} would, and composes them through statically known control
+   transfers: when a superblock ends in JMP, RJMP, CALL or RCALL, that
+   terminator becomes a body op and the superblock at its target is
+   appended, up to [max_ops] ops and never twice into one target.  A
+   body CALL/RCALL pushes its return address; a body JMP/RJMP costs
+   only its cycles.  RET, indirect jumps, SYSCALL, SLEEP and BREAK
+   still end the block, so a call into a shared service routine and the
+   jump back to the caller's loop run as one block.  A composed block
+   therefore covers flash that is not contiguous.
 
    The body is a pre-decoded instruction array walked with direct
-   (jump-table) dispatch; per-instruction cycle costs are pre-computed
-   into a parallel array, and runs of instructions that cannot touch the
-   data space (and cannot exit) have their costs pre-summed onto the
-   run's first entry, so a load/store still observes exactly the cycle
-   count tier-0 would have at that point (peripheral registers are
-   clocked off [m.cycles]).
+   (jump-table) dispatch, next to one int array holding each op's
+   pre-summed cycle cost and its operand address (a branch's taken
+   target, a call's return address).  Runs of instructions that cannot
+   touch the data space (and cannot exit) have their costs pre-summed
+   onto the run's first entry, so a load/store still observes exactly
+   the cycle count tier-0 would have at that point (peripheral
+   registers are clocked off [m.cycles]).
 
    Closures are cached in [m.blocks] (chunked, copy-on-write — see
    {!State}), keyed by entry PC.  That table belongs to the machine's
    flash image, so every mote booted from one template shares it and a
    fleet compiles each block once: a block reads only flash words when
-   formed, and takes the machine it runs on as an argument.  Entries
-   are invalidated by {!State.load} (the only path that writes flash —
+   formed, and takes the machine it runs on as an argument.  The whole
+   table is dropped by {!State.load} (the only path that writes flash —
    the kernel's trampoline/kcell patching and run-time task admission
    go through it; on a shared image it first detaches the writer onto
    private tables).  Each cached block
@@ -53,12 +64,12 @@
 open Avr
 open State
 
-(* Instructions per block body, capped so a block's flash span stays
-   within [State.max_block_span] (each instruction is at most 2 words,
-   plus a 2-word terminator). *)
+(* Instructions per superblock body: the unit tier-2 translates, and
+   each part of a composed tier-1 block. *)
 let max_body = 48
 
-let () = assert ((max_body * 2) + 2 <= max_block_span)
+(* Ops per composed tier-1 block body, over all its parts. *)
+let max_ops = 64
 
 (* Raised (without a backtrace: they are on the hot path) when a taken
    conditional branch leaves a block early ([Side_exit]), or loops back
@@ -69,73 +80,51 @@ let () = assert ((max_body * 2) + 2 <= max_block_span)
 exception Side_exit
 exception Loop_back
 
+(* Each body op's entry in the [meta] array: its pre-summed cycle cost
+   in the low [cost_bits] bits (at most [max_ops] times the costliest
+   instruction), its operand address above them. *)
+let cost_bits = 16
+let cost_mask = (1 lsl cost_bits) - 1
+
+(* A taken conditional branch to [target] after [idx + 1] ops. *)
+let[@inline] taken m target idx entry worst limit =
+  m.cycles <- m.cycles + Cycles.branch_taken_extra;
+  m.insns <- m.insns + idx + 1;
+  if target = entry && m.cycles + worst <= limit then raise_notrace Loop_back
+  else begin
+    m.pc <- target;
+    raise_notrace Side_exit
+  end
+
 (* Walk a block body.  Data instructions run through
    {!State.exec_data}, the executor tier-0 [step] uses; PC, cycle and
-   retired-count bookkeeping belong to the block closure.  [targets]
-   holds, for each conditional branch, its pre-resolved taken-target
-   word address; a taken branch sets the PC, charges its extra cycle,
-   retires the instructions executed so far and raises {!Side_exit}.
+   retired-count bookkeeping belong to the block closure.  A taken
+   branch sets the PC, charges its extra cycle, retires the
+   instructions executed so far and raises {!Side_exit}; a followed
+   call pushes its return address, a followed jump does nothing.
    Release builds inline [exec_data], so a block execution makes no
    per-instruction calls of its own. *)
-let exec_run m (ops : Isa.t array) (costs : int array) (targets : int array)
-    (loopb : bool array) worst limit =
+let exec_run m (ops : Isa.t array) (meta : int array) entry worst limit =
   for idx = 0 to Array.length ops - 1 do
-    m.cycles <- m.cycles + Array.unsafe_get costs idx;
+    let x = Array.unsafe_get meta idx in
+    m.cycles <- m.cycles + (x land cost_mask);
     match Array.unsafe_get ops idx with
     | Isa.Brbs (s, _) ->
-      if (m.sreg lsr s) land 1 = 1 then begin
-        m.cycles <- m.cycles + Cycles.branch_taken_extra;
-        m.insns <- m.insns + idx + 1;
-        if Array.unsafe_get loopb idx && m.cycles + worst <= limit then
-          raise_notrace Loop_back
-        else begin
-          m.pc <- Array.unsafe_get targets idx;
-          raise_notrace Side_exit
-        end
-      end
+      if (m.sreg lsr s) land 1 = 1 then
+        taken m (x lsr cost_bits) idx entry worst limit
     | Isa.Brbc (s, _) ->
-      if (m.sreg lsr s) land 1 = 0 then begin
-        m.cycles <- m.cycles + Cycles.branch_taken_extra;
-        m.insns <- m.insns + idx + 1;
-        if Array.unsafe_get loopb idx && m.cycles + worst <= limit then
-          raise_notrace Loop_back
-        else begin
-          m.pc <- Array.unsafe_get targets idx;
-          raise_notrace Side_exit
-        end
-      end
+      if (m.sreg lsr s) land 1 = 0 then
+        taken m (x lsr cost_bits) idx entry worst limit
+    | Isa.Call _ | Isa.Rcall _ -> push_pc m (x lsr cost_bits)
+    | Isa.Jmp _ | Isa.Rjmp _ -> ()
     | insn -> exec_data m insn
   done
 
-(* Pre-sum cycle costs: runs of instructions that cannot touch the data
-   space charge their whole cost on the run's first entry (later entries
-   cost 0), so every memory-touching instruction still executes with
-   [m.cycles] exactly as under tier-0.  A conditional branch closes the
-   run *after* contributing its own (not-taken) cost: cycles for
-   instructions beyond a possible side exit are never pre-charged, so an
-   early exit leaves the clock exact too. *)
-let presum_costs (ops : Isa.t array) : int array =
-  let n = Array.length ops in
-  let costs = Array.make n 0 in
-  let run_head = ref 0 in
-  for i = 0 to n - 1 do
-    let c = Cycles.base ops.(i) in
-    if Isa.touches_data_memory ops.(i) then begin
-      costs.(i) <- c;
-      run_head := i + 1
-    end
-    else begin
-      costs.(!run_head) <- costs.(!run_head) + c;
-      if Isa.is_cond_branch ops.(i) then run_head := i + 1
-    end
-  done;
-  costs
-
-(* One superblock as both compiling tiers see it: the decoded run from
-   an entry PC up to the next block-ending instruction (see
-   {!Avr.Isa.ends_block}), with conditional branches kept in the body
-   as side exits.  Tier-1 closes over it ({!compile}); tier-2 prints
-   OCaml from it ({!Aot}). *)
+(* One superblock: the decoded run from an entry PC up to the next
+   block-ending instruction (see {!Avr.Isa.ends_block}), with
+   conditional branches kept in the body as side exits.  Tier-2 prints
+   OCaml from it ({!Aot}); each part of a tier-1 block ({!compile}) is
+   the superblock at the part's entry. *)
 type superblock = {
   body : (Isa.t * int) array;  (* (insn, own word address) *)
   term : Isa.t option;
@@ -173,25 +162,107 @@ let form fetch entry : superblock option =
   in
   collect entry [] 0 0 0
 
-(* Compile and cache the block entered at [entry]; [None] as {!form}. *)
+(* Pre-sum cycle costs into [meta]: runs of instructions that cannot
+   touch the data space charge their whole cost on the run's first entry
+   (later entries cost 0), so every memory-touching instruction — a
+   followed call pushes — still executes with [m.cycles] exactly as
+   under tier-0.  A conditional branch closes the run *after*
+   contributing its own (not-taken) cost: cycles for instructions
+   beyond a possible side exit are never pre-charged, so an early exit
+   leaves the clock exact too. *)
+let presum_costs (ops : Isa.t array) (meta : int array) =
+  let run_head = ref 0 in
+  Array.iteri
+    (fun i op ->
+      let c = Cycles.base op in
+      let pushes = match op with Isa.Call _ | Isa.Rcall _ -> true | _ -> false in
+      if pushes || Isa.touches_data_memory op then begin
+        meta.(i) <- meta.(i) + c;
+        run_head := i + 1
+      end
+      else begin
+        meta.(!run_head) <- meta.(!run_head) + c;
+        if Isa.is_cond_branch op then run_head := i + 1
+      end)
+    ops
+
+(* Compile and cache the block entered at [entry]; [None] when the entry
+   word is undecodable, as {!form}.
+
+   Each part ends where {!form} would end a superblock (a block-ending
+   instruction, [max_body] instructions, an undecodable word), and a
+   JMP/RJMP/CALL/RCALL terminator is followed into the part at its
+   target unless that target was already entered, is undecodable, or
+   its part would take the body past [max_ops] ops.  A first walk finds
+   the parts, a second writes their ops; both read the decode cache,
+   so a compile allocates little besides the block it keeps. *)
 let compile m entry : block option =
-  match form (flash_word m.flash) entry with
-  | None -> None
-  | Some sb ->
-    let ops = Array.map fst sb.body in
-    let targets =
-      Array.map
-        (fun (insn, p) ->
-          match insn with
-          | Isa.Brbs (_, k) | Isa.Brbc (_, k) ->
-            (p + Isa.words insn + k) land 0xFFFF
-          | _ -> 0)
-        sb.body
+  (* Walk the part entered at [p0] whose first op is op [n], handing
+     each body instruction to [put]; [None] when [p0] is undecodable,
+     else (ops end, terminator, its address, worst case, retired). *)
+  let part put p0 n =
+    let rec go pc i worst retired =
+      let pc = pc land 0xFFFF in
+      if i - n >= max_body then Some (i, None, pc, worst, retired)
+      else
+        match decode m pc with
+        | exception Decode.Unknown_opcode _ ->
+          if pc = p0 then None else Some (i, None, pc, worst, retired)
+        | insn when Isa.ends_block insn ->
+          Some (i, Some insn, pc, worst + Cycles.base insn, retired + 1)
+        | insn ->
+          put i insn pc;
+          let extra =
+            if Isa.is_cond_branch insn then Cycles.branch_taken_extra else 0
+          in
+          go (pc + Isa.words insn) (i + 1)
+            (worst + Cycles.base insn + extra)
+            (retired + 1)
     in
-    let costs = presum_costs ops in
-    let loopb = Array.map (fun t -> t = entry) targets in
-    let worst = sb.worst and retired = sb.retired in
-    let term = sb.term and term_pc = sb.term_pc in
+    go p0 n 0 0
+  in
+  let skip _ _ _ = () in
+  (* The parts as (entry, first op), last first, and the block's end. *)
+  let rec follow parts ((n, term, term_pc, worst, retired) as last) =
+    let target =
+      match term with
+      | Some (Isa.Rjmp k | Isa.Rcall k) -> Some (term_pc + 1 + k)
+      | Some (Isa.Jmp a | Isa.Call a) -> Some a
+      | _ -> None
+    in
+    match Option.map (fun t -> t land 0xFFFF) target with
+    | Some t when not (List.mem_assoc t parts) -> (
+      match part skip t (n + 1) with
+      | Some (n', term', term_pc', w, r) when n' <= max_ops ->
+        follow ((t, n + 1) :: parts)
+          (n', term', term_pc', worst + w, retired + r)
+      | _ -> (parts, last))
+    | _ -> (parts, last)
+  in
+  match part skip entry 0 with
+  | None -> None
+  | Some first ->
+    let parts, (n, term, term_pc, worst, retired) =
+      follow [ (entry, 0) ] first
+    in
+    let ops = Array.make n Isa.Nop and meta = Array.make n 0 in
+    let put i insn pc =
+      ops.(i) <- insn;
+      let operand =
+        match insn with
+        | Isa.Brbs (_, k) | Isa.Brbc (_, k) -> pc + 1 + k (* taken target *)
+        | Isa.Call _ | Isa.Rcall _ -> pc + Isa.words insn (* return address *)
+        | _ -> 0
+      in
+      meta.(i) <- (operand land 0xFFFF) lsl cost_bits
+    in
+    List.iter
+      (fun (p0, n0) ->
+        match part put p0 n0 with
+        | Some (i, Some t, pc, _, _) when i < n -> put i t pc (* followed *)
+        | _ -> ())
+      parts;
+    presum_costs ops meta;
     (* Block chaining: a benign exit (side exit or pure-control-flow
        terminator) transfers straight to the already-compiled target
        block when its worst case still fits the horizon, skipping the
@@ -202,7 +273,7 @@ let compile m entry : block option =
        [false] to the run loop first, so chaining never outruns a stop
        condition or a block-cache invalidation. *)
     let rec exec m limit =
-      match exec_run m ops costs targets loopb worst limit with
+      match exec_run m ops meta entry worst limit with
       | () ->
         m.insns <- m.insns + retired;
         let benign =
@@ -250,9 +321,10 @@ let compile m entry : block option =
 (* Compile threshold: an entry PC must be looked up this many times
    before its block is compiled; below it the run loop single-steps via
    tier-0.  Cold straight-line code (boot paths, one-shot handlers, the
-   whole body of a short run) is then never compiled at all — the
-   "lfsr_default only 1.64x" overhead of BENCH_pr2.json — while a loop
-   head reaches the threshold within its first iterations and steady
+   whole body of a short run) is then never compiled at all — compiled
+   on first sight, a default-length [lfsr] run never amortized its
+   compiles and ran only 1.64x faster than tier-0 — while a loop head
+   reaches the threshold within its first iterations and steady
    state is untouched.  The counter bookkeeping lives entirely on the
    miss path: once compiled, lookups return the cached block without
    touching the heat table. *)

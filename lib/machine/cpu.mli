@@ -160,9 +160,10 @@ val create_shared : image -> t
 val adopt_flash : t -> image -> unit
 
 (** [load ?at m image] copies [image] into flash at word address [at]
-    (default 0) and invalidates the decode cache and the compiled-block
-    cache over every entry that can overlap the written range (including
-    a cached 2-word instruction starting at [at - 1]).  This is the only
+    (default 0), invalidates the decode cache over the written range
+    (including a cached 2-word instruction starting at [at - 1]) and
+    drops the whole compiled-block cache, whose blocks follow direct
+    jumps and calls anywhere in flash.  This is the only
     flash-write path, so self-modifying code — the kernel's trampoline
     patching — always observes its new code in both execution tiers.  A
     machine on a shared image ({!create_shared}) is first detached: it

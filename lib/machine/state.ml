@@ -158,11 +158,6 @@ let no_chunk : block option array = Array.make chunk_words None
 let no_code_chunk : Isa.t option array = Array.make chunk_words None
 let no_heat : int array = Array.make chunk_words 0
 
-(* Longest flash span (in words) one compiled block may cover.  [load]
-   invalidates this many words before the written range, so any cached
-   block overlapping the write is dropped; {!Block} enforces the cap. *)
-let max_block_span = 128
-
 (* Flash arrays are sized to their content: one ends at the chunk after
    its last written word, and every word past its end reads as erased.
    [flash_word] is the one reader of flash words. *)
@@ -276,9 +271,11 @@ let invalidate_code m lo hi =
 (** Copy a program image into flash at word address [at] (default 0) and
     invalidate the decode cache over the written range.  The word before
     [at] is invalidated too: a cached 2-word instruction starting at
-    [at - 1] would otherwise keep its stale operand word.  Compiled
-    blocks are invalidated over [at - max_block_span, at + length), which
-    covers every block that can overlap the write.  A machine on a
+    [at - 1] would otherwise keep its stale operand word.  The whole
+    compiled-block table is dropped: a tier-1 block follows direct jumps
+    and calls, so the flash it was formed from is not one range near its
+    entry, and a load is rare (boot, task admission, fault injection,
+    self-patching).  A machine on a
     shared image ({!create_shared}/{!adopt_flash}) is first detached onto
     a private copy of the used words with fresh private caches, so the
     write never leaks into sibling motes; a write past the end of a
@@ -305,11 +302,8 @@ let load ?(at = 0) m (image : int array) =
   let lo = max 0 (at - 1) in
   let hi = min Layout.flash_words (at + words) in
   invalidate_code m lo hi;
-  let blo = max 0 (at - max_block_span) in
-  for w = blo to hi - 1 do
-    let chunk = Array.unsafe_get m.blocks (w lsr 8) in
-    if chunk != no_chunk then Array.unsafe_set chunk (w land 0xFF) None
-  done;
+  (* Private here (a shared image was detached above): clear in place. *)
+  Array.fill m.blocks 0 chunk_count no_chunk;
   (* The tier-2 program was compiled from the old flash contents; drop
      the binding so the next tier-2 attempt re-digests.  A mote that was
      on a shared image keeps the image's compiled program alive for its
@@ -558,26 +552,32 @@ let ptr_addr m = function
   | Z_inc -> let a = zreg m in set_zreg m ((a + 1) land 0xFFFF); a
   | Z_dec -> let a = (zreg m - 1) land 0xFFFF in set_zreg m a; a
 
-let fetch_decode m pc =
+(* The instruction at word address [pc] (below 64 K) through the decode
+   cache, decoding and caching it on a miss; raises
+   [Decode.Unknown_opcode] for an undecodable word. *)
+let decode m pc =
   let chunk = Array.unsafe_get m.code (pc lsr 8) in
   match Array.unsafe_get chunk (pc land 0xFF) with
   | Some i -> i
   | None ->
-    (match Decode.at (flash_word m.flash) pc with
-     | i, _ ->
-       let chunk =
-         if chunk != no_code_chunk then chunk
-         else begin
-           let fresh = Array.make chunk_words None in
-           m.code.(pc lsr 8) <- fresh;
-           fresh
-         end
-       in
-       chunk.(pc land 0xFF) <- Some i;
-       i
-     | exception Decode.Unknown_opcode w ->
-       m.halted <- Some (Invalid_opcode (pc, w));
-       Isa.Nop)
+    let i, _ = Decode.at (flash_word m.flash) pc in
+    let chunk =
+      if chunk != no_code_chunk then chunk
+      else begin
+        let fresh = Array.make chunk_words None in
+        m.code.(pc lsr 8) <- fresh;
+        fresh
+      end
+    in
+    chunk.(pc land 0xFF) <- Some i;
+    i
+
+let fetch_decode m pc =
+  match decode m pc with
+  | i -> i
+  | exception Decode.Unknown_opcode w ->
+    m.halted <- Some (Invalid_opcode (pc, w));
+    Isa.Nop
 
 (* The data effect of one non-control instruction: registers, SREG,
    data memory and I/O.  PC, cycle and retired-count bookkeeping belong

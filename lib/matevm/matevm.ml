@@ -171,7 +171,6 @@ let rx_frames_slot = 0
 let rx_canary_base = 8
 let rx_canary_slots = 8
 let rx_buf_base = 56
-let rx_buf_slots = 8
 
 (** Bytecode analogue of {!Programs.Rx_vuln.receiver}: sync on [sync]
     frames and copy the length-prefixed payload into an 8-slot buffer

@@ -69,7 +69,6 @@ val rx_frames_slot : int
 val rx_canary_base : int
 val rx_canary_slots : int
 val rx_buf_base : int
-val rx_buf_slots : int
 
 (** Bytecode analogue of {!Programs.Rx_vuln.receiver}: copies each
     length-prefixed frame into the 8-slot buffer trusting the length

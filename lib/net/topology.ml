@@ -51,6 +51,3 @@ let random_geometric ?(seed = 1) ~radius n =
     done
   done;
   !acc
-
-(** Number of distinct nodes an edge list mentions (diagnostics). *)
-let degree_sum edges = 2 * List.length edges

@@ -21,6 +21,3 @@ val grid : cols:int -> int -> edge list
     pair within Euclidean distance [radius] (same units) — the classic
     unit-disk deployment model.  Deterministic per [seed] (default 1). *)
 val random_geometric : ?seed:int -> radius:int -> int -> edge list
-
-(** [2 * length]: handy when sizing neighbour tables. *)
-val degree_sum : edge list -> int

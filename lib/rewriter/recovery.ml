@@ -54,9 +54,6 @@ let decode_tolerant words text_words =
   flush_gap !pc;
   (Array.of_list (List.rev !sites), Array.of_list (List.rev !gaps))
 
-let is_site t addr =
-  Array.exists (fun (a, _, _) -> a = addr) t.sites
-
 (* Static successors of one instruction, for the reachability sweep.
    CALL/RCALL/ICALL and the yield points fall through (the callee
    returns / the task resumes); RET/RETI/BREAK and unconditional jumps

@@ -67,6 +67,3 @@ type t = {
 
 (** Recover blocks from the text segment of [img]. *)
 val run : Asm.Image.t -> t
-
-(** Does [addr] begin a recovered instruction? *)
-val is_site : t -> int -> bool

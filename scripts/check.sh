@@ -35,11 +35,23 @@ dune exec test/test_net.exe -- test domains
 # one decode cache and block table, which two domains fill at once.
 # The aggregate line and the whole-fleet snapshot must match 1 domain.
 fleet_dir=$(mktemp -d)
-fleet1=$(dune exec bin/sensmart_cli.exe -- fleet --motes 300 --domains 1 -o "$fleet_dir/A")
-fleet2=$(dune exec bin/sensmart_cli.exe -- fleet --motes 300 --domains 2 -o "$fleet_dir/B")
+fleet1=$(dune exec bin/sensmart_cli.exe -- fleet --motes 300 --domains 1 --tier 1 -o "$fleet_dir/A")
+fleet2=$(dune exec bin/sensmart_cli.exe -- fleet --motes 300 --domains 2 --tier 1 -o "$fleet_dir/B")
 if [ "$(echo "$fleet1" | head -n 1)" != "$(echo "$fleet2" | head -n 1)" ] \
     || ! cmp -s "$fleet_dir/A" "$fleet_dir/B"; then
     echo "check.sh: fleet at 2 domains differs from 1 domain" >&2
+    rm -rf "$fleet_dir"
+    exit 1
+fi
+
+# Tier-1 blocks that run through direct jumps and calls carry the
+# fleet's hot path (the radio spin loops' trap-counter detour).  The
+# same fleet on the tier-0 interpreter must print the same aggregate
+# line and write a byte-identical snapshot.
+fleet0=$(dune exec bin/sensmart_cli.exe -- fleet --motes 300 --domains 1 --tier 0 -o "$fleet_dir/T0")
+if [ "$(echo "$fleet0" | head -n 1)" != "$(echo "$fleet1" | head -n 1)" ] \
+    || ! cmp -s "$fleet_dir/T0" "$fleet_dir/A"; then
+    echo "check.sh: fleet at tier 0 differs from tier 1" >&2
     rm -rf "$fleet_dir"
     exit 1
 fi

@@ -5,7 +5,10 @@
    A generated program is a list of blocks; each block is straight-line
    code that leaves the machine in a well-formed state (balanced stack,
    in-bounds pointers), so every program terminates at BREAK and can be
-   compared bit-for-bit across execution strategies.
+   compared bit-for-bit across execution strategies.  A call/jump block
+   reaches code of its own placed after the BREAK (subroutines, far
+   jump targets) or hops forward over dead code, so tier-1 composes
+   blocks through JMP, RJMP, CALL and RCALL.
 
    The optional I/O blocks ([~io:true]) read cycle-clocked peripheral
    registers (timers, ADC) and so make the comparison sensitive to the
@@ -58,11 +61,15 @@ type block =
   | Pushpop of Asm.Ast.stmt list
   | Branchy of Asm.Ast.stmt list  (* a small loop *)
   | Io of Asm.Ast.stmt list  (* cycle-sensitive peripheral accesses *)
+  | Calls of Asm.Ast.stmt list * Asm.Ast.stmt list
+      (* in-line part, out-of-line part placed after the BREAK *)
 
 let stmts_of = function
-  | Alu s | Direct s | Walk s | Pushpop s | Branchy s | Io s -> s
+  | Alu s | Direct s | Walk s | Pushpop s | Branchy s | Io s | Calls (s, _) -> s
 
-let gen_block ~io =
+let out_of_line = function Calls (_, s) -> s | _ -> []
+
+let rec gen_block ~io ~calls =
   let open QCheck.Gen in
   let reg = int_range 0 25 in
   let hreg = int_range 16 25 in
@@ -158,11 +165,67 @@ let gen_block ~io =
                     in_ r Machine.Io.sph; out Machine.Io.sph r ])
                 hreg ]))
   in
+  let calls_blk () =
+    (* Straight-line blocks of the other kinds as callee bodies and jump
+       destinations: side exits, stack traffic and I/O inside code that
+       tier-1 reaches through a followed call or jump. *)
+    let inner = map stmts_of (gen_block ~io ~calls:false) in
+    let call_to = oneofl [ rcall; call ] and jump_to = oneofl [ rjmp; jmp ] in
+    let sub_call =
+      map2
+        (fun call body ->
+          let s = fresh "sub" in
+          Calls ([ call s ], (lbl s :: body) @ [ ret ]))
+        call_to inner
+    in
+    let nested_call =
+      (* A callee that calls another: two return addresses stacked. *)
+      map3
+        (fun (c1, c2) b1 b2 ->
+          let s1 = fresh "sub" and s2 = fresh "sub" in
+          Calls ([ c1 s1 ], (lbl s1 :: b1) @ [ c2 s2; ret; lbl s2 ] @ b2 @ [ ret ]))
+        (pair call_to call_to) inner inner
+    in
+    let far_and_back =
+      map3
+        (fun (j1, j2) body after ->
+          let far = fresh "far" and back = fresh "back" in
+          Calls ((j1 far :: lbl back :: after), (lbl far :: body) @ [ j2 back ]))
+        (pair jump_to jump_to) inner (list_size (int_range 0 2) alu_op)
+    in
+    let hop =
+      (* A forward hop over code that never runs. *)
+      map2
+        (fun j dead ->
+          let over = fresh "over" in
+          Calls ((j over :: dead) @ [ lbl over ], []))
+        jump_to (list_size (int_range 0 3) alu_op)
+    in
+    let looped =
+      (* A counted loop around a call or a far jump and back: its head
+         runs often enough to compile, so tier-1 composes the loop body
+         with the code it reaches.  Its counter, r28, is one no other
+         block touches. *)
+      map4
+        (fun n via_call (call, (j1, j2)) body ->
+          let top = fresh "lc" and s = fresh "sub" and back = fresh "back" in
+          let site, tail =
+            if via_call then ([ call s ], (lbl s :: body) @ [ ret ])
+            else ([ j1 s; lbl back ], (lbl s :: body) @ [ j2 back ])
+          in
+          Calls ((ldi 28 n :: lbl top :: site) @ [ dec 28; brne top ], tail))
+        (int_range 2 4) bool (pair call_to (pair jump_to jump_to)) inner
+    in
+    frequency
+      [ (3, sub_call); (1, nested_call); (2, far_and_back); (2, hop);
+        (4, looped) ]
+  in
   frequency
     ((if io then [ (2, ioblk) ] else [])
+    @ (if calls then [ (3, calls_blk ()) ] else [])
     @ [ (4, alu); (2, direct); (2, walk); (1, pushpop); (2, branchy) ])
 
-let gen_program ~io =
+let gen_program_with ~io ~calls =
   QCheck.Gen.(
     map
       (fun blocks ->
@@ -175,8 +238,11 @@ let gen_program ~io =
               { dname = "v3"; size = 1; init = [] } ]
           ((lbl "start" :: sp_init)
            @ List.concat_map stmts_of blocks
-           @ [ break ]))
-      (list_size (int_range 1 10) (gen_block ~io)))
+           @ [ break ]
+           @ List.concat_map out_of_line blocks))
+      (list_size (int_range 1 10) (gen_block ~io ~calls)))
+
+let gen_program ~io = gen_program_with ~io ~calls:true
 
 let print_program p =
   let img = assemble p in
@@ -184,7 +250,15 @@ let print_program p =
 
 (* Rewriter-safe programs: no raw I/O (trampolines legitimately shift
    the cycle count at which a peripheral register is read). *)
-let arb_program = QCheck.make ~print:print_program (gen_program ~io:false)
+let arb_program_calls = QCheck.make ~print:print_program (gen_program ~io:false)
+
+(* The same without call/jump blocks, for the t-kernel model: its
+   kernel cells (including the trap counter it decrements on every
+   taken backward branch) sit in the top 16 bytes of SRAM, where a
+   program's stack starts, so a loop under two nested calls overwrites
+   a return address there. *)
+let arb_program =
+  QCheck.make ~print:print_program (gen_program_with ~io:false ~calls:false)
 
 (* Tier-differential programs: I/O blocks included, making the property
    sensitive to exact per-access cycle counts. *)

@@ -11,7 +11,6 @@
 
 let assemble = Gen.assemble
 let buf_size = Gen.buf_size
-let arb_program = Gen.arb_program
 
 (* Observable state: r0..r25 (pointer/scratch registers above r25 are
    fair game for trampolines only if restored — X must be restored, so
@@ -47,14 +46,14 @@ let tk_state img =
 
 let prop_sensmart =
   QCheck.Test.make ~name:"random programs: sensmart == native" ~count:120
-    arb_program
+    Gen.arb_program_calls
     (fun p ->
       let img = assemble p in
       native_state img = sensmart_state img)
 
 let prop_tkernel =
   QCheck.Test.make ~name:"random programs: t-kernel == native" ~count:120
-    arb_program
+    Gen.arb_program
     (fun p ->
       let img = assemble p in
       native_state img = tk_state img)

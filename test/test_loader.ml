@@ -141,6 +141,27 @@ let elf_not_avr () =
   check_elf_error "wrong machine" (Bytes.to_string b)
     (Not_avr { machine = 3 })
 
+(* The program header table is bounded by the file: a zero entry size
+   once parsed the 330-byte blink image as 65 535 copies of one
+   segment, and a 32-byte entry size with the same count must stop at
+   the first header past the end of the file. *)
+let elf_header_table_bounded () =
+  let patched ~phentsize ~phnum =
+    let b = Bytes.of_string (fixture "blink").elf in
+    Bytes.set_uint16_le b 42 phentsize;
+    Bytes.set_uint16_le b 44 phnum;
+    Bytes.to_string b
+  in
+  check_elf_error "zero entry size"
+    (patched ~phentsize:0 ~phnum:65535)
+    (Bad_phentsize { phentsize = 0 });
+  check_elf_error "short entry size"
+    (patched ~phentsize:31 ~phnum:2)
+    (Bad_phentsize { phentsize = 31 });
+  check_elf_error "table past the end"
+    (patched ~phentsize:32 ~phnum:65535)
+    (Truncated { what = "program header 8"; need = 340; have = 330 })
+
 let elf_data_segment () =
   (* dispatch carries a loadable .data image: avr-gcc's convention puts
      the virtual address in data space (0x800000 + logical) and the
@@ -321,6 +342,8 @@ let () =
        [ Alcotest.test_case "bad magic" `Quick elf_bad_magic;
          Alcotest.test_case "truncated" `Quick elf_truncated;
          Alcotest.test_case "not AVR" `Quick elf_not_avr;
+         Alcotest.test_case "header table bounded" `Quick
+           elf_header_table_bounded;
          Alcotest.test_case "data segment" `Quick elf_data_segment;
          Alcotest.test_case "data below heap base" `Quick elf_rejects_low_data ]);
       ("fixtures",

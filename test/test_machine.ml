@@ -394,6 +394,64 @@ let syscall_patches_code tier () =
    | s -> Alcotest.failf "run: %a" Machine.Cpu.pp_stop s);
   Alcotest.(check int) "second call saw patched body" 99 m.regs.(17)
 
+(* Every architectural field a run can change, as one comparable value. *)
+let arch_state (m : Machine.Cpu.t) =
+  ( (Array.to_list m.regs, m.pc, m.sp, m.sreg),
+    (m.cycles, m.insns, m.mem_reads, m.mem_writes),
+    Bytes.to_string m.sram )
+
+(* Load each [(at, code)] of [loads], then run to BREAK at [tier] with
+   [on_syscall] as the handler. *)
+let run_loaded tier loads ~on_syscall =
+  let m = Machine.Cpu.create () in
+  List.iter (fun (at, code) -> Machine.Cpu.load ~at m (Encode.program code)) loads;
+  m.on_syscall <- Some on_syscall;
+  (match Machine.Cpu.run ~tier m with
+   | Halted Break_hit -> ()
+   | s -> Alcotest.failf "tier %d run: %a" tier Machine.Cpu.pp_stop s);
+  m
+
+(* Tier-1 blocks follow direct jumps and calls, so a block covers the
+   code it reaches far from its entry.  A loop calls (or jumps to and
+   back from) [f] 0x200 words away; by the third pass the loop head's
+   block holds [f]'s body, and the second SYSCALL has patched it.  The
+   third pass must run the patch: a load drops every block, not only
+   those entered near the written words. *)
+let far_patch_seen via_call () =
+  let f = 0x200 in
+  (* 0: ldi r18 3; 1: call/jmp f; 3: add r20 r17; 4: syscall 0;
+     5: dec r18; 6: brne 1; 7: break *)
+  let main =
+    [ Isa.Ldi (18, 3); (if via_call then Isa.Call f else Isa.Jmp f);
+      Add (20, 17); Syscall 0; Dec 18; Brbc (1, -6); Break ]
+  in
+  let far = [ Isa.Ldi (17, 1); (if via_call then Isa.Ret else Isa.Jmp 3) ] in
+  let run tier =
+    let n = ref 0 in
+    run_loaded tier [ (0, main); (f, far) ] ~on_syscall:(fun m _ ->
+        incr n;
+        if !n = 2 then Machine.Cpu.load ~at:f m (Encode.program [ Ldi (17, 99) ]))
+  in
+  let m0 = run 0 and m1 = run 1 in
+  Alcotest.(check int) "tier-0 saw the patch once" (1 + 1 + 99) m0.regs.(20);
+  Alcotest.(check int) "tier-1 r20" m0.regs.(20) m1.regs.(20);
+  Alcotest.(check bool) "tier-1 state = tier-0" true (arch_state m0 = arch_state m1)
+
+(* A callee that replaces its return address: pops the pushed one and
+   pushes word 3, skipping the [inc r21] after the call.  RET still
+   ends every tier-1 block, so the block returns where the stack says. *)
+let callee_redirects_return () =
+  (* 0: ldi r18 3; 1: rcall f; 2: inc r21; 3: inc r20; 4: dec r18;
+     5: brne 1; 6: break;  f at 7 *)
+  let main =
+    [ Isa.Ldi (18, 3); Rcall 5; Inc 21; Inc 20; Dec 18; Brbc (1, -5); Break;
+      Pop 0; Pop 1; Ldi (30, 3); Ldi (31, 0); Push 30; Push 31; Ret ]
+  in
+  let run tier = run_loaded tier [ (0, main) ] ~on_syscall:(fun _ _ -> ()) in
+  let m0 = run 0 and m1 = run 1 in
+  Alcotest.(check (pair int int)) "tier-0 r20, r21" (3, 0) (m0.regs.(20), m0.regs.(21));
+  Alcotest.(check bool) "tier-1 state = tier-0" true (arch_state m0 = arch_state m1)
+
 (* --- Tier-2 translator output pinned ----------------------------------- *)
 
 (* MD5 of the generated OCaml for every registry program and every
@@ -519,7 +577,13 @@ let () =
          Alcotest.test_case "syscall self-patch (tier-0)" `Quick
            (syscall_patches_code 0);
          Alcotest.test_case "syscall self-patch (tier-2)" `Quick
-           (syscall_patches_code 2) ]);
+           (syscall_patches_code 2);
+         Alcotest.test_case "far call target patched (tier-1)" `Quick
+           (far_patch_seen true);
+         Alcotest.test_case "far jump target patched (tier-1)" `Quick
+           (far_patch_seen false);
+         Alcotest.test_case "callee replaces its return address" `Quick
+           callee_redirects_return ]);
       ("memory",
        [ Alcotest.test_case "data rw" `Quick data_memory;
          Alcotest.test_case "sp via io" `Quick sp_via_io;
