@@ -292,6 +292,7 @@ let stats_cmd =
         k.trace
     in
     print_endline (Trace.counters_json tr);
+    Fmt.epr "%a@." Machine.Block.pp_stats (Machine.Block.stats ());
     match out with
     | None -> ()
     | Some path -> ignore (Workloads.Metrics.write_file ~path tr)
@@ -568,6 +569,7 @@ let fleet_cmd =
     in
     Fmt.pr "%.2f s wall, %.1fM mote-cycles/s@." wall
       (float_of_int mote_cycles /. wall /. 1e6);
+    Fmt.epr "%a@." Machine.Block.pp_stats (Machine.Block.stats ());
     match out with
     | None -> ()
     | Some path ->

@@ -14,7 +14,6 @@
 (** The containment lattice, weakest to worst. *)
 type verdict = Contained | Degraded | Escaped | Bricked
 
-val verdict_rank : verdict -> int
 val verdict_name : verdict -> string
 val pp_verdict : Format.formatter -> verdict -> unit
 val worst : verdict -> verdict -> verdict
@@ -36,7 +35,6 @@ type rng
 
 val rng_of : int -> rng
 val next : rng -> int
-val next_byte : rng -> int
 
 (** Packet crafting.  Addresses are in the target system's own
     coordinates; return addresses are flash {e word} addresses, as RET
@@ -51,8 +49,6 @@ module Packet : sig
 
   val chain :
     target:int -> rf_ldx:int -> payload:int list -> fill:(int -> int) -> int list
-
-  val pp_bytes : Format.formatter -> int list -> unit
 end
 
 (** Trial schedule, absolute cycles (identical for every system). *)

@@ -62,9 +62,6 @@ type injection = { at : int; mote : int; kind : kind }
     in the {!Trace.Injected} event. *)
 val describe : kind -> string
 
-(** Counter name for a kind, e.g. ["fault.sram_flip"]. *)
-val counter_name : kind -> string
-
 module Plan : sig
   type t = { seed : int; injections : injection list }
   (** [seed] is recorded provenance (and drives {!random}); engines use

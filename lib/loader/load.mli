@@ -35,24 +35,10 @@ type error =
 (** Human-readable rendering of an {!error}. *)
 val error_message : error -> string
 
-(** Heap bytes assumed for a HEX image that doesn't say (1024). *)
-val default_data_size : int
-
-(** [of_segments ~name ?entry ?text_bytes ?data_size segments] builds
-    an image from absolute flash byte segments (gaps between segments
-    are filled with erased-flash [0xFF]).  [entry] is a flash {e word}
-    address, default 0 — the reset vector.  All loaders funnel through
-    this. *)
-val of_segments :
-  name:string ->
-  ?entry:int ->
-  ?text_bytes:int ->
-  ?data_size:int ->
-  (int * Bytes.t) list ->
-  (Asm.Image.t, error) result
-
-(** Parse Intel-HEX text and build an image ({!of_segments} applied to
-    {!Hex.parse}). *)
+(** Parse Intel-HEX text and build an image from its absolute flash
+    byte segments ({!Hex.parse}; gaps are erased-flash [0xFF]).
+    [entry] is a flash {e word} address, default 0 — the reset vector;
+    a missing [data_size] assumes 1024 heap bytes. *)
 val of_hex :
   name:string ->
   ?entry:int ->

@@ -25,10 +25,32 @@
    terminator becomes a body op and the superblock at its target is
    appended, up to [max_ops] ops and never twice into one target.  A
    body CALL/RCALL pushes its return address; a body JMP/RJMP costs
-   only its cycles.  RET, indirect jumps, SYSCALL, SLEEP and BREAK
-   still end the block, so a call into a shared service routine and the
-   jump back to the caller's loop run as one block.  A composed block
-   therefore covers flash that is not contiguous.
+   only its cycles.  In a block that branches back to its own entry, a
+   RET whose call the block followed is followed too, as a guarded op:
+   it pops, and side-exits to the popped address when that is not the
+   one the call pushed.  Other RETs, indirect jumps, SYSCALL, SLEEP and
+   BREAK still end the block, so a call into a shared service routine,
+   its return and the jump back to the caller's loop run as one block.
+   A composed block therefore covers flash that is not contiguous.
+
+   Polling loops.  When exactly one conditional branch targets the
+   block's own entry, the ops up to it are a loop path; when it reads a
+   peripheral, {!check} decides at compile time whether it can be
+   summarized: only register and flag ops, static-address
+   IN/OUT/LDS/STS, balanced stack ops and conditional branches; no I/O
+   write but SREG; and each static cell
+   the path both loads and stores "carried" (loaded, changed by a
+   constant, stored back, its value reaching nothing but one zero-test
+   side exit).  Such a block's [exec] compares the written registers,
+   SREG and SP at each back edge with the previous back edge's, and
+   while they are equal {!summarize} retires the largest number n of
+   further iterations that keeps each zero test untaken, each
+   peripheral read inside its {!Io.stable_until} window and the next
+   iteration under the horizon, adding n times the last iteration's
+   deltas.  An iteration's reads are its own stack pushes, cells no
+   iteration writes, carried cells that reach only their own exit, and
+   peripherals that hold still, so equal start states give equal
+   iterations, and by induction n more of them.
 
    The body is a pre-decoded instruction array walked with direct
    (jump-table) dispatch, next to one int array holding each op's
@@ -101,8 +123,9 @@ let[@inline] taken m target idx entry worst limit =
    retired-count bookkeeping belong to the block closure.  A taken
    branch sets the PC, charges its extra cycle, retires the
    instructions executed so far and raises {!Side_exit}; a followed
-   call pushes its return address, a followed jump does nothing.
-   Release builds inline [exec_data], so a block execution makes no
+   call pushes its return address, a followed jump does nothing, and a
+   followed RET pops and leaves the same way when the address is not
+   the one its call pushed.  Release builds inline [exec_data], so a block execution makes no
    per-instruction calls of its own. *)
 let exec_run m (ops : Isa.t array) (meta : int array) entry worst limit =
   for idx = 0 to Array.length ops - 1 do
@@ -117,6 +140,13 @@ let exec_run m (ops : Isa.t array) (meta : int array) entry worst limit =
         taken m (x lsr cost_bits) idx entry worst limit
     | Isa.Call _ | Isa.Rcall _ -> push_pc m (x lsr cost_bits)
     | Isa.Jmp _ | Isa.Rjmp _ -> ()
+    | Isa.Ret ->
+      let a = pop_pc m in
+      if a <> x lsr cost_bits then begin
+        m.insns <- m.insns + idx + 1;
+        m.pc <- a;
+        raise_notrace Side_exit
+      end
     | insn -> exec_data m insn
   done
 
@@ -175,8 +205,10 @@ let presum_costs (ops : Isa.t array) (meta : int array) =
   Array.iteri
     (fun i op ->
       let c = Cycles.base op in
-      let pushes = match op with Isa.Call _ | Isa.Rcall _ -> true | _ -> false in
-      if pushes || Isa.touches_data_memory op then begin
+      let stack =
+        match op with Isa.Call _ | Isa.Rcall _ | Isa.Ret -> true | _ -> false
+      in
+      if stack || Isa.touches_data_memory op then begin
         meta.(i) <- meta.(i) + c;
         run_head := i + 1
       end
@@ -186,16 +218,370 @@ let presum_costs (ops : Isa.t array) (meta : int array) =
       end)
     ops
 
+(* --- Polling loops ----------------------------------------------------
+
+   A block whose body has exactly one conditional branch back to its
+   own entry is a loop; its path is the ops from the entry to that back
+   edge.  {!analyze} decides at compile time whether the path can be
+   summarized, and the block's [exec] then fast-forwards steady-state
+   iterations at run time ({!summarize}).  See the preamble for the
+   argument. *)
+
+(* Why a loop was not summarized.  The first five are run-time verdicts
+   at a back edge, the last three compile-time ones. *)
+type bail =
+  | Unequal  (* registers, SREG or SP differ from the previous back edge *)
+  | Exit  (* a carried cell's zero test fires in the next iteration *)
+  | Io_window  (* a peripheral read leaves its stable window next *)
+  | Horizon  (* one more iteration would pass the cycle limit *)
+  | Stack_window  (* the stack slots leave SRAM or meet a static cell *)
+  | Memory  (* a pointer access, LPM, an I/O write or a non-SRAM cell *)
+  | Stack  (* a pop above the entry SP, or a net SP change *)
+  | Carried  (* a carried cell's value reaches more than its zero test *)
+
+let bail_names =
+  [ (Unequal, "unequal"); (Exit, "exit"); (Io_window, "io");
+    (Horizon, "horizon"); (Stack_window, "stack-window");
+    (Memory, "memory"); (Stack, "stack"); (Carried, "carried") ]
+
+(* Host-side counters, never simulated state: under [Net.run ~domains]
+   they depend on which domain compiles a shared block first. *)
+let n_summarized = Atomic.make 0
+let n_skipped = Atomic.make 0
+let n_bails = List.map (fun (b, _) -> (b, Atomic.make 0)) bail_names
+let count_bail b = Atomic.incr (List.assq b n_bails)
+
+type stats = {
+  summarized : int;  (** fast-forwards taken *)
+  skipped : int;  (** iterations they retired *)
+  bails : (string * int) list;  (** loops not summarized, by reason *)
+}
+
+(** Process-wide totals since start-up. *)
+let stats () =
+  { summarized = Atomic.get n_summarized;
+    skipped = Atomic.get n_skipped;
+    bails =
+      List.map (fun (b, name) -> (name, Atomic.get (List.assq b n_bails))) bail_names }
+
+let pp_stats fmt s =
+  Format.fprintf fmt "tier-1 loops: %d summarized, %d iterations skipped; bails:"
+    s.summarized s.skipped;
+  List.iter (fun (name, n) -> Format.fprintf fmt " %s %d" name n) s.bails
+
+(* What the compile-time check proves about a loop path, for the
+   run-time check to complete. *)
+type loop = {
+  written : int array;  (* registers the path may write *)
+  depth : int;  (* bytes of stack the path uses below the entry SP *)
+  statics : int array;  (* SRAM addresses the path loads or stores *)
+  cells : int array;  (* carried cells *)
+  steps : int array;  (* each cell's change per iteration, mod 256 *)
+  tested : bool array;  (* whether the cell has a zero-test exit *)
+  reads : int array;  (* I/O addresses of the peripheral reads *)
+  offsets : int array;  (* cycles from the entry to each read, included *)
+}
+
+(* A carried cell while the path is checked: its address, its step once
+   stored back, and the change its zero test tests. *)
+type cell = { addr : int; mutable step : int; mutable test : int }
+
+exception Reject of bail
+
+(* Registers an accepted op may write. *)
+let writes : Isa.t -> int list = function
+  | Movw (d, _) | Adiw (d, _) | Sbiw (d, _) -> [ d; d + 1 ]
+  | Mul _ -> [ 0; 1 ]
+  | Add (d, _) | Adc (d, _) | Sub (d, _) | Sbc (d, _) | And (d, _)
+  | Or (d, _) | Eor (d, _) | Mov (d, _) | Sbci (d, _) | Subi (d, _)
+  | Ori (d, _) | Andi (d, _) | Ldi (d, _) | Com d | Neg d | Swap d | Inc d
+  | Dec d | Asr d | Lsr d | Ror d | Pop d | In (d, _) | Lds (d, _) -> [ d ]
+  | _ -> []
+
+(* Registers an accepted op reads. *)
+let reads : Isa.t -> int list = function
+  | Movw (_, r) -> [ r; r + 1 ]
+  | Adiw (d, _) | Sbiw (d, _) -> [ d; d + 1 ]
+  | Add (d, r) | Adc (d, r) | Sub (d, r) | Sbc (d, r) | And (d, r)
+  | Or (d, r) | Eor (d, r) | Cp (d, r) | Cpc (d, r) | Mul (d, r) -> [ d; r ]
+  | Mov (_, r) -> [ r ]
+  | Cpi (d, _) | Sbci (d, _) | Subi (d, _) | Ori (d, _) | Andi (d, _) | Com d
+  | Neg d | Swap d | Inc d | Dec d | Asr d | Lsr d | Ror d -> [ d ]
+  | Push r | Out (_, r) | Sts (_, r) -> [ r ]
+  | _ -> []
+
+(* Whether an op's result depends on SREG (branches and IN/LDS of SREG
+   are checked on their own). *)
+let reads_flags : Isa.t -> bool = function
+  | Adc _ | Sbc _ | Cpc _ | Sbci _ | Ror _ -> true
+  | _ -> false
+
+(* The SREG bits an op always overwrites. *)
+let sets_flags : Isa.t -> int = function
+  | Add _ | Adc _ | Sub _ | Sbc _ | Cp _ | Cpc _ | Cpi _ | Sbci _ | Subi _
+  | Neg _ -> 0x3F
+  | Com _ | Asr _ | Lsr _ | Ror _ | Adiw _ | Sbiw _ -> 0x1F
+  | And _ | Or _ | Eor _ | Andi _ | Ori _ | Inc _ | Dec _ -> 0x1E
+  | Mul _ -> 0x03
+  | Bset s | Bclr s -> 1 lsl s
+  | _ -> 0
+
+(* Check the path [ops.(0..back)]; raises [Reject] when it is not
+   summarizable.  One forward walk tracks the stack depth below the
+   entry SP and, for the value loaded from each carried cell, which
+   registers and SREG bits hold something computed from it.  Such a
+   value may only be changed by SUBI/DEC/INC, stored back to its own
+   cell once, and tested by one BREQ side exit; anything else that
+   reads it rejects the loop, and none of it may be live at the back
+   edge. *)
+let check (ops : Isa.t array) (meta : int array) back =
+  let reject b = raise_notrace (Reject b) in
+  let sram a = a >= Layout.io_size && a < Layout.data_size in
+  let stored = ref [] in
+  for i = 0 to back do
+    match ops.(i) with Isa.Sts (a, _) when sram a -> stored := a :: !stored | _ -> ()
+  done;
+  let written = ref 0 (* bit r: register r *) in
+  let taint = Array.make 32 None and change = Array.make 32 0 in
+  let flags = ref 0 (* SREG bits computed from a carried value *) in
+  let zero = ref None (* the cell and change Z reflects, while tainted *) in
+  let cells = ref [] and touched = ref [] and reads_ = ref [] in
+  let depth = ref 0 and deepest = ref 0 and off = ref 0 in
+  let def d = written := !written lor (1 lsl d); taint.(d) <- None in
+  let use r = if taint.(r) <> None then reject Carried in
+  let push n = depth := !depth + n; deepest := max !deepest !depth in
+  let pop n = if !depth < n then reject Stack; depth := !depth - n in
+  let load d a =
+    if a = sreg_addr then (if !flags <> 0 then reject Carried; def d)
+    else if a = spl_addr || a = sph_addr then def d
+    else if a >= 0x20 && a < 0x60 then begin
+      reads_ := (a - 0x20, !off) :: !reads_;
+      def d
+    end
+    else if sram a then begin
+      let first = not (List.mem a !touched) in
+      touched := a :: !touched;
+      def d;
+      if List.mem a !stored then begin
+        if not first then reject Carried;
+        let c = { addr = a; step = 0; test = -1 } in
+        cells := c :: !cells;
+        taint.(d) <- Some c;
+        change.(d) <- 0
+      end
+    end
+    else reject Memory
+  in
+  let store a r =
+    if a = sreg_addr then (use r; flags := 0)
+    else if sram a then
+      match taint.(r) with
+      | Some c ->
+        if c.addr <> a || c.step <> 0 || change.(r) land 0xFF = 0 then
+          reject Carried;
+        c.step <- change.(r) land 0xFF
+      | None ->
+        if List.exists (fun c -> c.addr = a) !cells then reject Carried;
+        touched := a :: !touched
+    else reject Memory
+  in
+  let step d k sets =
+    match taint.(d) with
+    | Some c ->
+      change.(d) <- change.(d) + k;
+      written := !written lor (1 lsl d);
+      flags := !flags lor sets;
+      zero := Some (c, change.(d) land 0xFF)
+    | None -> assert false
+  in
+  for i = 0 to back do
+    off := !off + (meta.(i) land cost_mask);
+    match ops.(i) with
+    | Isa.Brbs (s, _) | Isa.Brbc (s, _) ->
+      if !flags land (1 lsl s) <> 0 then begin
+        match (ops.(i), !zero) with
+        | Isa.Brbs (1, _), Some (c, z) when i < back && c.test < 0 -> c.test <- z
+        | _ -> reject Carried
+      end
+    | Isa.Call _ | Isa.Rcall _ -> push 2
+    | Isa.Ret -> pop 2
+    | Isa.Jmp _ | Isa.Rjmp _ -> ()
+    | Isa.Push r -> use r; push 1
+    | Isa.Pop d -> pop 1; def d
+    | Isa.In (d, a) -> load d (Layout.io_data_addr a)
+    | Isa.Lds (d, a) -> load d a
+    | Isa.Out (a, r) -> store (Layout.io_data_addr a) r
+    | Isa.Sts (a, r) -> store a r
+    | Isa.Subi (d, k) when taint.(d) <> None -> step d (-k) 0x3F
+    | Isa.Dec d when taint.(d) <> None -> step d (-1) 0x1E
+    | Isa.Inc d when taint.(d) <> None -> step d 1 0x1E
+    | Isa.Ld _ | Isa.Ldd _ | Isa.St _ | Isa.Std _ | Isa.Lpm _ -> reject Memory
+    | op ->
+      List.iter use (reads op);
+      if reads_flags op && !flags <> 0 then reject Carried;
+      flags := !flags land lnot (sets_flags op);
+      List.iter def (writes op)
+  done;
+  if !depth <> 0 then reject Stack;
+  if !flags <> 0 || Array.exists Option.is_some taint then reject Carried;
+  let cells = Array.of_list (List.rev !cells) in
+  Array.iter
+    (fun c -> if c.step = 0 || (c.test >= 0 && c.test <> c.step) then reject Carried)
+    cells;
+  let reads = Array.of_list (List.rev !reads_) in
+  let regs = ref [] in
+  for r = 31 downto 0 do
+    if !written land (1 lsl r) <> 0 then regs := r :: !regs
+  done;
+  { written = Array.of_list !regs;
+    depth = !deepest;
+    statics = Array.of_list (List.sort_uniq compare !touched);
+    cells = Array.map (fun c -> c.addr) cells;
+    steps = Array.map (fun c -> c.step) cells;
+    tested = Array.map (fun c -> c.test >= 0) cells;
+    reads = Array.map fst reads;
+    offsets = Array.map snd reads }
+
+(* The polling loop a compiled body holds, if any: [None] unless
+   exactly one conditional branch targets [entry] and the path reads a
+   peripheral and passes {!check}. *)
+let analyze (ops : Isa.t array) (meta : int array) entry =
+  let backs = ref [] in
+  Array.iteri
+    (fun i op ->
+      if Isa.is_cond_branch op && meta.(i) lsr cost_bits = entry then
+        backs := i :: !backs)
+    ops;
+  match !backs with
+  | [ back ] -> (
+    match check ops meta back with
+    | lp when lp.reads = [||] ->
+      (* Without a peripheral read the state can only repeat until a
+         carried cell's exit or the horizon, which compute loops never
+         do: watching them would cost every entry and save nothing. *)
+      None
+    | lp -> Some lp
+    | exception Reject b -> count_bail b; None)
+  | _ -> None
+
+(* The state at a back edge, in [snap]: the six counters, SREG, SP,
+   then the registers the path writes.  One loop at a time watches its
+   back edges on a domain (a block's exec returns or tail-calls another
+   before any other block runs), so each domain records into one
+   buffer. *)
+let snap_key = Domain.DLS.new_key (fun () -> Array.make (8 + 32) 0)
+
+let record lp snap m =
+  snap.(0) <- m.cycles;
+  snap.(1) <- m.insns;
+  snap.(2) <- m.mem_reads;
+  snap.(3) <- m.mem_writes;
+  snap.(4) <- m.io_reads;
+  snap.(5) <- m.io_writes;
+  snap.(6) <- m.sreg;
+  snap.(7) <- m.sp;
+  for k = 0 to Array.length lp.written - 1 do
+    snap.(8 + k) <- rg m lp.written.(k)
+  done
+
+let unchanged lp snap m =
+  let same = ref (m.sreg = snap.(6) && m.sp = snap.(7)) in
+  for k = 0 to Array.length lp.written - 1 do
+    if rg m lp.written.(k) <> snap.(8 + k) then same := false
+  done;
+  !same
+
+(* Iterations of a cell stepping by [step] from [v] before it reads 0
+   ([max_int]: never). *)
+let until_zero v step =
+  let i = ref 1 in
+  while !i <= 256 && (v + (!i * step)) land 0xFF <> 0 do
+    incr i
+  done;
+  if !i > 256 then max_int else !i - 1
+
+(* At a back edge whose state equals the one [snap] recorded: retire the
+   largest number of further iterations that keeps each carried cell's
+   zero test untaken, each peripheral read inside its stable window
+   (from its read in the iteration just run), and the next iteration's
+   worst case under [limit], each as [n] times the last iteration's
+   deltas.  [false], with the bail counted, when that number is 0.  It
+   allocates nothing: a fleet summarizes tens of thousands of times,
+   and garbage here moved the live heap into the major one early. *)
+let summarize lp snap m ~worst ~limit =
+  let dc = m.cycles - snap.(0) in
+  let n = ref ((limit - worst - m.cycles) / dc) and why = ref Horizon in
+  if lp.depth > 0 then begin
+    let lo = m.sp - lp.depth + 1 in
+    let clash = ref (lo < Layout.io_size || m.sp >= Layout.data_size) in
+    for k = 0 to Array.length lp.statics - 1 do
+      let a = lp.statics.(k) in
+      if a >= lo && a <= m.sp then clash := true
+    done;
+    if !clash && !n > 0 then begin
+      n := 0;
+      why := Stack_window
+    end
+  end;
+  for k = 0 to Array.length lp.cells - 1 do
+    if lp.tested.(k) then begin
+      let v = Char.code (Bytes.get m.sram lp.cells.(k)) in
+      let c = until_zero v lp.steps.(k) in
+      if c < !n then begin
+        n := c;
+        why := Exit
+      end
+    end
+  done;
+  for k = 0 to Array.length lp.reads - 1 do
+    let off = lp.offsets.(k) in
+    let until = Io.stable_until m.io ~cycles:(snap.(0) + off) lp.reads.(k) in
+    if until <> max_int then begin
+      let c =
+        if m.cycles + off >= until then 0
+        else ((until - 1 - m.cycles - off) / dc) + 1
+      in
+      if c < !n then begin
+        n := c;
+        why := Io_window
+      end
+    end
+  done;
+  let n = !n in
+  if n <= 0 then begin
+    count_bail !why;
+    false
+  end
+  else begin
+    m.cycles <- m.cycles + (n * dc);
+    m.insns <- m.insns + (n * (m.insns - snap.(1)));
+    m.mem_reads <- m.mem_reads + (n * (m.mem_reads - snap.(2)));
+    m.mem_writes <- m.mem_writes + (n * (m.mem_writes - snap.(3)));
+    m.io_reads <- m.io_reads + (n * (m.io_reads - snap.(4)));
+    m.io_writes <- m.io_writes + (n * (m.io_writes - snap.(5)));
+    for k = 0 to Array.length lp.cells - 1 do
+      let a = lp.cells.(k) in
+      let v = Char.code (Bytes.get m.sram a) in
+      Bytes.set m.sram a (Char.unsafe_chr ((v + (n * lp.steps.(k))) land 0xFF))
+    done;
+    Atomic.incr n_summarized;
+    ignore (Atomic.fetch_and_add n_skipped n);
+    true
+  end
+
 (* Compile and cache the block entered at [entry]; [None] when the entry
    word is undecodable, as {!form}.
 
    Each part ends where {!form} would end a superblock (a block-ending
    instruction, [max_body] instructions, an undecodable word), and a
    JMP/RJMP/CALL/RCALL terminator is followed into the part at its
-   target unless that target was already entered, is undecodable, or
-   its part would take the body past [max_ops] ops.  A first walk finds
-   the parts, a second writes their ops; both read the decode cache,
-   so a compile allocates little besides the block it keeps. *)
+   target, and (when the block then loops to [entry]) a RET into the
+   return address of the latest followed CALL/RCALL it has not yet
+   returned from, unless that target was
+   already entered, is undecodable, or its part would take the body
+   past [max_ops] ops.  A first walk finds the parts, a second writes
+   their ops; both read the decode cache, so a compile allocates little
+   besides the block it keeps. *)
 let compile m entry : block option =
   (* Walk the part entered at [p0] whose first op is op [n], handing
      each body instruction to [put]; [None] when [p0] is undecodable,
@@ -221,29 +607,51 @@ let compile m entry : block option =
     in
     go p0 n 0 0
   in
-  let skip _ _ _ = () in
-  (* The parts as (entry, first op), last first, and the block's end. *)
-  let rec follow parts ((n, term, term_pc, worst, retired) as last) =
-    let target =
+  (* Whether the parts walked so far branch back to [entry], and the
+     parts and end the walk had before it first followed a RET. *)
+  let loops = ref false and cut = ref None in
+  let note _ insn pc =
+    match insn with
+    | Isa.Brbs (_, k) | Isa.Brbc (_, k) when (pc + 1 + k) land 0xFFFF = entry ->
+      loops := true
+    | _ -> ()
+  in
+  (* The parts as (entry, first op), last first, and the block's end;
+     [calls] holds the return addresses of the followed calls. *)
+  let rec follow parts calls ((n, term, term_pc, worst, retired) as last) =
+    let target, calls =
       match term with
-      | Some (Isa.Rjmp k | Isa.Rcall k) -> Some (term_pc + 1 + k)
-      | Some (Isa.Jmp a | Isa.Call a) -> Some a
-      | _ -> None
+      | Some (Isa.Rjmp k) -> (Some (term_pc + 1 + k), calls)
+      | Some (Isa.Rcall k) -> (Some (term_pc + 1 + k), (term_pc + 1) :: calls)
+      | Some (Isa.Jmp a) -> (Some a, calls)
+      | Some (Isa.Call a) -> (Some a, (term_pc + 2) :: calls)
+      | Some Isa.Ret -> (
+        match calls with r :: rest -> (Some r, rest) | [] -> (None, []))
+      | _ -> (None, calls)
     in
     match Option.map (fun t -> t land 0xFFFF) target with
     | Some t when not (List.mem_assoc t parts) -> (
-      match part skip t (n + 1) with
+      let looped = !loops in
+      match part note t (n + 1) with
       | Some (n', term', term_pc', w, r) when n' <= max_ops ->
-        follow ((t, n + 1) :: parts)
+        if term = Some Isa.Ret && !cut = None then cut := Some (parts, last);
+        follow ((t, n + 1) :: parts) calls
           (n', term', term_pc', worst + w, retired + r)
-      | _ -> (parts, last))
+      | _ ->
+        loops := looped;
+        (parts, last))
     | _ -> (parts, last)
   in
-  match part skip entry 0 with
+  match part note entry 0 with
   | None -> None
   | Some first ->
+    (* Following RETs pays off in a loop, whose summary needs the whole
+       iteration in one block; elsewhere it only lengthens blocks, so
+       they end at their first RET. *)
     let parts, (n, term, term_pc, worst, retired) =
-      follow [ (entry, 0) ] first
+      match (follow [ (entry, 0) ] [] first, !cut) with
+      | _, Some before when not !loops -> before
+      | composed, _ -> composed
     in
     let ops = Array.make n Isa.Nop and meta = Array.make n 0 in
     let put i insn pc =
@@ -252,6 +660,9 @@ let compile m entry : block option =
         match insn with
         | Isa.Brbs (_, k) | Isa.Brbc (_, k) -> pc + 1 + k (* taken target *)
         | Isa.Call _ | Isa.Rcall _ -> pc + Isa.words insn (* return address *)
+        | Isa.Ret ->
+          (* the address it returns to: the next part's entry *)
+          fst (List.find (fun (_, n0) -> n0 = i + 1) parts)
         | _ -> 0
       in
       meta.(i) <- (operand land 0xFFFF) lsl cost_bits
@@ -274,21 +685,7 @@ let compile m entry : block option =
        condition or a block-cache invalidation. *)
     let rec exec m limit =
       match exec_run m ops meta entry worst limit with
-      | () ->
-        m.insns <- m.insns + retired;
-        let benign =
-          match term with
-          | Some insn ->
-            (* Out of line: inlined, the whole executor would bloat this
-               chaining closure. *)
-            (exec_insn [@inlined never]) m insn term_pc
-          | None ->
-            (* Block cap reached or an undecodable word ahead: fall
-               through and let the run loop continue (or fault) there. *)
-            m.pc <- term_pc land 0xFFFF;
-            true
-        in
-        if benign then chain m limit else false
+      | () -> ended m limit
       | exception Side_exit ->
         (* A taken branch already set PC, cycles and the retired count;
            a branch is pure control flow (benign). *)
@@ -296,6 +693,21 @@ let compile m entry : block option =
       | exception Loop_back ->
         (* Back to our own entry with the horizon already re-checked. *)
         exec m limit
+    and ended m limit =
+      m.insns <- m.insns + retired;
+      let benign =
+        match term with
+        | Some insn ->
+          (* Out of line: inlined, the whole executor would bloat this
+             chaining closure. *)
+          (exec_insn [@inlined never]) m insn term_pc
+        | None ->
+          (* Block cap reached or an undecodable word ahead: fall
+             through and let the run loop continue (or fault) there. *)
+          m.pc <- term_pc land 0xFFFF;
+          true
+      in
+      if benign then chain m limit else false
     and chain m limit =
       let pc = m.pc land 0xFFFF in
       match
@@ -303,6 +715,38 @@ let compile m entry : block option =
       with
       | Some b when m.cycles + b.worst <= limit -> b.exec m limit
       | _ -> true (* not compiled yet or horizon too close: run loop *)
+    in
+    let exec =
+      match analyze ops meta entry with
+      | None -> exec
+      | Some lp ->
+        (* A summarizable loop: from its first back edge on, compare
+           each back edge's state with the previous one's (none yet
+           while [snap.(0)] is negative) and fast-forward while they
+           are equal; after the first bail, loop as [exec] does. *)
+        let rec watch m limit snap =
+          match exec_run m ops meta entry worst limit with
+          | () -> ended m limit
+          | exception Side_exit -> chain m limit
+          | exception Loop_back ->
+            if snap.(0) < 0 then begin
+              record lp snap m;
+              watch m limit snap
+            end
+            else if not (unchanged lp snap m) then begin
+              count_bail Unequal;
+              exec m limit
+            end
+            else if summarize lp snap m ~worst ~limit then begin
+              record lp snap m;
+              watch m limit snap
+            end
+            else exec m limit
+        in
+        fun m limit ->
+          let snap = Domain.DLS.get snap_key in
+          snap.(0) <- -1;
+          watch m limit snap
     in
     let b : block = { exec; worst } in
     let ci = entry lsr 8 in

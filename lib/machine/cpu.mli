@@ -189,15 +189,10 @@ val read8 : t -> int -> int
 
 val write8 : t -> int -> int -> unit
 val read16 : t -> int -> int
-val write16 : t -> int -> int -> unit
 
-(** Pointer-pair accessors (X = r26:27, Y = r28:29, Z = r30:31). *)
+(** Pointer-pair accessors (X = r26:27, Z = r30:31). *)
 val xreg : t -> int
-
-val yreg : t -> int
 val zreg : t -> int
-val set_xreg : t -> int -> unit
-val set_yreg : t -> int -> unit
 val set_zreg : t -> int -> unit
 
 (** Execute exactly one instruction; no-op when halted. *)

@@ -70,17 +70,46 @@ let adc_done_at io = match io.adc_start with
   | Some s -> Some (s + adc_conversion_cycles)
   | None -> None
 
+(* The peripheral events after [cycles], each [max_int] when none is
+   pending: the next timer0 overflow, the end of the ADC conversion,
+   the end of the radio's current transmission and the arrival of the
+   next RX byte.  They are the only instants at which a register read
+   can change value without a write; {!next_wake} wakes at the earliest
+   and {!stable_until} bounds each register by its own. *)
+let next_ovf ~cycles = (cycles / timer0_overflow_period + 1) * timer0_overflow_period
+
+let adc_event io ~cycles =
+  match adc_done_at io with Some c when c > cycles -> c | _ -> max_int
+
+let tx_event io ~cycles =
+  if io.radio_busy_until > cycles then io.radio_busy_until else max_int
+
+let rx_event io ~cycles =
+  match io.radio_rx with (c, _) :: _ when c > cycles -> c | _ -> max_int
+
 (** Earliest future cycle at which a peripheral event can wake a
     sleeping CPU. *)
 let next_wake io ~cycles =
-  let next_ovf = (cycles / timer0_overflow_period + 1) * timer0_overflow_period in
-  let candidates =
-    next_ovf
-    :: (match adc_done_at io with Some c when c > cycles -> [ c ] | _ -> [])
-    @ (if io.radio_busy_until > cycles then [ io.radio_busy_until ] else [])
-    @ (match io.radio_rx with (c, _) :: _ when c > cycles -> [ c ] | _ -> [])
-  in
-  List.fold_left min max_int candidates
+  min (min (next_ovf ~cycles) (adc_event io ~cycles))
+    (min (tx_event io ~cycles) (rx_event io ~cycles))
+
+(** The first cycle from [cycles] on at which a read of [addr] may
+    return another value, or change peripheral state (see the
+    interface).  ADCL and TCNT3L latch TEMP, RADIODATA pops the RX
+    queue and a finished ADCSRA latches the sample, so those reads have
+    no window. *)
+let stable_until io ~cycles addr =
+  if addr = adcsra then
+    match adc_done_at io with
+    | None -> max_int
+    | Some c -> if c > cycles then c else cycles
+  else if addr = radio_status then min (tx_event io ~cycles) (rx_event io ~cycles)
+  else if addr = tifr then
+    if cycles / timer0_overflow_period > io.tov0_epoch then max_int
+    else next_ovf ~cycles
+  else if addr = tcnt0 then (cycles / timer0_prescale + 1) * timer0_prescale
+  else if addr = adcl || addr = tcnt3l || addr = radio_data then cycles
+  else max_int
 
 let read io ~cycles addr =
   if addr = adcl then begin

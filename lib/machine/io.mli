@@ -61,6 +61,16 @@ val sample : int -> int
     sleeping CPU. *)
 val next_wake : t -> cycles:int -> int
 
+(** The first cycle [c >= cycles] at which a read of I/O register
+    [addr] may return another value than a read at [cycles], or may
+    change peripheral state ([max_int]: none before the next write).
+    Reads in [[cycles, c)] return one value and change nothing;
+    [cycles] itself when a read there has a side effect (ADCL, TCNT3L,
+    RADIODATA, a finished ADCSRA).  It follows the event list of
+    {!next_wake}.  [cycles] may be in the past: a read there that
+    latched an ADC sample returned what every later read returns. *)
+val stable_until : t -> cycles:int -> int -> int
+
 val read : t -> cycles:int -> int -> int
 val write : t -> cycles:int -> int -> int -> unit
 

@@ -25,10 +25,8 @@ type op =
   | RxAvail  (** push 1 when a received radio byte is pending, else 0 *)
   | Recv  (** push the next received byte; empty queue traps *)
 
-(** Native cycles per bytecode dispatch / per operation body. *)
+(** Native cycles per bytecode dispatch. *)
 val dispatch_cycles : int
-
-val op_cycles : int
 
 type vm = {
   code : op array;
@@ -68,7 +66,6 @@ val rx_frames_slot : int
 
 val rx_canary_base : int
 val rx_canary_slots : int
-val rx_buf_base : int
 
 (** Bytecode analogue of {!Programs.Rx_vuln.receiver}: copies each
     length-prefixed frame into the 8-slot buffer trusting the length

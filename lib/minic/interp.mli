@@ -15,9 +15,6 @@ type device = {
   radio_recv : unit -> int;
 }
 
-(** Zeros in, output swallowed — for pure computations. *)
-val null_device : device
-
 type state
 
 (** Run [main] with a step budget ([fuel] bounds runaway loops). *)

@@ -41,9 +41,6 @@ val make :
   ('a, unit, string, t) format4 ->
   'a
 
-val stage_name : stage -> string
-val severity_name : severity -> string
-
 (** Render as ["recovery:warning[0x0012] gap: ..."]. *)
 val pp : Format.formatter -> t -> unit
 

@@ -43,10 +43,6 @@ type site = {
   mutable patch : patch;
 }
 
-(** Stack-check requirements rounded up to buckets so one shared check
-    service covers many sites (more trampoline merging). *)
-val check_bucket : int -> int
-
 (** [classify ~config ~recovery ~heap_end img] assigns a patch to every
     site (recovered instructions interleaved with verbatim gaps, in
     program order).  Raises {!Rewrite_error.E} ([Out_of_heap]) when a

@@ -29,9 +29,6 @@ type t
     how to re-create a compatible host. *)
 exception Incompatible of string
 
-(** On-disk format version this build reads and writes. *)
-val format_version : int
-
 (** Simulated cycle at which the snapshot was captured (for a network
     snapshot: the lockstep horizon). *)
 val at : t -> int
@@ -167,12 +164,10 @@ module Bisect : sig
   val pp_verdict : Format.formatter -> verdict -> unit
 
   (** Inject a single-point divergence: plant [poke_value] into a spare
-      kernel cell ({!poke_address}) once the world's clock passes
-      [poke_at].  The cell is never otherwise written, so the injection
-      is idempotent and poked subjects stay segment-invariant. *)
+      kernel cell once the world's clock passes [poke_at].  The cell is
+      never otherwise written, so the injection is idempotent and poked
+      subjects stay segment-invariant. *)
   type poke = { poke_at : int; poke_value : int }
-
-  val poke_address : int
 
   (** [kernel_subject boot] wraps a kernel boot thunk; [?tier] is passed
       to every {!Kernel.run} ([~tier:0]: the tier-0 reference

@@ -18,11 +18,6 @@ val cnt_cell : int
 
 val page_cell : int
 
-(** Words per flash page (ATmega128): the rewriting granularity. *)
-val page_words : int
-
-val warmup_cycles_per_word : int
-
 type t = {
   source : Asm.Image.t;
   image : Asm.Image.t;  (** the rewritten, reassembled program *)

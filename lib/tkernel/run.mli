@@ -32,9 +32,6 @@ type t = {
 val start : Rewrite.t -> t
 val continue_ : ?max_cycles:int -> t -> Machine.Cpu.halt option
 
-(** Assemble the final report after the last [continue_] segment. *)
-val report_of : t -> halt:Machine.Cpu.halt option -> report
-
 (** Read a 16-bit data variable (placement unchanged by rewriting). *)
 val read_var : Rewrite.t -> report -> string -> int
 

@@ -155,6 +155,5 @@ val parse_flat_json : string -> ((string * jvalue) list, string) result
 
 (** {2 Pretty-printing and equality} *)
 
-val pp_kind : Format.formatter -> kind -> unit
 val pp_event : Format.formatter -> event -> unit
 val equal_event : event -> event -> bool

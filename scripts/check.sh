@@ -44,10 +44,12 @@ if [ "$(echo "$fleet1" | head -n 1)" != "$(echo "$fleet2" | head -n 1)" ] \
     exit 1
 fi
 
-# Tier-1 blocks that run through direct jumps and calls carry the
-# fleet's hot path (the radio spin loops' trap-counter detour).  The
-# same fleet on the tier-0 interpreter must print the same aggregate
-# line and write a byte-identical snapshot.
+# Tier-1 blocks that run through direct jumps, calls and their returns
+# carry the fleet's hot path: each radio or ADC poll iteration, with
+# its trap-counter detour, is one block, and tier 1 fast-forwards the
+# steady state of those loops (Block.summarize).  The same fleet on the
+# tier-0 interpreter must print the same aggregate line and write a
+# byte-identical snapshot.
 fleet0=$(dune exec bin/sensmart_cli.exe -- fleet --motes 300 --domains 1 --tier 0 -o "$fleet_dir/T0")
 if [ "$(echo "$fleet0" | head -n 1)" != "$(echo "$fleet1" | head -n 1)" ] \
     || ! cmp -s "$fleet_dir/T0" "$fleet_dir/A"; then
@@ -86,6 +88,22 @@ if [ "$fault0" != "$fault1" ]; then
     echo "check.sh: fault --tier 0 differs from --tier 1" >&2
     exit 1
 fi
+
+# Polling loops that tier 1 summarizes: readadc is nearly all ADC
+# polling.  Bare-metal, and under a disruptive fault campaign whose
+# injections land while it polls (a plan draws them over the middle 80%
+# of the budget, and readadc halts near cycle 80 000), tiers 0 and 1
+# must print the same, so a summary taken on fault-corrupted state
+# fails here.
+for args in "native readadc" \
+    "fault readadc --trials 20 --disruptive --budget 100000"; do
+    out0=$(dune exec bin/sensmart_cli.exe -- $args --tier 0)
+    out1=$(dune exec bin/sensmart_cli.exe -- $args --tier 1)
+    if [ "$out0" != "$out1" ]; then
+        echo "check.sh: $args --tier 0 differs from --tier 1" >&2
+        exit 1
+    fi
+done
 
 # Rewriting-pipeline smoke: the fixture firmware set (avr-gcc-shaped
 # Intel-HEX, loaded symbol-less) must rewrite cleanly and emit the

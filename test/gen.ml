@@ -13,7 +13,13 @@
    The optional I/O blocks ([~io:true]) read cycle-clocked peripheral
    registers (timers, ADC) and so make the comparison sensitive to the
    exact cycle count at every access — exactly what the tier-1 block
-   compiler's pre-summed cycle accounting must preserve.  They are OFF
+   compiler's pre-summed cycle accounting must preserve.  Among them,
+   poll blocks busy-wait on a peripheral the way TinyOS drivers do,
+   optionally through a countdown call shaped like SenSmart's shared
+   counter service, so tier-1 fast-forwards their steady state; some
+   variants carry a register, store through a pointer, write an I/O
+   register, compare the countdown with a constant or let its flags
+   leak, and must run every iteration instead.  They are OFF
    for the rewriter differentials: SenSmart naturalization inserts
    trampoline instructions, so a rewritten program reads the timer at
    different cycle counts than the native one by design. *)
@@ -63,11 +69,86 @@ type block =
   | Io of Asm.Ast.stmt list  (* cycle-sensitive peripheral accesses *)
   | Calls of Asm.Ast.stmt list * Asm.Ast.stmt list
       (* in-line part, out-of-line part placed after the BREAK *)
+  | Poll of Asm.Ast.stmt list * Asm.Ast.stmt list
+      (* a busy-wait loop, and its countdown routine if it calls one *)
 
 let stmts_of = function
-  | Alu s | Direct s | Walk s | Pushpop s | Branchy s | Io s | Calls (s, _) -> s
+  | Alu s | Direct s | Walk s | Pushpop s | Branchy s | Io s | Calls (s, _)
+  | Poll (s, _) ->
+    s
 
-let out_of_line = function Calls (_, s) -> s | _ -> []
+let out_of_line = function Calls (_, s) | Poll (_, s) -> s | _ -> []
+
+(* The countdown routine a poll loop may call: SenSmart's shared
+   counter service (save r16 and SREG, decrement the [cnt] cell, branch
+   on zero), with the kernel trap replaced by a count of zeros in
+   [traps].  [Compare] tests the countdown with CPI instead of the
+   decrement's own Z flag, [Leak] skips the SREG save so the
+   decrement's flags outlive the call. *)
+type countdown = Service | Compare of int | Leak
+
+let countdown_routine kind name =
+  let zero = fresh "cnt_zero" in
+  let bump = [ lds 16 "traps"; inc 16; sts "traps" 16 ] in
+  match kind with
+  | Service | Compare _ ->
+    let test =
+      match kind with Compare k -> [ cpi 16 k; breq zero ] | _ -> [ breq zero ]
+    in
+    let restore = [ pop 16; out Machine.Io.sreg 16; pop 16; ret ] in
+    ([ lbl name; push 16; in_ 16 Machine.Io.sreg; push 16; lds 16 "cnt";
+       subi 16 1; sts "cnt" 16 ]
+    @ test @ restore @ (lbl zero :: bump) @ restore)
+  | Leak ->
+    [ lbl name; push 16; lds 16 "cnt"; subi 16 1; sts "cnt" 16; breq zero;
+      pop 16; ret; lbl zero ]
+    @ bump @ [ pop 16; ret ]
+
+let poll_block =
+  let open QCheck.Gen in
+  (* Start a peripheral, then poll it until it is done: an ADC
+     conversion (ADSC clears), a Timer0 overflow after clearing TOV0,
+     or the end of a radio byte (TX ready).  With a countdown call the
+     loop takes the shape SenSmart gives it: the loop branch jumps to
+     the call, and a jump goes back to the poll. *)
+  let device =
+    oneofl
+      [ ( [ ldi 16 (Machine.Io.aden_bit lor Machine.Io.adsc_bit);
+            out Machine.Io.adcsra 16 ],
+          Machine.Io.adcsra, Machine.Io.adsc_bit, `Set );
+        ( [ ldi 16 1; out Machine.Io.tifr 16 ], Machine.Io.tifr, 1, `Clear );
+        ( [ out Machine.Io.radio_data 17 ], Machine.Io.radio_status,
+          Machine.Io.tx_ready_bit, `Clear ) ]
+  in
+  let extra =
+    frequency
+      [ (6, return []);
+        (1, map (fun r -> [ inc r ]) (int_range 18 25));
+        (1, return [ st Avr.Isa.X 17 ]);
+        (1, return [ out Machine.Io.tccr0 17 ]) ]
+  in
+  let countdown =
+    frequency
+      [ (2, return None); (4, return (Some Service));
+        (1, map (fun k -> Some (Compare k)) (oneofl [ 0; 3; 200 ]));
+        (1, return (Some Leak)) ]
+  in
+  map4
+    (fun (start, reg, mask, wait_while) extra countdown k ->
+      let wait = fresh "poll" in
+      let spin = match wait_while with `Set -> brne | `Clear -> breq in
+      let setup = ldi_data 26 27 "buf" 0 @ [ ldi 16 k; sts "cnt" 16 ] @ start in
+      let test = extra @ [ in_ 16 reg; andi 16 mask ] in
+      match countdown with
+      | None -> Poll (setup @ (lbl wait :: test) @ [ spin wait ], [])
+      | Some kind ->
+        let again = fresh "again" and done_ = fresh "polled" and f = fresh "cnt" in
+        Poll
+          ( setup @ (lbl wait :: test)
+            @ [ spin again; rjmp done_; lbl again; call f; rjmp wait;
+                lbl done_ ],
+            countdown_routine kind f ))
+    device extra countdown (oneofl [ 0; 1; 2; 255; 7; 100 ])
 
 let rec gen_block ~io ~calls =
   let open QCheck.Gen in
@@ -222,10 +303,12 @@ let rec gen_block ~io ~calls =
   in
   frequency
     ((if io then [ (2, ioblk) ] else [])
+    (* Not inside a call block, whose bodies keep only in-line code. *)
+    @ (if io && calls then [ (1, poll_block) ] else [])
     @ (if calls then [ (3, calls_blk ()) ] else [])
     @ [ (4, alu); (2, direct); (2, walk); (1, pushpop); (2, branchy) ])
 
-let gen_program_with ~io ~calls =
+let program_of blocks =
   QCheck.Gen.(
     map
       (fun blocks ->
@@ -235,14 +318,23 @@ let gen_program_with ~io ~calls =
               { dname = "v0"; size = 1; init = [] };
               { dname = "v1"; size = 1; init = [] };
               { dname = "v2"; size = 1; init = [] };
-              { dname = "v3"; size = 1; init = [] } ]
+              { dname = "v3"; size = 1; init = [] };
+              { dname = "cnt"; size = 1; init = [] };
+              { dname = "traps"; size = 1; init = [] } ]
           ((lbl "start" :: sp_init)
            @ List.concat_map stmts_of blocks
            @ [ break ]
            @ List.concat_map out_of_line blocks))
-      (list_size (int_range 1 10) (gen_block ~io ~calls)))
+      blocks)
+
+let gen_program_with ~io ~calls =
+  program_of QCheck.Gen.(list_size (int_range 1 10) (gen_block ~io ~calls))
 
 let gen_program ~io = gen_program_with ~io ~calls:true
+
+(* Programs of poll blocks only, for the loop summaries' own check. *)
+let gen_poll_program =
+  program_of QCheck.Gen.(list_size (int_range 1 3) poll_block)
 
 let print_program p =
   let img = assemble p in

@@ -411,6 +411,159 @@ let run_loaded tier loads ~on_syscall =
    | s -> Alcotest.failf "tier %d run: %a" tier Machine.Cpu.pp_stop s);
   m
 
+(* --- Tier-1 polling-loop summaries ------------------------------------ *)
+
+(* Everything a run can change, the peripherals included. *)
+let full_state (m : Machine.Cpu.t) =
+  let io = m.io in
+  ( arch_state m,
+    (m.io_reads, m.io_writes, m.halted, m.idle_cycles),
+    ( (io.adc_enabled, io.adc_start, io.adc_value, io.adc_seq, io.temp),
+      (io.tov0_epoch, io.radio_busy_until, io.radio_rx, io.radio_tx_count),
+      List.of_seq (Queue.to_seq io.radio_tx) ) )
+
+(* A bare-metal program: [body] then BREAK, then [tail]; SP starts at
+   the top of SRAM unless [sp] is false. *)
+let poll_program ?(sp = true) ?(tail = []) body =
+  let open Asm.Macros in
+  Asm.Assembler.assemble
+    (Asm.Ast.program "poll"
+       ~data:
+         [ { dname = "cnt"; size = 1; init = [] };
+           { dname = "traps"; size = 1; init = [] } ]
+       ((lbl "start" :: (if sp then sp_init else [])) @ body @ [ break ] @ tail))
+
+(* Run [words] from reset at [tier], after [setup]. *)
+let run_words ?(setup = ignore) ?max_cycles tier words =
+  let m = Machine.Cpu.create () in
+  Machine.Cpu.load m words;
+  setup m;
+  let stop = Machine.Cpu.run ~tier ?max_cycles m in
+  (m, stop)
+
+(* Run [words] at tier 0 and at tier 1, check that they stop alike in
+   the same state, and return the iterations tier-1 skipped and its
+   bails by reason. *)
+let summarized ?setup ?max_cycles words =
+  let m0, stop0 = run_words ?setup ?max_cycles 0 words in
+  let before = Machine.Block.stats () in
+  let m1, stop1 = run_words ?setup ?max_cycles 1 words in
+  let after = Machine.Block.stats () in
+  let pp = Fmt.str "%a" Machine.Cpu.pp_stop in
+  Alcotest.(check string) "tier-1 stop = tier-0" (pp stop0) (pp stop1);
+  Alcotest.(check bool) "tier-1 state = tier-0" true (full_state m0 = full_state m1);
+  ( after.skipped - before.skipped,
+    List.map2 (fun (k, a) (_, b) -> (k, b - a)) before.bails after.bails )
+
+let adc_poll =
+  let open Asm.Macros in
+  [ ldi 16 (Machine.Io.aden_bit lor Machine.Io.adsc_bit);
+    out Machine.Io.adcsra 16; lbl "w"; in_ 16 Machine.Io.adcsra;
+    andi 16 Machine.Io.adsc_bit; brne "w"; in_ 24 Machine.Io.adcl;
+    in_ 25 Machine.Io.adch ]
+
+(* The loop ends when the conversion does: the last skipped read comes
+   before the read that latches the sample. *)
+let adc_completes_mid_window () =
+  let skipped, _ = summarized (poll_program adc_poll).words in
+  Alcotest.(check bool) "iterations skipped" true (skipped > 0)
+
+(* An RX byte lands while the loop polls the radio status. *)
+let rx_arrives_mid_window () =
+  let open Asm.Macros in
+  let prog =
+    poll_program
+      [ lbl "w"; in_ 16 Machine.Io.radio_status;
+        andi 16 Machine.Io.rx_avail_bit; breq "w";
+        in_ 17 Machine.Io.radio_data ]
+  in
+  let setup (m : Machine.Cpu.t) =
+    Machine.Io.inject_rx m.io ~cycles:0 ~after:5000 0x5A
+  in
+  let skipped, _ = summarized ~setup prog.words in
+  Alcotest.(check bool) "iterations skipped" true (skipped > 0)
+
+(* A Timer0-overflow poll in SenSmart's shape: the loop branch goes to
+   a call of the counter-service-shaped countdown [routine], which
+   decrements [cnt] (starting at [start]) and counts its zeros in
+   [traps]; ~8700 iterations, so the countdown wraps many times. *)
+let countdown_poll ?sp ?(routine = Gen.Service) start =
+  let open Asm.Macros in
+  poll_program ?sp
+    ~tail:(Gen.countdown_routine routine "svc")
+    [ ldi 16 start; sts "cnt" 16; ldi 16 1; out Machine.Io.tifr 16; lbl "w";
+      in_ 16 Machine.Io.tifr; andi 16 1; breq "again"; rjmp "done";
+      lbl "again"; call "svc"; rjmp "w"; lbl "done" ]
+
+let countdown_starts start () =
+  let skipped, _ = summarized (countdown_poll start).words in
+  Alcotest.(check bool) "iterations skipped" true (skipped > 0)
+
+(* Fuel or a preemption horizon inside a skipped stretch: both tiers
+   stop on the same cycle in the same state, and resume alike. *)
+let horizon_in_window () =
+  let words = (countdown_poll 0).words in
+  List.iter
+    (fun (fuel, preempt) ->
+      let setup (m : Machine.Cpu.t) = m.preempt_at <- preempt in
+      let skipped, _ = summarized ~setup ~max_cycles:fuel words in
+      Alcotest.(check bool) "iterations skipped" true (skipped > 0);
+      let resume tier =
+        let m, _ = run_words ~setup ~max_cycles:fuel tier words in
+        m.preempt_at <- max_int;
+        ignore (Machine.Cpu.run ~tier m);
+        full_state m
+      in
+      Alcotest.(check bool) "resumed alike" true (resume 0 = resume 1))
+    [ (100_003, max_int); (max_int, 150_001); (200_000, 123_457) ]
+
+(* Every reason tier-1 declines to summarize a loop, each on a loop
+   that shows it; the state always matches tier-0. *)
+let bails_by_reason () =
+  let open Asm.Macros in
+  let tifr_poll extra =
+    poll_program
+      ([ ldi 16 1; out Machine.Io.tifr 16 ] @ ldi_data 26 27 "traps" 0
+      @ (lbl "w" :: extra) @ [ in_ 16 Machine.Io.tifr; andi 16 1; breq "w" ])
+  in
+  let expect what ?setup ?(skips = false) reason (prog : Asm.Image.t) =
+    let skipped, bails = summarized ?setup prog.words in
+    Alcotest.(check bool) (what ^ ": bails for " ^ reason) true
+      (List.assoc reason bails > 0);
+    if not skips then Alcotest.(check int) (what ^ ": nothing skipped") 0 skipped
+  in
+  expect "carried register" "unequal" (tifr_poll [ inc 20 ]);
+  (* From 4: the first iteration runs before the loop's block
+     compiles, and the block's second back edge leaves [cnt] at 1, so
+     the next iteration takes the zero test. *)
+  expect "countdown about to reach zero" ~skips:true "exit" (countdown_poll 4);
+  expect "side-effect read" "io" (tifr_poll [ in_ 17 Machine.Io.adcl ]);
+  expect "pointer store" "memory" (tifr_poll [ st Avr.Isa.X 17 ]);
+  expect "I/O write" "memory" (tifr_poll [ out Machine.Io.tccr0 17 ]);
+  expect "pop above the entry SP" "stack" (tifr_poll [ pop 17; push 17 ]);
+  expect "countdown compared with a constant" "carried"
+    (countdown_poll ~routine:(Gen.Compare 3) 0);
+  expect "flags leak past the zero test" "carried"
+    (countdown_poll ~routine:Gen.Leak 0);
+  (* SP two bytes above [cnt]: the service's pushes land on it. *)
+  let prog = countdown_poll ~sp:false 0 in
+  let cnt =
+    match Asm.Image.find_symbol prog "cnt" with
+    | Some (Data a) -> a
+    | _ -> Alcotest.fail "no cnt"
+  in
+  let setup (m : Machine.Cpu.t) = m.sp <- cnt + 2 in
+  expect "stack over a carried cell" ~setup "stack-window" prog;
+  (* Fuel at every cycle of the first iterations: some runs run out just
+     after the first equal back edge, with no room for one more. *)
+  let words = (poll_program adc_poll).words in
+  let horizon = ref 0 in
+  for fuel = 20 to 80 do
+    let _, bails = summarized ~max_cycles:fuel words in
+    horizon := !horizon + List.assoc "horizon" bails
+  done;
+  Alcotest.(check bool) "horizon bails" true (!horizon > 0)
+
 (* Tier-1 blocks follow direct jumps and calls, so a block covers the
    code it reaches far from its entry.  A loop calls (or jumps to and
    back from) [f] 0x200 words away; by the third pass the loop head's
@@ -438,8 +591,9 @@ let far_patch_seen via_call () =
   Alcotest.(check bool) "tier-1 state = tier-0" true (arch_state m0 = arch_state m1)
 
 (* A callee that replaces its return address: pops the pushed one and
-   pushes word 3, skipping the [inc r21] after the call.  RET still
-   ends every tier-1 block, so the block returns where the stack says. *)
+   pushes word 3, skipping the [inc r21] after the call.  The loop's
+   block follows the RET to the pushed address, so its guard must see
+   the other one and leave the block where the stack says. *)
 let callee_redirects_return () =
   (* 0: ldi r18 3; 1: rcall f; 2: inc r21; 3: inc r20; 4: dec r18;
      5: brne 1; 6: break;  f at 7 *)
@@ -451,6 +605,23 @@ let callee_redirects_return () =
   let m0 = run 0 and m1 = run 1 in
   Alcotest.(check (pair int int)) "tier-0 r20, r21" (3, 0) (m0.regs.(20), m0.regs.(21));
   Alcotest.(check bool) "tier-1 state = tier-0" true (arch_state m0 = arch_state m1)
+
+(* The same redirect inside a loop that tier-1 summarizes: the callee
+   returns past the [inc r21] to an ADC poll loop.  The block at the
+   RCALL follows the RET to the pushed address, so its guard sees the
+   other address and leaves the block there. *)
+let ret_guard_mismatch () =
+  (* 0: ldi r18 3; 1: rcall f; 2: inc r21; 3: ldi r16 0xC0;
+     4: out ADCSRA r16; 5: in r16 ADCSRA; 6: andi r16 0x40; 7: brne 5;
+     8: inc r20; 9: dec r18; 10: brne 1; 11: break;  f at 12 *)
+  let main =
+    [ Isa.Ldi (18, 3); Rcall 10; Inc 21; Ldi (16, 0xC0);
+      Out (Machine.Io.adcsra, 16); In (16, Machine.Io.adcsra); Andi (16, 0x40);
+      Brbc (1, -3); Inc 20; Dec 18; Brbc (1, -10); Break;
+      Pop 0; Pop 1; Ldi (30, 3); Ldi (31, 0); Push 30; Push 31; Ret ]
+  in
+  let skipped, _ = summarized (Encode.program main) in
+  Alcotest.(check bool) "iterations skipped" true (skipped > 0)
 
 (* --- Tier-2 translator output pinned ----------------------------------- *)
 
@@ -583,7 +754,21 @@ let () =
          Alcotest.test_case "far jump target patched (tier-1)" `Quick
            (far_patch_seen false);
          Alcotest.test_case "callee replaces its return address" `Quick
-           callee_redirects_return ]);
+           callee_redirects_return;
+         Alcotest.test_case "RET guard mismatch in a summarized loop" `Quick
+           ret_guard_mismatch ]);
+      ("loops",
+       [ Alcotest.test_case "ADC completes mid-window" `Quick
+           adc_completes_mid_window;
+         Alcotest.test_case "RX byte arrives mid-window" `Quick
+           rx_arrives_mid_window;
+         Alcotest.test_case "countdown from 0 wraps" `Quick (countdown_starts 0);
+         Alcotest.test_case "countdown from 1" `Quick (countdown_starts 1);
+         Alcotest.test_case "countdown from 2" `Quick (countdown_starts 2);
+         Alcotest.test_case "countdown from 255" `Quick (countdown_starts 255);
+         Alcotest.test_case "fuel and preemption mid-window" `Quick
+           horizon_in_window;
+         Alcotest.test_case "bails by reason" `Quick bails_by_reason ]);
       ("memory",
        [ Alcotest.test_case "data rw" `Quick data_memory;
          Alcotest.test_case "sp via io" `Quick sp_via_io;

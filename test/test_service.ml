@@ -335,12 +335,13 @@ let sigint_drain () =
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint previous)
   @@ fun () ->
   (* feeder never exits, so each bench job runs its whole budget
-     (a few ms of host time). *)
+     (a few ms of host time: nearly all of it is an ADC poll loop,
+     which tier-1 fast-forwards, so the budget is large). *)
   let specs =
     List.init 60 (fun i ->
         { Service.Spec.id = i + 1;
           kind =
-            Service.Spec.Bench { program = "feeder"; budget = 6_000_000; tier = 1 } })
+            Service.Spec.Bench { program = "feeder"; budget = 600_000_000; tier = 1 } })
   in
   let killer =
     Domain.spawn (fun () ->

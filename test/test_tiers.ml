@@ -368,6 +368,24 @@ let prop_tiers =
       let img = assemble p in
       native_snap ~tier:0 img = native_snap ~tier:1 img)
 
+(* Programs of poll loops only, some through a counter-service-shaped
+   countdown call: tier-1 must skip iterations of some of them, and
+   match tier-0 on all. *)
+let poll_programs () =
+  let progs =
+    QCheck.Gen.generate ~n:200 ~rand:(Gen.rand_state ()) Gen.gen_poll_program
+  in
+  let before = (Machine.Block.stats ()).skipped in
+  List.iteri
+    (fun i p ->
+      let img = assemble p in
+      if native_snap ~tier:0 img <> native_snap ~tier:1 img then
+        Alcotest.failf
+          "poll program %d diverges at tier 1 (replay with SENSMART_SEED)" i)
+    progs;
+  Alcotest.(check bool) "iterations skipped" true
+    ((Machine.Block.stats ()).skipped > before)
+
 (* The same randomized coverage against tier-2.  Spawning the toolchain
    1200 times would dominate the suite, so the whole population is
    generated up front and batch-compiled via {!Machine.Aot.preload}
@@ -414,4 +432,6 @@ let () =
            flash_length_invisible;
          Alcotest.test_case "fleet 1/2/4 domains" `Slow fleet_tier2;
          Alcotest.test_case "randomized programs (preloaded)" `Slow fuzz_tier2 ]);
-      ("fuzz", List.map Gen.to_alcotest [ prop_tiers ]) ]
+      ("fuzz",
+       List.map Gen.to_alcotest [ prop_tiers ]
+       @ [ Alcotest.test_case "poll programs" `Quick poll_programs ]) ]
