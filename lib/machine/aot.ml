@@ -6,13 +6,17 @@
    function per superblock, registers as let-bound SSA locals, SREG
    recomputed only where a later instruction or an exit can observe it,
    cycle counts folded to per-path constants — compiles it with the
-   host toolchain and Dynlink-loads the result.  The generated module
-   speaks only the {!Aot_runtime} ABI.
+   host toolchain and Dynlink-loads the result.  Compiled code runs on
+   the machine record itself: it reads and writes {!State.t}'s fields
+   and calls {!State.read8}, {!State.write8} and {!State.flash_byte}
+   for what it does not inline.  Plugins compile against the [machine]
+   library's interfaces only, so an interface change makes a cached
+   artifact fail to load, and it is compiled afresh.
 
    Soundness mirrors tier-1's argument: a block is entered only when
    its worst-case cycle cost fits under the caller's horizon, every
    instruction reproduces {!State.step}'s semantics exactly, and any PC
-   without a compiled block returns to the host ([stop_miss]) with no
+   without a compiled block returns to the host (stop code 0) with no
    partial instruction executed.  So does every SLEEP, BREAK and
    SYSCALL: the host runs them through {!State.exec_insn}, as tiers 0
    and 1 do.  Stop points and every architectural counter are
@@ -24,15 +28,15 @@
    expression over the instruction's SSA atoms, and the expression is
    materialized only where that bit is actually observed: a conditional
    branch binds the one bit it tests, while SREG flushes (exit arms and
-   host-closure barriers) splice the full byte composition inline, off
+   host-call barriers) splice the full byte composition inline, off
    the straight-line path.  A flag overwritten before any observation
-   is never computed.  Any closure that can read or write the SREG data
+   is never computed.  Any host call that can read or write the SREG data
    address remains a full barrier (flush before, drop the tracked state
    after a possible write).
 
    Artifacts are content-addressed on a digest of the flash image plus
    generator/toolchain versions, cached on disk, and registered in the
-   process-wide {!Aot_runtime} registry — a 10 k-mote fleet booted from
+   process-wide registry below — a 10 k-mote fleet booted from
    one shared template image compiles once.  Compilation is further
    gated behind an executed-instruction threshold so short runs never
    pay a toolchain invocation, and even past it nothing blocks: the
@@ -48,10 +52,24 @@
 open Avr
 open State
 
-(* Bumped whenever generated code or the ABI changes shape: it salts
-   the content digest, so stale on-disk artifacts can never be loaded
-   into a newer simulator. *)
-let generator_version = 6
+(* Bumped whenever generated code changes shape: it salts the content
+   digest, so stale on-disk artifacts can never be loaded into a newer
+   simulator. *)
+let generator_version = 7
+
+(* Process-wide registry of loaded tier-2 programs, keyed by flash
+   digest.  A plugin registers its program from its top-level
+   initializer when Dynlink loads it; every machine whose flash hashes
+   to the same digest shares the one compiled program (a 10 k-mote
+   fleet booted from one template compiles once).  The mutex makes
+   registration and lookup safe from [Net]'s worker domains. *)
+let registry_lock = Mutex.create ()
+let registry : (string, program) Hashtbl.t = Hashtbl.create 16
+
+let register (p : program) =
+  Mutex.protect registry_lock (fun () -> Hashtbl.replace registry p.digest p)
+
+let find digest = Mutex.protect registry_lock (fun () -> Hashtbl.find_opt registry digest)
 
 (* ------------------------------------------------------------------ *)
 (* Content digest *)
@@ -162,7 +180,7 @@ let discover fetch hi : (int, Block.superblock) Hashtbl.t =
    marks values not yet stored back; SREG likewise.  Cycle costs and
    statically-resolved memory-access counters accumulate as
    compile-time constants ([cyc]/[mr]/[mw]) and are flushed before any
-   host closure call (peripherals are clocked off [ctx.cycles]) and at
+   host call (peripherals are clocked off [m.cycles]) and at
    every exit.  Exit emission ([exit_prologue]/[chain]) never mutates
    emitter state: a conditional branch's taken arm is emitted mid-body
    and the fall-through continues from the same state. *)
@@ -173,7 +191,7 @@ type est = {
   env : string option array;  (* 32 register atoms *)
   dirty : bool array;
   mutable sgb : string option;
-      (* atom holding the SREG base byte ([None] = the [c.sreg] field);
+      (* atom holding the SREG base byte ([None] = the [m.sreg] field);
          bits in [fbit] override it *)
   fbit : string option array;
       (* per-flag lazy expressions (8 entries, bit number = SREG bit):
@@ -185,9 +203,9 @@ type est = {
          splice the full byte composition inline, off the hot path).
          This is per-bit flag elision without any static liveness
          analysis: an expression never observed is never emitted. *)
-  mutable sg_dirty : bool;  (* current SREG differs from [c.sreg] *)
+  mutable sg_dirty : bool;  (* current SREG differs from [m.sreg] *)
   mutable cyv : string option;
-      (* local holding the current value of [c.cycles] (the flushed
+      (* local holding the current value of [m.cycles] (the flushed
          base, excluding [cyc] pending); lets boundary guards and
          flushes run on a register instead of re-loading the mutable
          field *)
@@ -253,7 +271,7 @@ let def_reg st i expr = set_reg st i (bind st "r" expr)
    observed; [sreg_expr] composes the whole byte as one expression for
    flushes.  Emitters therefore pay zero flag cost on the straight-line
    path — the compositions land only inside (cold) exit arms and at
-   host-closure flushes, and a flag overwritten before any observation
+   host-call flushes, and a flag overwritten before any observation
    costs nothing at all. *)
 
 let set_bit st i expr =
@@ -266,12 +284,12 @@ let peek_bit st i =
   match st.fbit.(i) with
   | Some e -> e
   | None ->
-    let base = match st.sgb with Some a -> a | None -> "c.sreg" in
+    let base = match st.sgb with Some a -> a | None -> "m.sreg" in
     if i = 0 then Printf.sprintf "%s land 1" base
     else Printf.sprintf "(%s lsr %d) land 1" base i
 
 (* The flag as a bound 0/1 atom, cached for further observers.  The
-   cache entry stays valid even when it came from [c.sreg]: everything
+   cache entry stays valid even when it came from [m.sreg]: everything
    that can write the field ([kill_sg] sites) also drops the entry. *)
 let use_bit st i =
   match st.fbit.(i) with
@@ -284,7 +302,7 @@ let use_bit st i =
 (* The whole byte as one pure expression: tracked bits spliced over the
    base with constant folding for "0"/"1" literals. *)
 let sreg_expr st =
-  let base = match st.sgb with Some a -> a | None -> "c.sreg" in
+  let base = match st.sgb with Some a -> a | None -> "m.sreg" in
   let mask = ref 0 and parts = ref [] in
   for i = 7 downto 0 do
     match st.fbit.(i) with
@@ -313,7 +331,7 @@ let use_cy st =
   match st.cyv with
   | Some a -> a
   | None ->
-    let v = bind st "cy" "c.cycles" in
+    let v = bind st "cy" "m.cycles" in
     st.cyv <- Some v;
     v
 
@@ -322,23 +340,23 @@ let cy_expr st extra =
   let p = st.cyc + extra in
   match st.cyv with
   | Some a -> if p = 0 then a else Printf.sprintf "%s + %d" a p
-  | None -> if p = 0 then "c.cycles" else Printf.sprintf "c.cycles + %d" p
+  | None -> if p = 0 then "m.cycles" else Printf.sprintf "m.cycles + %d" p
 
 let flush_cyc st =
   if st.cyc > 0 then begin
-    stmt st "c.cycles <- %s;" (cy_expr st 0);
+    stmt st "m.cycles <- %s;" (cy_expr st 0);
     st.cyc <- 0;
     st.cyv <- None
   end
 
 let flush_sg st =
   if st.sg_dirty then begin
-    stmt st "c.sreg <- %s;" (sreg_expr st);
+    stmt st "m.sreg <- %s;" (sreg_expr st);
     st.sg_dirty <- false
   end
 
-(* The tracked SREG state is stale once a closure may have written
-   [c.sreg]; drop everything so the next use reloads the field. *)
+(* The tracked SREG state is stale once a host call may have written
+   [m.sreg]; drop everything so the next use reloads the field. *)
 let kill_sg st =
   st.sgb <- None;
   Array.fill st.fbit 0 8 None;
@@ -350,16 +368,16 @@ let kill_sg st =
    extra); [bump] its own retired count on top of the pending
    [st.ret]. *)
 let exit_prologue st ~extra ~bump =
-  if st.cyc + extra > 0 then stmt st "c.cycles <- %s;" (cy_expr st extra);
+  if st.cyc + extra > 0 then stmt st "m.cycles <- %s;" (cy_expr st extra);
   let rt = st.ret + bump in
-  if rt > 0 then stmt st "c.insns <- c.insns + %d;" rt;
-  if st.mr > 0 then stmt st "c.mem_reads <- c.mem_reads + %d;" st.mr;
-  if st.mw > 0 then stmt st "c.mem_writes <- c.mem_writes + %d;" st.mw;
+  if rt > 0 then stmt st "m.insns <- m.insns + %d;" rt;
+  if st.mr > 0 then stmt st "m.mem_reads <- m.mem_reads + %d;" st.mr;
+  if st.mw > 0 then stmt st "m.mem_writes <- m.mem_writes + %d;" st.mw;
   for i = 0 to 31 do
     if st.dirty.(i) then
       stmt st "Array.unsafe_set rg %d %s;" i (Option.get st.env.(i))
   done;
-  if st.sg_dirty then stmt st "c.sreg <- %s;" (sreg_expr st)
+  if st.sg_dirty then stmt st "m.sreg <- %s;" (sreg_expr st)
 
 (* Snapshot / restore of the value-tracking half of the emitter state,
    bracketing an inlined chain target: the inline arm sits inside a
@@ -391,16 +409,18 @@ let restore_st st (env, dirty, sgb, fbit, sgd, cyv, cyc, ret, mr, mw) =
 
 let fname e = Printf.sprintf "b_%04x" (e land 0xFFFF)
 
+(* Stop at [pc] with stop code [code] (see {!State.program}). *)
+let stop st pc code =
+  stmt st "m.pc <- %d;" pc;
+  stmt st "%d" code
+
 (* Transfer control to [tgt]: a direct (tail) call when the target has
    a compiled block, otherwise a miss back to the host.  The target's
    own entry guard re-checks the horizon. *)
 let chain st blocks tgt =
   let tgt = tgt land 0xFFFF in
-  if Hashtbl.mem blocks tgt then stmt st "%s c" (fname tgt)
-  else begin
-    stmt st "c.pc <- %d;" tgt;
-    stmt st "c.stop <- 0"
-  end
+  if Hashtbl.mem blocks tgt then stmt st "%s m li" (fname tgt)
+  else stop st tgt 0
 
 (* --- ALU groups.  Each mirrors the corresponding State helper;
    results are bound, flags are only *recorded* as lazy expressions
@@ -510,25 +530,24 @@ let emit_ptr st (p : Isa.ptr) : string =
   | Isa.Z_dec -> pre_dec 30
 
 (* Dynamic data-space accesses inline the pure-SRAM fast path and only
-   call the ctx closure (I/O dispatch, SP/SREG shadows) for addresses
-   below the I/O frontier or past the end of SRAM.  Stack traffic —
-   push/pop/frame loads, the bulk of compiled code's memory ops — thus
-   costs a bounds test and a [Bytes] access.  [a] is always a bound
-   atom [<= 0xFFFF + 63], so the closure's [land 0xFFFF] is a no-op on
-   the fast range and semantics match [make_ctx] exactly, counters
-   included. *)
+   call {!State.read8}/{!State.write8} (I/O dispatch, SP/SREG) for
+   addresses below the I/O frontier or past the end of SRAM.  Stack
+   traffic — push/pop/frame loads, the bulk of compiled code's memory
+   ops — thus costs a bounds test and a [Bytes] access.  [a] is always a
+   bound atom [<= 0xFFFF + 63], so their [land 0xFFFF] is a no-op on the
+   fast range and semantics match theirs exactly, counters included. *)
 let read8_expr a =
   Printf.sprintf
-    "(if %s >= %d && %s < %d then (c.mem_reads <- c.mem_reads + 1; Char.code \
-     (Bytes.unsafe_get c.sram %s)) else c.read8 c %s)"
+    "(if %s >= %d && %s < %d then (m.mem_reads <- m.mem_reads + 1; Char.code \
+     (Bytes.unsafe_get m.sram %s)) else Machine.State.read8 m %s)"
     a Layout.io_size a Layout.data_size a a
 
 let emit_write8 st a v =
   stmt st "if %s >= %d && %s < %d then begin" a Layout.io_size a
     Layout.data_size;
-  stmt st "  c.mem_writes <- c.mem_writes + 1;";
-  stmt st "  Bytes.unsafe_set c.sram %s (Char.unsafe_chr %s)" a v;
-  stmt st "end else c.write8 c %s %s;" a v
+  stmt st "  m.mem_writes <- m.mem_writes + 1;";
+  stmt st "  Bytes.unsafe_set m.sram %s (Char.unsafe_chr %s)" a v;
+  stmt st "end else Machine.State.write8 m %s %s;" a v
 
 (* Emit one non-branching body instruction (own address [pc]).  The
    instruction's base cycle cost is already in [st.cyc].  Conditional
@@ -680,16 +699,16 @@ let rec emit_insn st (insn : Isa.t) ~pc =
   | Isa.Lds (d, a) ->
     if a >= Layout.io_size then begin
       (* Pure SRAM (or off-the-end) load: no peripheral can observe it,
-         so it needs neither a cycle flush nor a closure. *)
+         so it needs neither a cycle flush nor a host call. *)
       st.mr <- st.mr + 1;
       if a < Layout.data_size then
-        def_reg st d (Printf.sprintf "Char.code (Bytes.unsafe_get c.sram %d)" a)
+        def_reg st d (Printf.sprintf "Char.code (Bytes.unsafe_get m.sram %d)" a)
       else set_reg st d "0"
     end
     else begin
       flush_cyc st;
       if a = sreg_addr then flush_sg st;
-      let v = bind st "v" (Printf.sprintf "c.read8 c %d" a) in
+      let v = bind st "v" (Printf.sprintf "Machine.State.read8 m %d" a) in
       set_reg st d v
     end
   | Isa.Sts (a, r) ->
@@ -697,17 +716,17 @@ let rec emit_insn st (insn : Isa.t) ~pc =
     if a >= Layout.io_size then begin
       st.mw <- st.mw + 1;
       if a < Layout.data_size then
-        stmt st "Bytes.unsafe_set c.sram %d (Char.unsafe_chr %s);" a v
+        stmt st "Bytes.unsafe_set m.sram %d (Char.unsafe_chr %s);" a v
     end
     else begin
       flush_cyc st;
-      stmt st "c.write8 c %d %s;" a v;
+      stmt st "Machine.State.write8 m %d %s;" a v;
       if a = sreg_addr then kill_sg st
     end
   | Isa.Lpm (d, inc) ->
     let lo = use_reg st 30 and hi = use_reg st 31 in
     let z = bind st "a" (Printf.sprintf "%s lor (%s lsl 8)" lo hi) in
-    let v = bind st "v" (Printf.sprintf "c.lpm c %s" z) in
+    let v = bind st "v" (Printf.sprintf "Machine.State.flash_byte m.flash %s" z) in
     set_reg st d v;
     if inc then begin
       (* Register write order matches [step]: the loaded value lands
@@ -719,14 +738,14 @@ let rec emit_insn st (insn : Isa.t) ~pc =
     let v = use_reg st r in
     flush_cyc st;
     flush_sg st;
-    emit_write8 st "c.sp" v;
-    stmt st "c.sp <- (c.sp - 1) land 0xFFFF;";
+    emit_write8 st "m.sp" v;
+    stmt st "m.sp <- (m.sp - 1) land 0xFFFF;";
     kill_sg st
   | Isa.Pop d ->
     flush_cyc st;
     flush_sg st;
-    stmt st "c.sp <- (c.sp + 1) land 0xFFFF;";
-    let v = bind st "v" (read8_expr "c.sp") in
+    stmt st "m.sp <- (m.sp + 1) land 0xFFFF;";
+    let v = bind st "v" (read8_expr "m.sp") in
     set_reg st d v
   | Isa.In (d, a) -> emit_insn st (Isa.Lds (d, Layout.io_data_addr a)) ~pc
   | Isa.Out (a, r) -> emit_insn st (Isa.Sts (Layout.io_data_addr a, r)) ~pc
@@ -769,8 +788,7 @@ let rec goto st blocks tgt ~extra ~bump ~budget =
     stmt st "if %s + %d > li then begin" cyv (st.cyc + tb.worst);
     st.ind <- st.ind + 1;
     exit_prologue st ~extra:0 ~bump:0;
-    stmt st "c.pc <- %d;" tgt;
-    stmt st "c.stop <- 1";
+    stop st tgt 1;
     st.ind <- st.ind - 1;
     stmt st "end";
     stmt st "else begin";
@@ -815,10 +833,10 @@ and emit_seq st blocks (b : Block.superblock) ~budget =
 (* Emit the terminator (or the cap/undecodable fall-through). *)
 and emit_term st blocks (b : Block.superblock) ~budget =
   let push16 v =
-    emit_write8 st "c.sp" (string_of_int (v land 0xFF));
-    stmt st "c.sp <- (c.sp - 1) land 0xFFFF;";
-    emit_write8 st "c.sp" (string_of_int ((v lsr 8) land 0xFF));
-    stmt st "c.sp <- (c.sp - 1) land 0xFFFF;"
+    emit_write8 st "m.sp" (string_of_int (v land 0xFF));
+    stmt st "m.sp <- (m.sp - 1) land 0xFFFF;";
+    emit_write8 st "m.sp" (string_of_int ((v lsr 8) land 0xFF));
+    stmt st "m.sp <- (m.sp - 1) land 0xFFFF;"
   in
   match b.term with
   | None -> goto st blocks b.term_pc ~extra:0 ~bump:0 ~budget
@@ -844,29 +862,28 @@ and emit_term st blocks (b : Block.superblock) ~budget =
        let z = bind st "a" (Printf.sprintf "%s lor (%s lsl 8)" lo hi) in
        exit_prologue st ~extra ~bump:1;
        push16 fall;
-       stmt st "c.pc <- %s;" z;
-       stmt st "dispatch c"
+       stmt st "m.pc <- %s;" z;
+       stmt st "dispatch m li"
      | Isa.Ijmp ->
        let lo = use_reg st 30 and hi = use_reg st 31 in
        let z = bind st "a" (Printf.sprintf "%s lor (%s lsl 8)" lo hi) in
        exit_prologue st ~extra ~bump:1;
-       stmt st "c.pc <- %s;" z;
-       stmt st "dispatch c"
+       stmt st "m.pc <- %s;" z;
+       stmt st "dispatch m li"
      | Isa.Ret | Isa.Reti ->
        exit_prologue st ~extra ~bump:1;
-       stmt st "c.sp <- (c.sp + 1) land 0xFFFF;";
-       let ph = bind st "v" (read8_expr "c.sp") in
-       stmt st "c.sp <- (c.sp + 1) land 0xFFFF;";
-       let pl = bind st "v" (read8_expr "c.sp") in
-       stmt st "c.pc <- (%s lsl 8) lor %s;" ph pl;
-       if t = Isa.Reti then stmt st "c.sreg <- c.sreg lor 0x80;";
-       stmt st "dispatch c"
+       stmt st "m.sp <- (m.sp + 1) land 0xFFFF;";
+       let ph = bind st "v" (read8_expr "m.sp") in
+       stmt st "m.sp <- (m.sp + 1) land 0xFFFF;";
+       let pl = bind st "v" (read8_expr "m.sp") in
+       stmt st "m.pc <- (%s lsl 8) lor %s;" ph pl;
+       if t = Isa.Reti then stmt st "m.sreg <- m.sreg lor 0x80;";
+       stmt st "dispatch m li"
      | Isa.Sleep | Isa.Break | Isa.Syscall _ ->
        (* The host runs these: miss in front of the terminator.  Never
           a chain, which would loop on a block that is only this. *)
        exit_prologue st ~extra:0 ~bump:0;
-       stmt st "c.pc <- %d;" (b.term_pc land 0xFFFF);
-       stmt st "c.stop <- 0"
+       stop st (b.term_pc land 0xFFFF) 0
      | _ -> invalid_arg "Aot.emit_term: not a block terminator")
 
 let emit_block st blocks entry (b : Block.superblock) ~first =
@@ -882,14 +899,13 @@ let emit_block st blocks entry (b : Block.superblock) ~first =
   st.mw <- 0;
   st.ends <- 0;
   st.ind <- 0;
-  stmt st "%s %s (c : ctx) =" (if first then "let rec" else "and") (fname entry);
+  stmt st "%s %s (m : Machine.State.t) li =" (if first then "let rec" else "and")
+    (fname entry);
   st.ind <- 1;
-  stmt st "if c.cycles + %d > c.limit then begin c.pc <- %d; c.stop <- 1 end"
-    b.worst entry;
+  stmt st "if m.cycles + %d > li then begin m.pc <- %d; 1 end" b.worst entry;
   stmt st "else begin";
   st.ind <- 2;
-  stmt st "let rg = c.regs in";
-  stmt st "let li = c.limit in";
+  stmt st "let rg = m.regs in";
   ignore (use_cy st);
   emit_seq st blocks b ~budget:(ref (inline_budget - b.retired));
   st.ind <- 1;
@@ -916,13 +932,11 @@ let translate ~digest (flash : int array) : string option =
       let st = est_new () in
       stmt st "(* Generated by the sensmart tier-2 translator.";
       stmt st "   Flash digest %s.  Do not edit. *)" digest;
-      stmt st "open Aot_runtime";
-      stmt st "let miss (c : ctx) = c.stop <- 0";
-      stmt st "let table : (ctx -> unit) array = Array.make %d miss" hi;
-      stmt st "let dispatch (c : ctx) =";
-      stmt st "  let pc = c.pc in";
-      stmt st
-        "  if pc < %d then (Array.unsafe_get table pc) c else c.stop <- 0" hi;
+      stmt st "let miss (_ : Machine.State.t) (_ : int) = 0";
+      stmt st "let table = Array.make %d miss" hi;
+      stmt st "let dispatch (m : Machine.State.t) li =";
+      stmt st "  let pc = m.pc land 0xFFFF in";
+      stmt st "  if pc < %d then (Array.unsafe_get table pc) m li else 0" hi;
       List.iteri
         (fun i entry -> emit_block st blocks entry (Hashtbl.find blocks entry)
             ~first:(i = 0))
@@ -932,8 +946,8 @@ let translate ~digest (flash : int array) : string option =
         (fun entry ->
           stmt st "  Array.unsafe_set table %d %s;" entry (fname entry))
         entries;
-      stmt st "  register";
-      stmt st "    { digest = %S;" digest;
+      stmt st "  Machine.Aot.register";
+      stmt st "    { Machine.State.digest = %S;" digest;
       stmt st
         "      has = (fun pc -> pc >= 0 && pc < %d && not (Array.unsafe_get \
          table pc == miss));"
@@ -1054,19 +1068,21 @@ let rec reap flags pid =
 
 let run_tool argv ~log = Option.bind (spawn argv ~log) (reap [])
 
-(* Directory holding aot_runtime.cmi — the one compilation input beyond
-   the generated source.  Probed from the env override, then by walking
-   up from the executable and the cwd into a dune _build tree, then via
-   findlib for installed setups. *)
+(* Directory holding machine.cmi and its modules' interfaces, the one
+   compilation input beyond the generated source (cmi only: an artifact
+   then depends on the interfaces alone, not on their implementations).
+   Probed from the env override, then by walking up from the executable
+   and the cwd into a dune _build tree, then via findlib for installed
+   setups. *)
 let find_inc_dir () : string option =
-  let ok d = d <> "" && Sys.file_exists (Filename.concat d "aot_runtime.cmi") in
+  let ok d = d <> "" && Sys.file_exists (Filename.concat d "machine.cmi") in
   match Sys.getenv_opt "SENSMART_AOT_INC" with
   | Some d when ok d -> Some d
   | _ ->
     let sub =
       Filename.concat
-        (Filename.concat "lib" "aot_runtime")
-        (Filename.concat ".aot_runtime.objs" "byte")
+        (Filename.concat "lib" "machine")
+        (Filename.concat ".machine.objs" "byte")
     in
     let rec walk d n =
       if n > 12 then None
@@ -1087,7 +1103,7 @@ let find_inc_dir () : string option =
          let tmp = Filename.temp_file "sensmart_aot" ".path" in
          let res =
            match
-             run_tool [| "ocamlfind"; "query"; "sensmart.aot_runtime" |] ~log:tmp
+             run_tool [| "ocamlfind"; "query"; "sensmart.machine" |] ~log:tmp
            with
            | Some (WEXITED 0) -> (
              let ic = open_in tmp in
@@ -1149,7 +1165,7 @@ let start sources out =
   match (Dynlink.is_native, Lazy.force compiler, find_inc_dir ()) with
   | false, _, _ -> disable "tier-2 needs a native-code build"
   | _, None, _ -> disable "no OCaml compiler on PATH"
-  | _, _, None -> disable "aot_runtime.cmi not found (set SENSMART_AOT_INC)"
+  | _, _, None -> disable "machine.cmi not found (set SENSMART_AOT_INC)"
   | true, Some cc, Some inc -> (
     let tmp =
       Filename.concat (Filename.dirname out)
@@ -1188,15 +1204,15 @@ let finish ?(load = true) c status =
   (match status with
    | Unix.WEXITED 0 -> (
      incr compiles;
-     match Sys.rename (Filename.concat c.tmp (Filename.basename c.out)) c.out with
-     | exception Sys_error msg -> disable msg
-     | () when not load -> ()
-     | () -> (
-       match load_artifact c.out with
-       | Error msg -> disable msg
-       | Ok () when List.exists (fun d -> Aot_runtime.find d = None) c.digests ->
-         disable "loaded module did not register"
-       | Ok () -> ()))
+     (* Loaded from its build path, which no earlier load has named: the
+        dynamic linker keeps a stale artifact that failed to load open
+        under the cache path, and would hand it back for that path. *)
+     let built = Filename.concat c.tmp (Filename.basename c.out) in
+     match if load then load_artifact built else Ok () with
+     | Error msg -> disable msg
+     | Ok () when load && List.exists (fun d -> find d = None) c.digests ->
+       disable "loaded module did not register"
+     | Ok () -> ( try Sys.rename built c.out with Sys_error msg -> disable msg))
    | status ->
      let first_line =
        try In_channel.with_open_bin (Filename.concat c.tmp "log") In_channel.input_line
@@ -1252,103 +1268,16 @@ let shutdown () =
 let () = at_exit shutdown
 
 (* ------------------------------------------------------------------ *)
-(* Host-side ctx: closures that replicate State.read8/write8 (IN/OUT
-   included, at their data-space addresses) and State's LPM against
-   ctx-held machine scalars (ctx.pc/sp/sreg/cycles and the access
-   counters are authoritative while compiled code runs; regs and sram
-   are aliased directly), and [enter], which moves those scalars in and
-   out around compiled code. *)
-
-let make_ctx (m : t) : Aot_runtime.ctx =
-  let read8 (c : Aot_runtime.ctx) addr =
-    let addr = addr land 0xFFFF in
-    c.mem_reads <- c.mem_reads + 1;
-    if addr < Layout.io_size then begin
-      c.io_reads <- c.io_reads + 1;
-      if addr = spl_addr then c.sp land 0xFF
-      else if addr = sph_addr then (c.sp lsr 8) land 0xFF
-      else if addr = sreg_addr then c.sreg
-      else if addr >= 0x20 && addr < 0x60 then
-        Io.read m.io ~cycles:c.cycles (addr - 0x20)
-      else Char.code (Bytes.unsafe_get c.sram addr)
-    end
-    else if addr < Layout.data_size then Char.code (Bytes.unsafe_get c.sram addr)
-    else 0
-  in
-  let write8 (c : Aot_runtime.ctx) addr v =
-    let addr = addr land 0xFFFF and v = v land 0xFF in
-    c.mem_writes <- c.mem_writes + 1;
-    if addr < Layout.io_size then begin
-      c.io_writes <- c.io_writes + 1;
-      if addr = spl_addr then c.sp <- (c.sp land 0xFF00) lor v
-      else if addr = sph_addr then c.sp <- (c.sp land 0x00FF) lor (v lsl 8)
-      else if addr = sreg_addr then c.sreg <- v
-      else if addr >= 0x20 && addr < 0x60 then
-        Io.write m.io ~cycles:c.cycles (addr - 0x20) v
-      else Bytes.unsafe_set c.sram addr (Char.unsafe_chr v)
-    end
-    else if addr < Layout.data_size then
-      Bytes.unsafe_set c.sram addr (Char.unsafe_chr v)
-  in
-  let lpm (_ : Aot_runtime.ctx) z =
-    let w = flash_word m.flash (z lsr 1) in
-    (if z land 1 = 0 then w else w lsr 8) land 0xFF
-  in
-  { Aot_runtime.regs = m.regs;
-    sram = m.sram;
-    pc = 0;
-    sp = 0;
-    sreg = 0;
-    cycles = 0;
-    insns = 0;
-    mem_reads = 0;
-    mem_writes = 0;
-    io_reads = 0;
-    io_writes = 0;
-    limit = 0;
-    stop = 0;
-    read8;
-    write8;
-    lpm }
-
-(** Run [m]'s compiled program [p] from [m.pc] with [c], [m]'s ctx,
-    entering no block whose worst case would pass the cycle [limit].
-    Returns the stop code, with [m]'s fields brought up to date. *)
-let enter (m : t) (p : Aot_runtime.program) (c : Aot_runtime.ctx) ~limit =
-  c.pc <- m.pc land 0xFFFF;
-  c.sp <- m.sp;
-  c.sreg <- m.sreg;
-  c.cycles <- m.cycles;
-  c.insns <- m.insns;
-  c.mem_reads <- m.mem_reads;
-  c.mem_writes <- m.mem_writes;
-  c.io_reads <- m.io_reads;
-  c.io_writes <- m.io_writes;
-  c.limit <- limit;
-  c.stop <- Aot_runtime.stop_miss;
-  p.enter c;
-  m.pc <- c.pc;
-  m.sp <- c.sp;
-  m.sreg <- c.sreg;
-  m.cycles <- c.cycles;
-  m.insns <- c.insns;
-  m.mem_reads <- c.mem_reads;
-  m.mem_writes <- c.mem_writes;
-  m.io_reads <- c.io_reads;
-  m.io_writes <- c.io_writes;
-  c.stop
-
-(* ------------------------------------------------------------------ *)
 (* Binding a machine to its compiled program. *)
 
 let bind_ready m digest =
-  match Aot_runtime.find digest with
+  match find digest with
   | Some p ->
-    m.t2 <- T2_ready (p, make_ctx m);
+    m.t2 <- T2_ready p;
     true
   | None -> false
 
-let bound m = match m.t2 with T2_ready (p, c) -> Some (p, c) | _ -> None
+let bound m = match m.t2 with T2_ready p -> Some p | _ -> None
 
 (* Load the cached artifact [path], which must register [digests].  A
    hit counts only once it has; a stale or corrupt file is removed, so
@@ -1357,7 +1286,7 @@ let load_cached path digests =
   Sys.file_exists path
   &&
   match load_artifact path with
-  | Ok () when List.for_all (fun d -> Aot_runtime.find d <> None) digests ->
+  | Ok () when List.for_all (fun d -> find d <> None) digests ->
     incr cache_hits;
     true
   | Ok () | Error _ ->
@@ -1398,17 +1327,17 @@ let advance ~eager m digest =
        end);
   Mutex.unlock big_lock
 
-(* The tier-2 run loop's entry point: the compiled program and ctx for
-   [m]'s current flash, if available now.  Drives the [t2] state
+(* The tier-2 run loop's entry point: the compiled program for [m]'s
+   current flash, if available now.  Drives the [t2] state
    machine: digest on first sight, bind at once from the registry or
    the disk cache, otherwise wait out the execution-count threshold,
    then start a background compile once the slot is free and poll it
    until it binds.  At threshold 0 the machine waits for its compile
    instead.  Cheap on the hot paths: [T2_ready] is field access;
    [T2_wait] is an int compare. *)
-let attempt (m : t) : (Aot_runtime.program * Aot_runtime.ctx) option =
+let attempt (m : t) : program option =
   match m.t2 with
-  | T2_ready (p, c) -> Some (p, c)
+  | T2_ready p -> Some p
   | T2_off -> None
   | (T2_wait _ | T2_unknown) when not !enabled ->
     m.t2 <- T2_off;
@@ -1453,7 +1382,7 @@ let preload (images : int array list) : unit =
       List.filter_map
         (fun img ->
           let digest = digest_of_flash img in
-          if Hashtbl.mem seen digest || Aot_runtime.find digest <> None then None
+          if Hashtbl.mem seen digest || find digest <> None then None
           else begin
             Hashtbl.add seen digest ();
             if load_cached (artifact digest) [ digest ] then None

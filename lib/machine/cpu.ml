@@ -14,8 +14,9 @@
      Sleeping / Halted) lands on exactly the cycle tier-0 would stop at.
      Any miss — uncompilable entry, horizon too close, or a tracing
      hook installed — falls back to a single tier-0 [step].
-   - [run_tier2] enters ahead-of-time compiled code from {!Aot}, falling
-     back to one tier-1 iteration wherever it cannot serve the PC.
+   - [run_tier2] enters ahead-of-time compiled code from {!Aot}, which
+     runs on the machine record itself, falling back to one tier-1
+     iteration wherever it cannot serve the PC.
 
    All three decide when to stop through one check, [stopped].  [run]
    picks the tier: tracing (or [~tier:0]) forces tier-0, otherwise
@@ -116,8 +117,8 @@ let run_blocks ?(max_cycles = max_int) m : stop =
 
 (** Tier-2: same contract again, entering ahead-of-time compiled code
     (see {!Aot}) whenever the machine's flash has a compiled program
-    covering the current PC.  The compiled program chains superblocks
-    internally and returns through {!Aot.enter}; any PC the program
+    covering the current PC.  The compiled program runs on [m] itself,
+    chains superblocks internally and returns a stop code; any PC it
     cannot serve — SLEEP, BREAK and SYSCALL included, or a horizon too
     close for even one block — falls back to one tier-1 iteration
     (which itself falls back to tier-0), guaranteeing forward progress
@@ -126,20 +127,20 @@ let run_tier2 ?(max_cycles = max_int) m : stop =
   let rec loop () =
     let ready =
       match m.t2 with
-      | T2_ready (p, c) -> Some (p, c)
+      | T2_ready p -> Some p
       | T2_off -> None
       | T2_unknown | T2_wait _ -> Aot.attempt m
     in
     match ready with
-    | Some (p, c) when p.Aot_runtime.has (m.pc land 0xFFFF) ->
+    | Some p when p.has (m.pc land 0xFFFF) ->
       let limit =
         if max_cycles < m.preempt_at then max_cycles else m.preempt_at
       in
-      let s = Aot.enter m p c ~limit in
+      let s = p.enter m limit in
       (* Chaining may have run the clock right up to a limit. *)
       (match stopped ~max_cycles m with
        | Some stop -> stop
-       | None when s = Aot_runtime.stop_horizon ->
+       | None when s = 1 ->
          (* Next block's worst case overruns a horizon: single-step to
             stay exactly on the tier-0 stop point. *)
          step m;

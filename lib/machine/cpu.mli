@@ -107,12 +107,25 @@ and block = State.block = { exec : t -> int -> bool; worst : int }
 (** Tier-2 (ahead-of-time compiled) binding states; managed by {!Aot}.
     [T2_wait (digest, ready_at)] defers the toolchain invocation until
     the machine has retired [ready_at] instructions, so short runs never
-    pay a compile they cannot amortize. *)
+    pay a compile they cannot amortize.  [T2_ready p] runs [p], whose
+    compiled code reads and writes this record's own fields. *)
 and t2 = State.t2 =
   | T2_unknown
   | T2_off
   | T2_wait of string * int
-  | T2_ready of Aot_runtime.program * Aot_runtime.ctx
+  | T2_ready of program
+
+(** A tier-2 compiled program: [enter m limit] runs compiled blocks on
+    [m] from [m.pc], entering none whose worst case would pass the cycle
+    [limit], and returns 0 at a PC it has no block for (or a SLEEP,
+    BREAK or SYSCALL, which the host runs) and 1 when the next block
+    would overrun [limit]; [has pc] tells whether a block starts at
+    [pc]. *)
+and program = State.program = {
+  digest : string;
+  has : int -> bool;
+  enter : t -> int -> int;
+}
 
 (** [flash_word fl a] is the word at address [a] (taken modulo the
     64 K-word flash) of the flash array [fl], or erased [0xFFFF] past

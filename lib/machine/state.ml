@@ -120,7 +120,20 @@ and t2 =
   | T2_unknown  (* flash not yet digested *)
   | T2_off  (* tier-2 unavailable for this image (or globally) *)
   | T2_wait of string * int
-  | T2_ready of Aot_runtime.program * Aot_runtime.ctx
+  | T2_ready of program
+
+(* A tier-2 compiled program, registered by its plugin's initializer
+   ({!Aot.register}).  [enter m limit] runs compiled blocks on [m]
+   itself from [m.pc], entering none whose worst case would pass the
+   cycle [limit], and returns why it stopped: 0 at a PC it has no block
+   for (SLEEP, BREAK and SYSCALL included, which the host runs), 1 when
+   the next block's worst case would overrun [limit].  No partial
+   instruction has executed either way. *)
+and program = {
+  digest : string;  (* content digest of the source flash image *)
+  has : int -> bool;  (* does a compiled block start at this word PC? *)
+  enter : t -> int -> int;
+}
 
 (* A flash image and everything derived from its words alone: the
    decode cache, the tier-1 block table with its heat counts, and the
@@ -164,6 +177,12 @@ let no_heat : int array = Array.make chunk_words 0
 let[@inline] flash_word fl a =
   let a = a land 0xFFFF in
   if a < Array.length fl then Array.unsafe_get fl a else 0xFFFF
+
+(* The program-memory byte at byte address [z]: LPM's read, the low
+   byte of a word at an even address. *)
+let[@inline] flash_byte fl z =
+  let w = flash_word fl (z lsr 1) in
+  (if z land 1 = 0 then w else w lsr 8) land 0xFF
 
 (* The length of a flash array whose written words all lie below [n]:
    [n] rounded up to whole chunks. *)
@@ -632,8 +651,7 @@ let[@inline] exec_data m (insn : Isa.t) =
   | Sts (a, r) -> write8 m a (rg m (r))
   | Lpm (d, inc) ->
     let z = zreg m in
-    let w = flash_word m.flash (z lsr 1) in
-    rs m (d) @@ (if z land 1 = 0 then w else w lsr 8) land 0xFF;
+    rs m (d) @@ flash_byte m.flash z;
     if inc then set_zreg m ((z + 1) land 0xFFFF)
   | Push r -> push8 m (rg m (r))
   | Pop d -> rs m (d) @@ pop8 m

@@ -159,15 +159,23 @@ fi
 # prints what tier 1 prints.  Every compile runs in a build-* directory
 # under its cache directory, so a leftover compiler is one whose command
 # line names "$cold".  The no-toolchain run gets its own empty cache, so
-# it cannot bind a cached artifact instead of falling back.
+# it cannot bind a cached artifact instead of falling back.  The cold
+# run starts outside the repo, so the compile finds machine.cmi from
+# the executable's path, not from the cwd.  The warm run must load the
+# artifact as it is: one it failed to load would be removed and
+# compiled again, and the output alone cannot show that, so the
+# artifact's inode and mtime must not change.
 cold=$(mktemp -d)
 nocc=$(mktemp -d)
 want=$("$cli" native crc_mc --tier 1)
-got=$(SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2)
+abs_cli="$PWD/$cli"
+got=$(cd / && SENSMART_AOT_CACHE="$cold" "$abs_cli" native crc_mc --tier 2)
 running=$(pgrep -f "$cold" || true)
 artifacts=$(find "$cold" -maxdepth 1 -name '*.cmxs' | wc -l)
 leftover=$(find "$cold" -maxdepth 1 -name 'build-*')
+stamp=$(stat -c '%i %Y' "$cold"/*.cmxs || true)
 got_warm=$(SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2)
+stamp_warm=$(stat -c '%i %Y' "$cold"/*.cmxs || true)
 got_nocc=$(PATH=/nonexistent SENSMART_AOT_CACHE="$nocc" "$cli" native crc_mc --tier 2 2>/dev/null)
 rm -rf "$cold" "$nocc"
 if [ "$got" != "$want" ] || [ "$got_warm" != "$want" ] || [ "$got_nocc" != "$want" ]; then
@@ -176,6 +184,10 @@ if [ "$got" != "$want" ] || [ "$got_warm" != "$want" ] || [ "$got_nocc" != "$wan
 fi
 if [ -n "$running" ] || [ -n "$leftover" ] || [ "$artifacts" -ne 1 ]; then
     echo "check.sh: a cold --tier 2 run left a compiler or build dir, or not one artifact ($artifacts)" >&2
+    exit 1
+fi
+if [ "$stamp_warm" != "$stamp" ]; then
+    echo "check.sh: the warm --tier 2 run rebuilt its cached artifact ($stamp -> $stamp_warm)" >&2
     exit 1
 fi
 

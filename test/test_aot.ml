@@ -82,27 +82,53 @@ let check_counts what ~hits ~compiles (s0 : Machine.Aot.stat) =
   Alcotest.(check int) (what ^ ": cache hits") hits (s1.cache_hits - s0.cache_hits);
   Alcotest.(check int) (what ^ ": compiles") compiles (s1.compiles - s0.compiles)
 
-(* A corrupt cached artifact is removed and rebuilt: one compile, and no
-   cache hit, on both the eager path and the batch preload. *)
+(* Build, in a scratch directory, a real plugin against a stub
+   [Machine__State] whose interface differs from the linked one, so
+   Dynlink rejects it with an interface mismatch: what every cached
+   artifact meets after a change to the machine's interfaces. *)
+let build_mismatched out =
+  let dir = Filename.temp_dir "sensmart-aot-stub" "" in
+  let write name text =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let mli = write "machine__State.mli" "type t = { stub : int }\n" in
+  let ml = write "sensmart_aot_stub.ml" "let f (m : Machine__State.t) = m.stub\n" in
+  let cc = Option.get (Lazy.force Machine.Aot.compiler) in
+  let log = Filename.concat dir "log" in
+  let ok argv = Machine.Aot.run_tool (Array.append cc argv) ~log = Some (Unix.WEXITED 0) in
+  let built = ok [| "-c"; mli |] && ok [| "-shared"; "-I"; dir; ml; "-o"; out |] in
+  Machine.Aot.remove_dir dir;
+  if not built then Alcotest.fail "stub plugin did not build"
+
+(* A corrupt cached artifact, and one built against another interface
+   of the machine, is removed and rebuilt: one compile, and no cache
+   hit, on both the eager path and the batch preload. *)
 let corrupt_artifact () =
   Machine.Aot.set_threshold 0;
-  let plant img =
+  let garbage img =
     Out_channel.with_open_bin
       (Filename.concat cache (digest img ^ ".cmxs"))
       (fun oc -> output_string oc "not a shared object")
-  in
-  let a = tiny 11 and b = tiny 13 in
-  plant a;
-  plant b;
-  let s0 = Machine.Aot.stats () in
-  let m = run ~tier:2 a in
-  check_counts "eager" ~hits:0 ~compiles:1 s0;
-  Alcotest.(check bool) "eager: bound" true (bound m);
-  Alcotest.(check int) "eager: result" 11 m.regs.(24);
-  let s0 = Machine.Aot.stats () in
-  Machine.Aot.preload [ b.words ];
-  check_counts "preload" ~hits:0 ~compiles:1 s0;
-  Alcotest.(check bool) "preload: bound" true (bound (run ~tier:2 b))
+  and mismatched img = build_mismatched (Filename.concat cache (digest img ^ ".cmxs")) in
+  List.iter
+    (fun (plant, k_eager, k_preload) ->
+      let a = tiny k_eager and b = tiny k_preload in
+      plant a;
+      plant b;
+      let s0 = Machine.Aot.stats () in
+      let m = run ~tier:2 a in
+      check_counts "eager" ~hits:0 ~compiles:1 s0;
+      Alcotest.(check bool) "eager: bound" true (bound m);
+      Alcotest.(check int) "eager: result" k_eager m.regs.(24);
+      let s0 = Machine.Aot.stats () in
+      Machine.Aot.preload [ b.words ];
+      check_counts "preload" ~hits:0 ~compiles:1 s0;
+      let m = run ~tier:2 b in
+      Alcotest.(check bool) "preload: bound" true (bound m);
+      Alcotest.(check int) "preload: result" k_preload m.regs.(24))
+    [ (garbage, 11, 13); (mismatched, 17, 19) ]
 
 (* After [Aot.shutdown ()], which waits for the compile in flight: no
    compiler is alive, no build directory is left, and the cache holds

@@ -632,47 +632,47 @@ let ret_guard_mismatch () =
    (or the emitter) that alters generated code without bumping the
    version would otherwise load stale cached artifacts silently. *)
 let pinned_translations =
-  [ ("am", "d3490e61a8f555d04af827dfcd3dfbeb");
-    ("amplitude", "6336cb5dca8ef6ca02c55d5319869a0f");
-    ("crc", "e77ef55dd3d2f3d57a8d94563a813671");
-    ("eventchain", "f2f4ade41ccd58cd18f2a76af892b30d");
-    ("lfsr", "a505535c0223fc16a9f365b9e3c8d72f");
-    ("readadc", "4ef118e44440fb3b644c85b684523d12");
-    ("timer", "ba1a2e5773fd320fe0ad6f17305710fb");
-    ("periodic", "98cedc5ad095e62aaf8cf9f552de1397");
-    ("feeder", "0d6ec7902fd2720be6000daf0e24baca");
-    ("search", "bb93a06f6f197fc4615ad8fa9a6b9979");
-    ("rx_vuln", "ecc5463639a4ed2f4057a8d6843c42a4");
-    ("guard", "e094e889ebc67ae8cca07cfb65f566dc");
-    ("lfsr_mc", "574d39e486c9569283e016949bf70db6");
-    ("crc_mc", "66f73a3fedb2ffdec9dabfc64ea5adf5");
-    ("am_mc", "bd529a6a84c1c4fd7909005c4702662a");
-    ("amplitude_mc", "4511bebb69a3464952216f46291e7993");
-    ("readadc_mc", "ea02d428c1cb6c627152acd5ec165239");
-    ("eventchain_mc", "0ca307646b95ad4fa7e4de1f6cd0d7d5");
-    ("timer_mc", "d3b7a8fc8aa60ad98566383c48a43d8c");
-    ("sensmart:am", "c7397abeadd3361d3fa6c6508b1317d6");
-    ("sensmart:amplitude", "1929fed420e8faef936fb6c2f8f0742b");
-    ("sensmart:crc", "23af7a4be8575fea8f1560c609db816d");
-    ("sensmart:eventchain", "9af73eebaac86fd8665bdc1b61159c9e");
-    ("sensmart:lfsr", "66bf90926cf0bbcf7b267527a96a6ef5");
-    ("sensmart:readadc", "0a8fdb38ed41e1ac72129c38860d344d");
-    ("sensmart:timer", "1bdd27effd1ee098b6362b2f147e81e3");
-    ("sensmart:periodic", "8a770107442723d852ac4b1670381d8a");
-    ("sensmart:feeder", "622d4a9a7ebc273a17186ae79883a466");
-    ("sensmart:search", "8d6b13d4da1fe3bbe602ae183b9a6219");
-    ("sensmart:rx_vuln", "234038b79b6af6d4b80a5f07084604a6");
-    ("sensmart:guard", "5e989cf586b3d3d13fb5117fc8881e61");
-    ("sensmart:lfsr_mc", "a9b551bd88e41732b166da2fbf385ee7");
-    ("sensmart:crc_mc", "d00deb95720a69c1975235f534d70f0c");
-    ("sensmart:am_mc", "c6c1fbcb2942e569998ec723ced9e765");
-    ("sensmart:amplitude_mc", "7fccea3a61f37b40612b62d2346673b4");
-    ("sensmart:readadc_mc", "8ba13d048e4d6da7c0c8aeaed0889aa1");
-    ("sensmart:eventchain_mc", "db7370862ab88f9ad30467763f80ef0f");
-    ("sensmart:timer_mc", "082977dcad38b2f0ff1bb198418c28b5");
-    ("fixture:blink", "e1ec4073f0f5b9853321f3aab2871091");
-    ("fixture:sense", "bf3eadfcda8d400afba91a22555e99f6");
-    ("fixture:dispatch", "149714dd8fb3af565d20c26e57100dbc") ]
+  [ ("am", "5b4d9138ad0cf2198d26d2a645ca7ed0");
+    ("amplitude", "c3f183dbb43acecede04f88ca4243dfa");
+    ("crc", "bbdb06cf14f176ec7ba0d66084376f9b");
+    ("eventchain", "874994d6bbf1db75faa3374a1790cf49");
+    ("lfsr", "fb4aac35d307e1654ef09a6138d43e1d");
+    ("readadc", "216a397b331f8a0df512cb8b8fba7a4c");
+    ("timer", "e782341b7bb08a1fe316da0c1082af57");
+    ("periodic", "e47bfcad601641f285fe167e841a4547");
+    ("feeder", "6190e815dd01c0a80d2d0403eb683d10");
+    ("search", "b2f9c0b98b01c547adb8c6b053c903f5");
+    ("rx_vuln", "c9dce7baf0975a0dc098fc4bab8f1cdb");
+    ("guard", "13aedd4c11b13ad0038ae4eef110109b");
+    ("lfsr_mc", "d39c1458b8e32491acde35f42342b87a");
+    ("crc_mc", "5713597299271525778d61b37ccaa773");
+    ("am_mc", "810f689aaa39e303c415271b059bceea");
+    ("amplitude_mc", "095cf9ca01bbfd8ebafcfec188d12208");
+    ("readadc_mc", "af0e0882419743d5822cf695130eefa6");
+    ("eventchain_mc", "ec5edd0bbb4e14f1afbaf9bc464a6005");
+    ("timer_mc", "99195fe24cdf3a0badb976442c992d97");
+    ("sensmart:am", "a37bc34cd2894cf1312555c7e9879f3f");
+    ("sensmart:amplitude", "10ed286b3cb14ea3a93558af17b15d93");
+    ("sensmart:crc", "f1cb414f12eb839596ae22288bea8e6c");
+    ("sensmart:eventchain", "27073b271ca29af8481568ae82a5bfc7");
+    ("sensmart:lfsr", "cb51044c0b94fe74483a63e637744dd4");
+    ("sensmart:readadc", "07bf48bdd285dadf3239394b85f74130");
+    ("sensmart:timer", "39f076c985bf5df1ca3e206b62c89a03");
+    ("sensmart:periodic", "36dc903f8a8bbfb309e14963bf797e86");
+    ("sensmart:feeder", "e9731079d39f81c3e613935f2a9795ee");
+    ("sensmart:search", "ea4641b372a6cf3445450e7b248ff87f");
+    ("sensmart:rx_vuln", "f70af44bacc9875cb9eece9a15c0e22c");
+    ("sensmart:guard", "b417c588a5ba1a72217f741db40b8a29");
+    ("sensmart:lfsr_mc", "d327cfa0cf14fa39a27ef4a9aca164be");
+    ("sensmart:crc_mc", "7ca5ce223ba423a8cc1cb54052ae2402");
+    ("sensmart:am_mc", "d61f96c1ef639b956493f247f5f310ed");
+    ("sensmart:amplitude_mc", "45ed2f1102639ec76f5ef7c005ecae17");
+    ("sensmart:readadc_mc", "62b0e8ba0516ed2ab68192e8718e8af0");
+    ("sensmart:eventchain_mc", "c364d88c4ede3f3fcbb48cc9b41c0357");
+    ("sensmart:timer_mc", "84e8f991b2a492a33de05c3964987572");
+    ("fixture:blink", "bb98a9f850e44c9ca477152c6874c5ed");
+    ("fixture:sense", "f2ddb1d8bce71aa59b6958fba887d8d5");
+    ("fixture:dispatch", "3128b2853374aa28b063a5f928d1ad41") ]
 
 let translation_digests () =
   let flash_of (img : Asm.Image.t) =
@@ -704,7 +704,7 @@ let translation_digests () =
     flashes
 
 let translator_output_pinned () =
-  Alcotest.(check int) "generator version" 6 Machine.Aot.generator_version;
+  Alcotest.(check int) "generator version" 7 Machine.Aot.generator_version;
   let got = translation_digests () in
   if got <> pinned_translations then
     Alcotest.failf "translator output changed.  If aot.ml or Block.form \

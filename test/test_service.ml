@@ -328,9 +328,10 @@ let spec_duplicate_ids () =
 
 let sigint_drain () =
   (* Park a benign handler so a stray signal outside serve's window can
-     never kill the test binary, then fire one SIGINT mid-run from a
-     helper domain.  serve installs its drain handler synchronously
-     before any job starts, well inside the helper's 50ms fuse. *)
+     never kill the test binary, then fire one SIGINT when the first
+     job's completion line arrives: serve installs its drain handler
+     before any job starts, and 58 or more jobs are still queued behind
+     the 2 workers then, however fast the host is. *)
   let previous = Sys.signal Sys.sigint Sys.Signal_ignore in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint previous)
   @@ fun () ->
@@ -343,19 +344,18 @@ let sigint_drain () =
           kind =
             Service.Spec.Bench { program = "feeder"; budget = 600_000_000; tier = 1 } })
   in
-  let killer =
-    Domain.spawn (fun () ->
-        Unix.sleepf 0.05;
-        Unix.kill (Unix.getpid ()) Sys.sigint)
-  in
   let buf = Buffer.create 4096 in
+  (* Lines are emitted one at a time, under the pool's emit lock. *)
+  let emit line =
+    if Buffer.length buf = 0 then Unix.kill (Unix.getpid ()) Sys.sigint;
+    Buffer.add_string buf line
+  in
   let o =
     Service.Engine.serve
       ~config:(config ~workers:2 ~max_retries:0 ~job_timeout_ms:None)
-      ~sigint:true ~emit:(Buffer.add_string buf) specs
+      ~sigint:true ~emit specs
   in
   let text = Buffer.contents buf in
-  Domain.join killer;
   let s = o.summary in
   Alcotest.(check bool) "interrupt observed" true o.interrupted;
   Alcotest.(check bool) "some jobs were drained away" true (s.cancelled > 0);
