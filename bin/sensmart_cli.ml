@@ -75,7 +75,8 @@ let native_cmd =
     Fmt.pr "%s: %a in %d cycles (%.3f s), %d instructions, %.1f%% active@." name
       Fmt.(option Machine.Cpu.pp_halt) r.halt r.cycles
       (Avr.Cycles.to_seconds r.cycles) r.insns
-      (100. *. float_of_int r.active_cycles /. float_of_int (max 1 r.cycles))
+      (100. *. float_of_int r.active_cycles /. float_of_int (max 1 r.cycles));
+    if tier = 2 then Fmt.epr "%a@." Machine.Aot.pp_stats (Machine.Aot.stats ())
   in
   Cmd.v (Cmd.info "native" ~doc:"Run one program bare-metal, no OS")
     Term.(const run $ prog_arg $ tier_arg)
@@ -570,6 +571,7 @@ let fleet_cmd =
     Fmt.pr "%.2f s wall, %.1fM mote-cycles/s@." wall
       (float_of_int mote_cycles /. wall /. 1e6);
     Fmt.epr "%a@." Machine.Block.pp_stats (Machine.Block.stats ());
+    if tier = 2 then Fmt.epr "%a@." Machine.Aot.pp_stats (Machine.Aot.stats ());
     match out with
     | None -> ()
     | Some path ->

@@ -143,17 +143,6 @@ let relative_target = function
   | Rjmp k | Rcall k | Brbs (_, k) | Brbc (_, k) -> Some k
   | _ -> None
 
-(* Does the instruction touch data memory through a pointer register or a
-   direct address (the accesses the rewriter must translate)? *)
-let is_data_access = function
-  | Ld _ | Ldd _ | St _ | Std _ | Lds _ | Sts _ -> true
-  | _ -> false
-
-(* Stack-mutating instructions (LIFO accesses via SP). *)
-let is_stack_op = function
-  | Push _ | Pop _ | Rcall _ | Call _ | Icall | Ret | Reti -> true
-  | _ -> false
-
 (** Classification used by the tier-1 block compiler (see DESIGN.md,
     "Execution tiers").  SenSmart's rewriter already cuts programs into
     straight-line runs bounded by control transfers; the simulator's

@@ -16,7 +16,7 @@
    Soundness mirrors tier-1's argument: a block is entered only when
    its worst-case cycle cost fits under the caller's horizon, every
    instruction reproduces {!State.step}'s semantics exactly, and any PC
-   without a compiled block returns to the host (stop code 0) with no
+   without a compiled block returns to the host with [m.pc] set and no
    partial instruction executed.  So does every SLEEP, BREAK and
    SYSCALL: the host runs them through {!State.exec_insn}, as tiers 0
    and 1 do.  Stop points and every architectural counter are
@@ -36,8 +36,8 @@
 
    Artifacts are content-addressed on a digest of the flash image plus
    generator/toolchain versions, cached on disk, and registered in the
-   process-wide registry below — a 10 k-mote fleet booted from
-   one shared template image compiles once.  Compilation is further
+   process-wide registry ({!State.register}) — a 10 k-mote fleet booted
+   from one shared template image compiles once.  Compilation is further
    gated behind an executed-instruction threshold so short runs never
    pay a toolchain invocation, and even past it nothing blocks: the
    compile runs as a child process in the background while the machine
@@ -55,21 +55,7 @@ open State
 (* Bumped whenever generated code changes shape: it salts the content
    digest, so stale on-disk artifacts can never be loaded into a newer
    simulator. *)
-let generator_version = 7
-
-(* Process-wide registry of loaded tier-2 programs, keyed by flash
-   digest.  A plugin registers its program from its top-level
-   initializer when Dynlink loads it; every machine whose flash hashes
-   to the same digest shares the one compiled program (a 10 k-mote
-   fleet booted from one template compiles once).  The mutex makes
-   registration and lookup safe from [Net]'s worker domains. *)
-let registry_lock = Mutex.create ()
-let registry : (string, program) Hashtbl.t = Hashtbl.create 16
-
-let register (p : program) =
-  Mutex.protect registry_lock (fun () -> Hashtbl.replace registry p.digest p)
-
-let find digest = Mutex.protect registry_lock (fun () -> Hashtbl.find_opt registry digest)
+let generator_version = 8
 
 (* ------------------------------------------------------------------ *)
 (* Content digest *)
@@ -132,6 +118,7 @@ let discover fetch hi : (int, Block.superblock) Hashtbl.t =
       Queue.add pc pending
     end
   in
+  let decode pc = fst (Decode.at fetch pc) in
   push 0;
   for w = 0 to hi - 1 do
     match Decode.at fetch w with
@@ -145,7 +132,7 @@ let discover fetch hi : (int, Block.superblock) Hashtbl.t =
   done;
   while (not (Queue.is_empty pending)) && Hashtbl.length blocks < max_blocks do
     let pc = Queue.pop pending in
-    match Block.form fetch pc with
+    match Block.form decode pc with
     | None -> ()
     | Some b ->
       Hashtbl.replace blocks pc b;
@@ -409,10 +396,9 @@ let restore_st st (env, dirty, sgb, fbit, sgd, cyv, cyc, ret, mr, mw) =
 
 let fname e = Printf.sprintf "b_%04x" (e land 0xFFFF)
 
-(* Stop at [pc] with stop code [code] (see {!State.program}). *)
-let stop st pc code =
-  stmt st "m.pc <- %d;" pc;
-  stmt st "%d" code
+(* Return to the host at [pc] (see {!State.program}); the last
+   expression of its arm. *)
+let stop st pc = stmt st "m.pc <- %d" pc
 
 (* Transfer control to [tgt]: a direct (tail) call when the target has
    a compiled block, otherwise a miss back to the host.  The target's
@@ -420,7 +406,7 @@ let stop st pc code =
 let chain st blocks tgt =
   let tgt = tgt land 0xFFFF in
   if Hashtbl.mem blocks tgt then stmt st "%s m li" (fname tgt)
-  else stop st tgt 0
+  else stop st tgt
 
 (* --- ALU groups.  Each mirrors the corresponding State helper;
    results are bound, flags are only *recorded* as lazy expressions
@@ -788,7 +774,7 @@ let rec goto st blocks tgt ~extra ~bump ~budget =
     stmt st "if %s + %d > li then begin" cyv (st.cyc + tb.worst);
     st.ind <- st.ind + 1;
     exit_prologue st ~extra:0 ~bump:0;
-    stop st tgt 1;
+    stop st tgt;
     st.ind <- st.ind - 1;
     stmt st "end";
     stmt st "else begin";
@@ -883,7 +869,7 @@ and emit_term st blocks (b : Block.superblock) ~budget =
        (* The host runs these: miss in front of the terminator.  Never
           a chain, which would loop on a block that is only this. *)
        exit_prologue st ~extra:0 ~bump:0;
-       stop st (b.term_pc land 0xFFFF) 0
+       stop st (b.term_pc land 0xFFFF)
      | _ -> invalid_arg "Aot.emit_term: not a block terminator")
 
 let emit_block st blocks entry (b : Block.superblock) ~first =
@@ -902,7 +888,7 @@ let emit_block st blocks entry (b : Block.superblock) ~first =
   stmt st "%s %s (m : Machine.State.t) li =" (if first then "let rec" else "and")
     (fname entry);
   st.ind <- 1;
-  stmt st "if m.cycles + %d > li then begin m.pc <- %d; 1 end" b.worst entry;
+  stmt st "if m.cycles + %d > li then m.pc <- %d" b.worst entry;
   stmt st "else begin";
   st.ind <- 2;
   stmt st "let rg = m.regs in";
@@ -932,11 +918,11 @@ let translate ~digest (flash : int array) : string option =
       let st = est_new () in
       stmt st "(* Generated by the sensmart tier-2 translator.";
       stmt st "   Flash digest %s.  Do not edit. *)" digest;
-      stmt st "let miss (_ : Machine.State.t) (_ : int) = 0";
+      stmt st "let miss (_ : Machine.State.t) (_ : int) = ()";
       stmt st "let table = Array.make %d miss" hi;
       stmt st "let dispatch (m : Machine.State.t) li =";
       stmt st "  let pc = m.pc land 0xFFFF in";
-      stmt st "  if pc < %d then (Array.unsafe_get table pc) m li else 0" hi;
+      stmt st "  if pc < %d then (Array.unsafe_get table pc) m li" hi;
       List.iteri
         (fun i entry -> emit_block st blocks entry (Hashtbl.find blocks entry)
             ~first:(i = 0))
@@ -946,13 +932,8 @@ let translate ~digest (flash : int array) : string option =
         (fun entry ->
           stmt st "  Array.unsafe_set table %d %s;" entry (fname entry))
         entries;
-      stmt st "  Machine.Aot.register";
-      stmt st "    { Machine.State.digest = %S;" digest;
-      stmt st
-        "      has = (fun pc -> pc >= 0 && pc < %d && not (Array.unsafe_get \
-         table pc == miss));"
-        hi;
-      stmt st "      enter = dispatch }";
+      stmt st "  Machine.State.register";
+      stmt st "    { Machine.State.digest = %S; enter = dispatch }" digest;
       Some (Buffer.contents st.b)
     end
   end
@@ -977,12 +958,18 @@ let cache_hits = ref 0
 let compile_ms = ref 0.0
 let disabled : string option ref = ref None
 
+(* Instructions retired inside compiled code, summed by {!Cpu.run} over
+   every [enter].  Host-side, like {!Block.stats}: updated without
+   [big_lock] from every domain that runs a machine. *)
+let t2_insns = Atomic.make 0
+
 type stat = {
   compiles : int;  (** toolchain runs that produced an artifact *)
   launched : int;  (** toolchain runs started *)
   cache_hits : int;  (** cached artifacts that loaded and registered *)
   compile_ms : float;  (** host ms callers spent blocked on the toolchain *)
   disabled : string option;  (** why tier-2 turned itself off, if it did *)
+  t2_insns : int;  (** instructions retired by compiled code *)
 }
 
 let stats () =
@@ -990,7 +977,14 @@ let stats () =
     launched = !launched;
     cache_hits = !cache_hits;
     compile_ms = !compile_ms;
-    disabled = !disabled }
+    disabled = !disabled;
+    t2_insns = Atomic.get t2_insns }
+
+let pp_stats fmt s =
+  Format.fprintf fmt
+    "tier-2: %d instructions in compiled code; %d compiles, %d cache hits, %d launched"
+    s.t2_insns s.compiles s.cache_hits s.launched;
+  Option.iter (Format.fprintf fmt "; off: %s") s.disabled
 
 (* Compile threshold, in executed instructions: a machine must retire
    this many instructions after its flash is (re)installed before it

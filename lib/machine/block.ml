@@ -16,11 +16,11 @@
    in-body side exit, so a branchy inner loop (the common sensor-node
    code shape) still compiles into one long superblock; a taken branch
    sets the PC and leaves the block early with exact cycle and
-   instruction accounting.  {!form} builds this superblock, the unit
-   tier-2 ({!Aot}) translates.
+   instruction accounting.  {!walk} finds this superblock, and {!form}
+   collects it as the unit tier-2 ({!Aot}) translates.
 
-   Tier-1 ({!compile}) walks the same superblocks, ending each where
-   {!form} would, and composes them through statically known control
+   Tier-1 ({!compile}) walks the same superblocks with {!walk}, through
+   the decode cache, and composes them through statically known control
    transfers: when a superblock ends in JMP, RJMP, CALL or RCALL, that
    terminator becomes a body op and the superblock at its target is
    appended, up to [max_ops] ops and never twice into one target.  A
@@ -74,7 +74,10 @@
    consume; {!Cpu.run} only enters a compiled block when the whole run
    fits under the preemption/fuel horizon and falls back to
    single-stepping otherwise, which keeps tier-1 stop points
-   bit-identical to tier-0's.
+   bit-identical to tier-0's.  A block returns to {!Cpu.run} after a
+   SYSCALL, SLEEP or BREAK terminator, which may install a hook, patch
+   flash or halt, and the run loop checks everything again before the
+   next iteration.
 
    Correctness contract: for any machine state, executing a compiled
    block leaves every architectural field (registers, SP, SREG, PC,
@@ -165,32 +168,41 @@ type superblock = {
   retired : int;  (* instructions retired by a full (non-side-exit) run *)
 }
 
-(* Form the superblock entered at [entry] from the flash words [fetch]
-   returns.  [None] when the entry word itself is undecodable (tier-0
-   [step] then reports the [Invalid_opcode] halt with the correct PC). *)
-let form fetch entry : superblock option =
-  let rec collect pc body n worst retired =
-    if n >= max_body then finish pc body None worst retired
+(* Walk the superblock entered at [p0], whose first op is op [n] of the
+   body being built, decoding each word address with [decode] (which
+   raises [Decode.Unknown_opcode] for an undecodable word) and handing
+   each body instruction to [put i insn pc].  It ends at a block-ending
+   instruction, after [max_body] body instructions, or in front of an
+   undecodable word.  [None] when [p0] itself is undecodable (tier-0
+   [step] then reports the [Invalid_opcode] halt with the correct PC),
+   else (ops end, terminator, its address, worst case, retired). *)
+let walk decode put p0 n =
+  let rec go pc i worst retired =
+    let pc = pc land 0xFFFF in
+    if i - n >= max_body then Some (i, None, pc, worst, retired)
     else
-      match Decode.at fetch pc with
+      match decode pc with
       | exception Decode.Unknown_opcode _ ->
-        if pc = entry then None else finish pc body None worst retired
-      | insn, size ->
-        if Isa.ends_block insn then
-          finish pc body (Some insn) (worst + Cycles.base insn) (retired + 1)
-        else
-          let extra =
-            if Isa.is_cond_branch insn then Cycles.branch_taken_extra else 0
-          in
-          collect (pc + size) ((insn, pc) :: body) (n + 1)
-            (worst + Cycles.base insn + extra)
-            (retired + 1)
-  and finish pc body term worst retired =
-    Some
-      { body = Array.of_list (List.rev body); term; term_pc = pc; worst;
-        retired }
+        if pc = p0 then None else Some (i, None, pc, worst, retired)
+      | insn when Isa.ends_block insn ->
+        Some (i, Some insn, pc, worst + Cycles.base insn, retired + 1)
+      | insn ->
+        put i insn pc;
+        let extra =
+          if Isa.is_cond_branch insn then Cycles.branch_taken_extra else 0
+        in
+        go (pc + Isa.words insn) (i + 1)
+          (worst + Cycles.base insn + extra)
+          (retired + 1)
   in
-  collect entry [] 0 0 0
+  go p0 n 0 0
+
+(* The superblock entered at [entry], as {!walk} finds it. *)
+let form decode entry : superblock option =
+  let body = ref [] in
+  walk decode (fun _ insn pc -> body := (insn, pc) :: !body) entry 0
+  |> Option.map (fun (_, term, term_pc, worst, retired) ->
+         { body = Array.of_list (List.rev !body); term; term_pc; worst; retired })
 
 (* Pre-sum cycle costs into [meta]: runs of instructions that cannot
    touch the data space charge their whole cost on the run's first entry
@@ -572,41 +584,18 @@ let summarize lp snap m ~worst ~limit =
 (* Compile and cache the block entered at [entry]; [None] when the entry
    word is undecodable, as {!form}.
 
-   Each part ends where {!form} would end a superblock (a block-ending
-   instruction, [max_body] instructions, an undecodable word), and a
-   JMP/RJMP/CALL/RCALL terminator is followed into the part at its
-   target, and (when the block then loops to [entry]) a RET into the
-   return address of the latest followed CALL/RCALL it has not yet
-   returned from, unless that target was
-   already entered, is undecodable, or its part would take the body
-   past [max_ops] ops.  A first walk finds the parts, a second writes
-   their ops; both read the decode cache, so a compile allocates little
-   besides the block it keeps. *)
+   Each part is a {!walk}, so it ends where {!form} ends a superblock
+   (a block-ending instruction, [max_body] instructions, an undecodable
+   word), and a JMP/RJMP/CALL/RCALL terminator is followed into the
+   part at its target, and (when the block then loops to [entry]) a RET
+   into the return address of the latest followed CALL/RCALL it has not
+   yet returned from, unless that target was already entered, is
+   undecodable, or its part would take the body past [max_ops] ops.  A
+   first walk finds the parts, a second writes their ops; both read the
+   decode cache, so a compile allocates little besides the block it
+   keeps. *)
 let compile m entry : block option =
-  (* Walk the part entered at [p0] whose first op is op [n], handing
-     each body instruction to [put]; [None] when [p0] is undecodable,
-     else (ops end, terminator, its address, worst case, retired). *)
-  let part put p0 n =
-    let rec go pc i worst retired =
-      let pc = pc land 0xFFFF in
-      if i - n >= max_body then Some (i, None, pc, worst, retired)
-      else
-        match decode m pc with
-        | exception Decode.Unknown_opcode _ ->
-          if pc = p0 then None else Some (i, None, pc, worst, retired)
-        | insn when Isa.ends_block insn ->
-          Some (i, Some insn, pc, worst + Cycles.base insn, retired + 1)
-        | insn ->
-          put i insn pc;
-          let extra =
-            if Isa.is_cond_branch insn then Cycles.branch_taken_extra else 0
-          in
-          go (pc + Isa.words insn) (i + 1)
-            (worst + Cycles.base insn + extra)
-            (retired + 1)
-    in
-    go p0 n 0 0
-  in
+  let part = walk (decode m) in
   (* Whether the parts walked so far branch back to [entry], and the
      parts and end the walk had before it first followed a RET. *)
   let loops = ref false and cut = ref None in
@@ -680,9 +669,9 @@ let compile m entry : block option =
        run-loop round trip entirely.  Every recursive call is a tail
        call (the handlers cover only the body walk), so a long chain
        runs in constant stack; non-benign exits (SYSCALL/SLEEP/BREAK,
-       which may install hooks, patch flash or halt) always return
-       [false] to the run loop first, so chaining never outruns a stop
-       condition or a block-cache invalidation. *)
+       which may install hooks, patch flash or halt) always return to
+       the run loop first, so chaining never outruns a stop condition
+       or a block-cache invalidation. *)
     let rec exec m limit =
       match exec_run m ops meta entry worst limit with
       | () -> ended m limit
@@ -707,14 +696,14 @@ let compile m entry : block option =
           m.pc <- term_pc land 0xFFFF;
           true
       in
-      if benign then chain m limit else false
+      if benign then chain m limit
     and chain m limit =
       let pc = m.pc land 0xFFFF in
       match
         Array.unsafe_get (Array.unsafe_get m.blocks (pc lsr 8)) (pc land 0xFF)
       with
       | Some b when m.cycles + b.worst <= limit -> b.exec m limit
-      | _ -> true (* not compiled yet or horizon too close: run loop *)
+      | _ -> () (* not compiled yet or horizon too close: run loop *)
     in
     let exec =
       match analyze ops meta entry with

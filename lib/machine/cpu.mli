@@ -8,10 +8,10 @@
     the tier-0 reference interpreter, and {!run} by default executes
     tier-1 compiled basic blocks — closures cached per entry PC that
     retire a whole straight-line run with one horizon check and no
-    per-instruction dispatch.  Both tiers produce bit-identical
-    architectural state, cycle counts and stop points; installing a
-    [trace] hook (or passing [~tier:0]) forces tier-0, which is the
-    only tier that fires the hook. *)
+    per-instruction dispatch.  Every tier produces bit-identical
+    architectural state, cycle counts and stop points; a [trace] hook
+    (or [~tier:0]) makes {!run} step at tier-0, the only tier that
+    fires the hook. *)
 
 (** Why execution ended for good. *)
 type halt = State.halt =
@@ -78,9 +78,10 @@ type t = State.t = {
   mutable on_syscall : (t -> int -> unit) option;
   mutable trace : (int -> Avr.Isa.t -> unit) option;
       (** Per-instruction hook, tier-0 only.  When [None] (the default)
-          the hook costs nothing: {!run} executes compiled blocks that
-          never consult it.  When set, {!run} falls back to tier-0
-          stepping so every retired instruction is reported. *)
+          the hook costs one test per {!run} iteration: compiled blocks
+          never consult it.  While set, {!run} steps at tier-0, so every
+          retired instruction is reported, from the iteration after it
+          was installed (a syscall handler may install or remove it). *)
   mutable blocks : block option array array;
       (** tier-1 compiled-block cache, keyed by entry word address and
           chunked [pc lsr 8][pc land 0xFF] with copy-on-write chunks *)
@@ -99,10 +100,11 @@ type t = State.t = {
 }
 
 (** One tier-1 compiled basic block: [exec m limit] retires the whole
-    run ([limit] is the lower of the fuel/preemption horizons) and
-    returns [true] when it ended in pure control flow; [worst] bounds
-    the cycles a single execution can consume. *)
-and block = State.block = { exec : t -> int -> bool; worst : int }
+    run ([limit] is the lower of the fuel/preemption horizons), chaining
+    into cached blocks that still fit under [limit]; [worst] bounds the
+    cycles a single execution can consume, and {!run} enters a block
+    only when [m.cycles + worst <= limit]. *)
+and block = State.block = { exec : t -> int -> unit; worst : int }
 
 (** Tier-2 (ahead-of-time compiled) binding states; managed by {!Aot}.
     [T2_wait (digest, ready_at)] defers the toolchain invocation until
@@ -115,16 +117,16 @@ and t2 = State.t2 =
   | T2_wait of string * int
   | T2_ready of program
 
-(** A tier-2 compiled program: [enter m limit] runs compiled blocks on
-    [m] from [m.pc], entering none whose worst case would pass the cycle
-    [limit], and returns 0 at a PC it has no block for (or a SLEEP,
-    BREAK or SYSCALL, which the host runs) and 1 when the next block
-    would overrun [limit]; [has pc] tells whether a block starts at
-    [pc]. *)
+(** A tier-2 compiled program, registered by its plugin under the
+    [digest] of its flash image: [enter m limit] runs compiled blocks
+    on [m] from [m.pc], entering none whose worst case would pass the
+    cycle [limit], and returns with [m.pc] at the first instruction it
+    did not run — a PC it has no block for (or a SLEEP, BREAK or
+    SYSCALL, which the host runs), or a block that would overrun
+    [limit].  {!run} then runs one tier-1 iteration there. *)
 and program = State.program = {
   digest : string;
-  has : int -> bool;
-  enter : t -> int -> int;
+  enter : t -> int -> unit;
 }
 
 (** [flash_word fl a] is the word at address [a] (taken modulo the
@@ -211,16 +213,16 @@ val set_zreg : t -> int -> unit
 (** Execute exactly one instruction; no-op when halted. *)
 val step : t -> unit
 
-(** Run until halt, SLEEP, the preemption horizon, or [max_cycles].
-    Execution follows [m.tier] (tier-1 compiled blocks by default;
-    tier-0 whenever a [trace] hook is set), with identical observable
-    behaviour at every tier.  [?tier] stores a new tier ceiling on the
-    machine before running: [0] forces the tier-0 reference
-    interpreter, [2] adds ahead-of-time compiled execution (see
-    {!Aot}).  Tier-2 falls back to tier-1 — and tier-1 to tier-0 —
-    wherever the higher engine cannot serve the current PC, so
-    requesting a tier the host toolchain cannot deliver degrades
-    gracefully rather than failing. *)
+(** Run until halt, SLEEP, the preemption horizon, or [max_cycles],
+    with identical observable behaviour at every tier.  One loop runs
+    every tier: while no stop applies, each iteration takes one tier-0
+    {!step} when a [trace] hook is set or [m.tier] is 0; at tier 1 it
+    runs the compiled block at the PC when its worst case fits under
+    the horizon, else one {!step}; at tier 2 it first enters the bound
+    compiled program (see {!Aot}) and then, unless a stop now applies,
+    runs one tier-1 iteration.  [?tier] stores a new tier ceiling on
+    the machine before running.  Requesting a tier the host toolchain
+    cannot deliver degrades to tier 1 rather than failing. *)
 val run : ?tier:int -> ?max_cycles:int -> t -> stop
 
 (** [fast_forward m target] advances the clock to the {e absolute}

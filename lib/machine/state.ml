@@ -39,15 +39,6 @@ let pp_stop fmt = function
   | Preempted -> Fmt.string fmt "preempted"
   | Out_of_fuel -> Fmt.string fmt "out of fuel"
 
-(* SREG bit numbers. *)
-let fc = 0
-let fz = 1
-let fn = 2
-let fv = 3
-let fs = 4
-let fh = 5
-let fi = 7
-
 type t = {
   mutable flash : int array;
       (* program memory: [image.i_flash], held here too so the hot
@@ -106,10 +97,8 @@ type t = {
    ([limit] is the lower of the fuel and preemption horizons, used to
    keep an internal self-loop exact); [worst] is an upper bound on the
    cycles a single execution can consume (used by the run loop to stay
-   exactly on the preemption/fuel horizon).  [exec] returns [true] when
-   it ended in pure control flow ("benign": the run loop only needs to
-   re-check the cycle horizons). *)
-and block = { exec : t -> int -> bool; worst : int }
+   exactly on the preemption/fuel horizon). *)
+and block = { exec : t -> int -> unit; worst : int }
 
 (* Tier-2 (ahead-of-time compiled) binding states, managed by {!Aot}.
    [T2_wait (digest, ready_at)] runs the machine on tier-1 until it has
@@ -123,16 +112,15 @@ and t2 =
   | T2_ready of program
 
 (* A tier-2 compiled program, registered by its plugin's initializer
-   ({!Aot.register}).  [enter m limit] runs compiled blocks on [m]
-   itself from [m.pc], entering none whose worst case would pass the
-   cycle [limit], and returns why it stopped: 0 at a PC it has no block
-   for (SLEEP, BREAK and SYSCALL included, which the host runs), 1 when
-   the next block's worst case would overrun [limit].  No partial
-   instruction has executed either way. *)
+   ({!register}).  [enter m limit] runs compiled blocks on [m] itself
+   from [m.pc], entering none whose worst case would pass the cycle
+   [limit], and returns with [m.pc] at the first instruction it did not
+   run: one it has no block for (SLEEP, BREAK and SYSCALL included,
+   which the host runs), or the entry of a block whose worst case would
+   overrun [limit].  No partial instruction has executed. *)
 and program = {
   digest : string;  (* content digest of the source flash image *)
-  has : int -> bool;  (* does a compiled block start at this word PC? *)
-  enter : t -> int -> int;
+  enter : t -> int -> unit;
 }
 
 (* A flash image and everything derived from its words alone: the
@@ -142,7 +130,7 @@ and program = {
    compiles each block once instead of once per mote.
 
    This is sound because a [block] is a pure function of the flash
-   words: {!Block.form} reads nothing else, and [exec] takes the
+   words: {!Block.walk} reads nothing else, and [exec] takes the
    machine as an argument.  The words of a shared image are never
    written ([load] detaches first).  Under [Net.run ~domains:n] several
    domains write the tables of one image without locking; every race is
@@ -161,6 +149,22 @@ and image = {
   mutable i_digest : string option;
       (* tier-2 digest of [i_flash], kept only while shared ({!Aot}) *)
 }
+
+(* Process-wide registry of loaded tier-2 programs, keyed by flash
+   digest.  A plugin registers its program from its top-level
+   initializer when Dynlink loads it; every machine whose flash hashes
+   to the same digest shares the one compiled program (a 10 k-mote
+   fleet booted from one template compiles once).  It lives here, next
+   to [program], so a plugin depends on this module's interface alone.
+   The mutex makes registration and lookup safe from [Net]'s worker
+   domains. *)
+let registry_lock = Mutex.create ()
+let registry : (string, program) Hashtbl.t = Hashtbl.create 16
+
+let register (p : program) =
+  Mutex.protect registry_lock (fun () -> Hashtbl.replace registry p.digest p)
+
+let find digest = Mutex.protect registry_lock (fun () -> Hashtbl.find_opt registry digest)
 
 (* Block-table chunk geometry: flash_words = chunk_count * chunk_words. *)
 let chunk_words = 256
@@ -344,11 +348,6 @@ let set_flag m b v =
   if v then m.sreg <- m.sreg lor (1 lsl b)
   else m.sreg <- m.sreg land lnot (1 lsl b)
 
-let set_nzs m res =
-  set_flag m fn (res land 0x80 <> 0);
-  set_flag m fz (res = 0);
-  set_flag m fs (flag m fn lxor flag m fv = 1)
-
 (* Data-memory access.  Addresses below the I/O boundary dispatch to the
    peripherals (with SP/SREG handled here, since they are CPU state). *)
 let spl_addr = Layout.io_data_addr Io.spl
@@ -381,9 +380,8 @@ let write8 m addr v =
   else if addr >= 0x20 && addr < 0x60 then Io.write m.io ~cycles:m.cycles (addr - 0x20) v
   else Bytes.unsafe_set m.sram addr (Char.unsafe_chr v)
 
-(** Little-endian 16-bit data-memory accessors (test/kernel convenience). *)
+(** Little-endian 16-bit data-memory read (test/kernel convenience). *)
 let read16 m addr = read8 m addr lor (read8 m (addr + 1) lsl 8)
-let write16 m addr v = write8 m addr (v land 0xFF); write8 m (addr + 1) (v lsr 8)
 
 (* Register-file accessors.  Register indices come from the decoder,
    whose field extraction can only produce 0..31 (pair bases stop at
@@ -669,8 +667,8 @@ let[@inline] exec_data m (insn : Isa.t) =
    the rest through [exec_data].  Retired-count updates belong to the
    caller.  Tier-0 [step] and every tier-1 block terminator
    ({!Block.compile}) run through here.  The result is the "benign" bit:
-   [false] when the instruction can halt, sleep or trap, [true]
-   otherwise. *)
+   [false] when the instruction can halt, sleep or trap (a block then
+   returns to the run loop instead of chaining), [true] otherwise. *)
 let[@inline] exec_insn m (insn : Isa.t) pc =
   m.pc <- (pc + Isa.words insn) land 0xFFFF;
   m.cycles <- m.cycles + Cycles.base insn;
@@ -682,7 +680,7 @@ let[@inline] exec_insn m (insn : Isa.t) pc =
   | Ijmp -> m.pc <- zreg m; true
   | Icall -> push_pc m (pc + 1); m.pc <- zreg m; true
   | Ret -> m.pc <- pop_pc m; true
-  | Reti -> m.pc <- pop_pc m; set_flag m fi true; true
+  | Reti -> m.pc <- pop_pc m; set_flag m Isa.bit_i true; true
   | Brbs (s, k) ->
     if flag m s = 1 then begin
       m.pc <- (pc + 1 + k) land 0xFFFF;

@@ -61,9 +61,6 @@ let program ?(name = "periodic") ?(period = default_period)
      @ Common.store_result16 24 25
      @ [ break ])
 
-(** Nominal instructions of computation per activation. *)
-let insns_per_activation ~comp_units = comp_units * insns_per_unit
-
 (** Ideal duration: [activations] periods, in cycles. *)
 let nominal_cycles ?(period = default_period) ~activations () =
   activations * period * Machine.Io.timer3_prescale

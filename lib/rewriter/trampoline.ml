@@ -81,7 +81,6 @@ let restore_sreg s = [ pop s; out sreg_io s; pop s ]
 let lds_abs r a = i (Lds (r, a))
 let sts_abs a r = i (Sts (a, r))
 let jmp_abs a = i (Jmp a)
-let call_abs a = i (Call a)
 let syscall k = i (Syscall k)
 
 (* The shared backward-branch counter service (Section IV-B): one out of

@@ -164,7 +164,11 @@ fi
 # the executable's path, not from the cwd.  The warm run must load the
 # artifact as it is: one it failed to load would be removed and
 # compiled again, and the output alone cannot show that, so the
-# artifact's inode and mtime must not change.
+# artifact's inode and mtime must not change.  Tier-1 fallback prints
+# the same too, so the warm run must also report on stderr that
+# compiled code retired instructions.  The artifact may import the
+# interface of Machine__State but not those of Machine__Aot or
+# Machine__Block, whose every change would otherwise invalidate it.
 cold=$(mktemp -d)
 nocc=$(mktemp -d)
 want=$("$cli" native crc_mc --tier 1)
@@ -174,7 +178,14 @@ running=$(pgrep -f "$cold" || true)
 artifacts=$(find "$cold" -maxdepth 1 -name '*.cmxs' | wc -l)
 leftover=$(find "$cold" -maxdepth 1 -name 'build-*')
 stamp=$(stat -c '%i %Y' "$cold"/*.cmxs || true)
-got_warm=$(SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2)
+if command -v ocamlobjinfo >/dev/null 2>&1; then
+    imports=$(ocamlobjinfo "$cold"/*.cmxs | grep -E 'Machine__(Aot|Block)$' || true)
+else
+    imports=""
+    echo "check.sh: ocamlobjinfo not installed; skipping the artifact import check" >&2
+fi
+got_warm=$(SENSMART_AOT_CACHE="$cold" "$cli" native crc_mc --tier 2 2>"$cold/stderr")
+t2_insns=$(sed -n 's/^tier-2: \([0-9]*\) instructions in compiled code.*/\1/p' "$cold/stderr")
 stamp_warm=$(stat -c '%i %Y' "$cold"/*.cmxs || true)
 got_nocc=$(PATH=/nonexistent SENSMART_AOT_CACHE="$nocc" "$cli" native crc_mc --tier 2 2>/dev/null)
 rm -rf "$cold" "$nocc"
@@ -188,6 +199,15 @@ if [ -n "$running" ] || [ -n "$leftover" ] || [ "$artifacts" -ne 1 ]; then
 fi
 if [ "$stamp_warm" != "$stamp" ]; then
     echo "check.sh: the warm --tier 2 run rebuilt its cached artifact ($stamp -> $stamp_warm)" >&2
+    exit 1
+fi
+if [ "${t2_insns:-0}" -le 0 ]; then
+    echo "check.sh: the warm --tier 2 run retired no instructions in compiled code" >&2
+    exit 1
+fi
+if [ -n "$imports" ]; then
+    echo "check.sh: the tier-2 artifact imports Machine__Aot or Machine__Block:" >&2
+    echo "$imports" >&2
     exit 1
 fi
 

@@ -3,7 +3,8 @@
    runs as a child process, and binds once the artifact loads.  A run
    shorter than its compile waits for it at exit and leaves its artifact,
    but no compiler and no build directory, behind; a cached artifact
-   counts as a hit only when it loads. *)
+   counts as a hit only when it loads; and a bound machine retires its
+   instructions in compiled code. *)
 
 (* A private, empty artifact cache, set before {!Machine.Aot} first
    reads it. *)
@@ -261,6 +262,28 @@ let binds_while_running () =
     (Sys.file_exists (Filename.concat cache (digest img ^ ".cmxs")));
   Alcotest.(check (list string)) "no build dir" [] (build_dirs ())
 
+(* Compiled code runs: a bound machine retires most of its
+   instructions in compiled code ([Aot.stats]'s [t2_insns]), and the
+   same program at tier 1 retires none there.  Tier-1 fallback is
+   bit-identical, so the final state alone cannot show this. *)
+let compiled_code_runs () =
+  Machine.Aot.set_threshold 0;
+  let img = image "lfsr" in
+  let retired tier =
+    let before = (Machine.Aot.stats ()).t2_insns in
+    let m = run ~tier img in
+    (m, (Machine.Aot.stats ()).t2_insns - before)
+  in
+  let m1, t1 = retired 1 in
+  Alcotest.(check int) "tier 1: none compiled" 0 t1;
+  let m2, t2 = retired 2 in
+  Alcotest.(check bool) "bound" true (bound m2);
+  Alcotest.(check bool)
+    (Printf.sprintf "tier 2: most compiled (%d of %d)" t2 m2.insns)
+    true
+    (2 * t2 > m2.insns && t2 <= m2.insns);
+  Alcotest.(check (list string)) "matches tier-1" (snapshot m1) (snapshot m2)
+
 let () =
   Fun.protect
     ~finally:(fun () ->
@@ -274,4 +297,5 @@ let () =
               Alcotest.test_case "run ends before its compile" `Quick pending_at_halt;
               Alcotest.test_case "one compile at a time" `Quick one_compile_at_a_time;
               Alcotest.test_case "binds while running" `Quick binds_while_running;
-              Alcotest.test_case "waiting image binds next" `Quick waiting_image_binds_next ] ) ])
+              Alcotest.test_case "waiting image binds next" `Quick waiting_image_binds_next;
+              Alcotest.test_case "compiled code runs" `Quick compiled_code_runs ] ) ])

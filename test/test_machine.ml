@@ -606,6 +606,44 @@ let callee_redirects_return () =
   Alcotest.(check (pair int int)) "tier-0 r20, r21" (3, 0) (m0.regs.(20), m0.regs.(21));
   Alcotest.(check bool) "tier-1 state = tier-0" true (arch_state m0 = arch_state m1)
 
+(* A hook that appears mid-run: the syscall handler installs a counting
+   trace hook at the first SYSCALL and removes it at the third.  Every
+   tier's run loop must step, and count, exactly the instructions from
+   the first SYSCALL's successor to the third SYSCALL, and resume its
+   own engine around them: tier 1 its blocks, tier 2 its compiled
+   code. *)
+let hook_mid_run () =
+  Machine.Aot.set_threshold 0;
+  (* 0: ldi r16 5; 1: ldi r17 200; 2: dec r17; 3: brne 2; 4: syscall 1;
+     5: dec r16; 6: brne 1; 7: break *)
+  let main =
+    [ Isa.Ldi (16, 5); Ldi (17, 200); Dec 17; Brbc (1, -2); Syscall 1; Dec 16;
+      Brbc (1, -6); Break ]
+  in
+  let run tier =
+    let calls = ref 0 and hooked = ref 0 in
+    let m =
+      run_loaded tier [ (0, main) ] ~on_syscall:(fun m _ ->
+          incr calls;
+          if !calls = 1 then m.trace <- Some (fun _ _ -> incr hooked)
+          else if !calls = 3 then m.trace <- None)
+    in
+    (!hooked, arch_state m)
+  in
+  let hooked0, m0 = run 0 in
+  (* dec, brne; ldi, 200 x (dec, brne), syscall; twice *)
+  Alcotest.(check int) "tier-0 hooked" 808 hooked0;
+  List.iter
+    (fun tier ->
+      let t2_insns = (Machine.Aot.stats ()).t2_insns in
+      let hooked, m = run tier in
+      Alcotest.(check int) (Printf.sprintf "tier-%d hooked" tier) hooked0 hooked;
+      Alcotest.(check bool) (Printf.sprintf "tier-%d state = tier-0" tier) true (m = m0);
+      let s = Machine.Aot.stats () in
+      if tier = 2 && s.disabled = None then
+        Alcotest.(check bool) "tier-2 ran compiled code" true (s.t2_insns > t2_insns))
+    [ 1; 2 ]
+
 (* The same redirect inside a loop that tier-1 summarizes: the callee
    returns past the [inc r21] to an ADC poll loop.  The block at the
    RCALL follows the RET to the pushed address, so its guard sees the
@@ -632,47 +670,47 @@ let ret_guard_mismatch () =
    (or the emitter) that alters generated code without bumping the
    version would otherwise load stale cached artifacts silently. *)
 let pinned_translations =
-  [ ("am", "5b4d9138ad0cf2198d26d2a645ca7ed0");
-    ("amplitude", "c3f183dbb43acecede04f88ca4243dfa");
-    ("crc", "bbdb06cf14f176ec7ba0d66084376f9b");
-    ("eventchain", "874994d6bbf1db75faa3374a1790cf49");
-    ("lfsr", "fb4aac35d307e1654ef09a6138d43e1d");
-    ("readadc", "216a397b331f8a0df512cb8b8fba7a4c");
-    ("timer", "e782341b7bb08a1fe316da0c1082af57");
-    ("periodic", "e47bfcad601641f285fe167e841a4547");
-    ("feeder", "6190e815dd01c0a80d2d0403eb683d10");
-    ("search", "b2f9c0b98b01c547adb8c6b053c903f5");
-    ("rx_vuln", "c9dce7baf0975a0dc098fc4bab8f1cdb");
-    ("guard", "13aedd4c11b13ad0038ae4eef110109b");
-    ("lfsr_mc", "d39c1458b8e32491acde35f42342b87a");
-    ("crc_mc", "5713597299271525778d61b37ccaa773");
-    ("am_mc", "810f689aaa39e303c415271b059bceea");
-    ("amplitude_mc", "095cf9ca01bbfd8ebafcfec188d12208");
-    ("readadc_mc", "af0e0882419743d5822cf695130eefa6");
-    ("eventchain_mc", "ec5edd0bbb4e14f1afbaf9bc464a6005");
-    ("timer_mc", "99195fe24cdf3a0badb976442c992d97");
-    ("sensmart:am", "a37bc34cd2894cf1312555c7e9879f3f");
-    ("sensmart:amplitude", "10ed286b3cb14ea3a93558af17b15d93");
-    ("sensmart:crc", "f1cb414f12eb839596ae22288bea8e6c");
-    ("sensmart:eventchain", "27073b271ca29af8481568ae82a5bfc7");
-    ("sensmart:lfsr", "cb51044c0b94fe74483a63e637744dd4");
-    ("sensmart:readadc", "07bf48bdd285dadf3239394b85f74130");
-    ("sensmart:timer", "39f076c985bf5df1ca3e206b62c89a03");
-    ("sensmart:periodic", "36dc903f8a8bbfb309e14963bf797e86");
-    ("sensmart:feeder", "e9731079d39f81c3e613935f2a9795ee");
-    ("sensmart:search", "ea4641b372a6cf3445450e7b248ff87f");
-    ("sensmart:rx_vuln", "f70af44bacc9875cb9eece9a15c0e22c");
-    ("sensmart:guard", "b417c588a5ba1a72217f741db40b8a29");
-    ("sensmart:lfsr_mc", "d327cfa0cf14fa39a27ef4a9aca164be");
-    ("sensmart:crc_mc", "7ca5ce223ba423a8cc1cb54052ae2402");
-    ("sensmart:am_mc", "d61f96c1ef639b956493f247f5f310ed");
-    ("sensmart:amplitude_mc", "45ed2f1102639ec76f5ef7c005ecae17");
-    ("sensmart:readadc_mc", "62b0e8ba0516ed2ab68192e8718e8af0");
-    ("sensmart:eventchain_mc", "c364d88c4ede3f3fcbb48cc9b41c0357");
-    ("sensmart:timer_mc", "84e8f991b2a492a33de05c3964987572");
-    ("fixture:blink", "bb98a9f850e44c9ca477152c6874c5ed");
-    ("fixture:sense", "f2ddb1d8bce71aa59b6958fba887d8d5");
-    ("fixture:dispatch", "3128b2853374aa28b063a5f928d1ad41") ]
+  [ ("am", "b49b08a7c2e37ea44c18a79d7935c050");
+    ("amplitude", "82356ee414280d0941208be93feb106c");
+    ("crc", "0ba6b5b594b6d162541d786b73c1d29d");
+    ("eventchain", "a6474ff01725ee16a0000f35ebacbbf3");
+    ("lfsr", "6a68d08fb9f496810eda3a30b221e6fe");
+    ("readadc", "6f1e7f035df30366ee8646154688fd95");
+    ("timer", "2eb65c2060ed9cd785e3f3513c5e7c56");
+    ("periodic", "57839a1f6a35ef3feb176b0cc6fff895");
+    ("feeder", "01d411cb4f60872bc3ea2d48eacf8b62");
+    ("search", "779223f0ec1f41abfb346675ca1a90c6");
+    ("rx_vuln", "7b2af978e6b59dc10c3e0ddd1de440d6");
+    ("guard", "cadf63fc3525679adbecf3b8ecfa6d69");
+    ("lfsr_mc", "b353d497468fa3ec76e6338927b9d6ef");
+    ("crc_mc", "ac476af7dc3b6bdfe6238495c2957a43");
+    ("am_mc", "793f8fb5d9fc3eb063fae3dbe1d56c99");
+    ("amplitude_mc", "4cbbec73ff18f114fa9cd83d47abd280");
+    ("readadc_mc", "6ce6b3087097a5838aa53207338aea07");
+    ("eventchain_mc", "05c6b269bc1641f681dbe1189a0b83a4");
+    ("timer_mc", "e62b7caf620103c1648d2f02e5eac860");
+    ("sensmart:am", "1f602aed3a574567cb69dca4d7a7f957");
+    ("sensmart:amplitude", "ce250caef434c2e3dd1834f15415f518");
+    ("sensmart:crc", "90b3918509088cb96af980998d3eeae3");
+    ("sensmart:eventchain", "dbb44f3c72126b8d82e95d1b0a1ad7c6");
+    ("sensmart:lfsr", "18496285000879eeb755b56bdd3e0a5e");
+    ("sensmart:readadc", "587c9f95b2f982515b31db8232a77e0f");
+    ("sensmart:timer", "a65ea8a48c793f9ec3ad6060e2b39485");
+    ("sensmart:periodic", "02c96be457ecd819a37fcce032baa1b7");
+    ("sensmart:feeder", "d40c339b25db7dac5870a36a25861f4f");
+    ("sensmart:search", "9444641a3ba4b19eca2cf291bceb90a4");
+    ("sensmart:rx_vuln", "5917e5722d2a0a6801b4bcf229a9bb16");
+    ("sensmart:guard", "b8520a1b6173b70e948a8d3887849bbd");
+    ("sensmart:lfsr_mc", "677d70bc22a4cc170a7f47918b65a75a");
+    ("sensmart:crc_mc", "e0af89a3f81ecf8ca306ca8fe2bc1e86");
+    ("sensmart:am_mc", "5bc93c50c6962efcbf03a771dba359ed");
+    ("sensmart:amplitude_mc", "5464e54c5b8ae99aef1ac095a536e2a3");
+    ("sensmart:readadc_mc", "bbd47f67b237f0cdc5d9d28e88c4d168");
+    ("sensmart:eventchain_mc", "d61b2494db6ae4f59ebfe12962f1caa2");
+    ("sensmart:timer_mc", "46c09a8ecaa8dd525c628b3bc01e9f3e");
+    ("fixture:blink", "73d4b55880a14e81866bf5c55ffbc523");
+    ("fixture:sense", "321c08e1c89937029dfa4842e003fa51");
+    ("fixture:dispatch", "b2d735230789b3b31c40eb05e959adbb") ]
 
 let translation_digests () =
   let flash_of (img : Asm.Image.t) =
@@ -704,7 +742,7 @@ let translation_digests () =
     flashes
 
 let translator_output_pinned () =
-  Alcotest.(check int) "generator version" 7 Machine.Aot.generator_version;
+  Alcotest.(check int) "generator version" 8 Machine.Aot.generator_version;
   let got = translation_digests () in
   if got <> pinned_translations then
     Alcotest.failf "translator output changed.  If aot.ml or Block.form \
@@ -732,7 +770,8 @@ let () =
          Alcotest.test_case "ijmp/icall" `Quick ijmp_icall;
          Alcotest.test_case "preemption horizon" `Quick preemption_horizon;
          Alcotest.test_case "invalid opcode" `Quick invalid_opcode_halts;
-         Alcotest.test_case "syscall hook" `Quick syscall_dispatch ]);
+         Alcotest.test_case "syscall hook" `Quick syscall_dispatch;
+         Alcotest.test_case "trace hook installed mid-run" `Quick hook_mid_run ]);
       ("timing",
        [ Alcotest.test_case "cycle costs" `Quick cycle_costs;
          Alcotest.test_case "branch cycles" `Quick branch_cycles;
