@@ -356,7 +356,7 @@ let fault_cmd =
     | [] ->
       let report =
         Fault.Campaign.run ~tier ~trials ~faults ~max_cycles:budget
-          ~disruptive ~seed images
+          ~disruptive ~seed (Kernel.prepare images)
       in
       Fmt.pr "%a@." Fault.Campaign.pp_report report;
       (match out with

@@ -474,12 +474,12 @@ module Campaign = struct
     let z = (z lxor (z lsr 16)) * 0x45D9F3B land max_int in
     (z lxor (z lsr 13)) land 0x3FFFFFFF
 
-  let run ?tier ?config ?(trials = 8) ?(faults = 6)
-      ?(max_cycles = 1_500_000) ?(disruptive = false) ?on_trial ~seed images =
+  let run ?tier ?(trials = 8) ?(faults = 6) ?(max_cycles = 1_500_000)
+      ?(disruptive = false) ?on_trial ~seed template =
     let trace = Trace.create () in
     let window = (max_cycles / 10, max_cycles * 9 / 10) in
     let one index =
-      let k = Kernel.boot ?config images in
+      let k = Kernel.boot_from template in
       let plan =
         Plan.random ~seed:(mix seed index) ~n:faults ~window ~disruptive ()
       in
@@ -497,9 +497,9 @@ module Campaign = struct
       let faulted =
         List.length (List.filter (fun (_, r) -> r <> "exit") outcomes)
       in
-      (* The verdict and its evidence.  PR 5 dropped the evidence on the
-         floor; the attack matrix needs it, so record which check failed
-         (and at what cycle), or what contained the damage. *)
+      (* The verdict and its evidence: which check failed (and at what
+         cycle), or what contained the damage.  The attack matrix reads
+         it. *)
       let survived =
         match stop with
         | Machine.Cpu.Halted Machine.Cpu.Break_hit | Machine.Cpu.Out_of_fuel ->

@@ -177,12 +177,23 @@ module Campaign : sig
             {!Trace.counters_json} renders them as the JSON blob *)
   }
 
-  (** Run [trials] independent trials of the images under [config].
-      Trial [i] boots a fresh kernel and runs it under a plan of
-      [faults] injections drawn from a seed mixed from [seed] and [i],
-      over the window [(max_cycles/10, 9*max_cycles/10)], at execution
-      tier [?tier] (as in {!Kernel.run}).  Fully deterministic: same
-      arguments, same report, at every tier.
+  (** Run [trials] independent trials of a prepared {!Kernel.template}.
+      Trial [i] boots a fresh kernel from it ({!Kernel.boot_from}) and
+      runs it under a plan of [faults] injections drawn from a seed
+      mixed from [seed] and [i], over the window
+      [(max_cycles/10, 9*max_cycles/10)], at execution tier [?tier] (as
+      in {!Kernel.run}).  Fully deterministic: same arguments, same
+      report, at every tier.
+
+      The programs are naturalized once, when the template is prepared,
+      not once per trial, and every trial runs on the template's shared
+      flash image: blocks an earlier trial (or an earlier campaign)
+      compiled are reused, and a trial whose plan flips a flash word
+      detaches onto a private copy first, so its siblings never see
+      the flip.  A campaign therefore returns the same report as one
+      that boots every trial with {!Kernel.boot} from the same images
+      and config, and a second campaign on the same, now warm, template
+      returns it again.
 
       [on_trial] is called with each finished trial, in index order —
       the campaign service streams per-trial progress through it and
@@ -190,14 +201,13 @@ module Campaign : sig
       campaign (the partial report is discarded by the raiser). *)
   val run :
     ?tier:int ->
-    ?config:Kernel.config ->
     ?trials:int ->
     ?faults:int ->
     ?max_cycles:int ->
     ?disruptive:bool ->
     ?on_trial:(trial -> unit) ->
     seed:int ->
-    Asm.Image.t list ->
+    Kernel.template ->
     report
 
   val pp_report : Format.formatter -> report -> unit

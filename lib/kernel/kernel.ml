@@ -370,7 +370,8 @@ let handle_syscall k _m n =
     {!boot_from} aliases the image and its caches copy-on-write
     ({!Machine.Cpu.create_shared}), so a 10 000-mote fleet of one
     program costs one flash array instead of 10 000 and compiles each
-    tier-1 block once. *)
+    tier-1 block once; campaign trials, serve jobs and restores that
+    boot from one template share its blocks the same way. *)
 type template = {
   t_config : config;
   t_nats : Naturalized.t list;

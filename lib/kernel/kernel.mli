@@ -82,7 +82,18 @@ val event_log : t -> Trace.event list
     {!boot_from} aliases the image copy-on-write (see
     {!Machine.Cpu.create_shared}), so a fleet of same-program motes
     shares a single flash array, decode cache and tier-1 block table
-    until a mote first writes its flash. *)
+    until a mote first writes its flash.
+
+    Its reach is wider than one fleet: runs that follow one another
+    share it too.  Every trial of a [Fault.Campaign.run] boots from
+    the campaign's template, [serve] keeps one template per program
+    list for its campaign and bisect jobs, and a snapshot restored onto
+    a kernel booted from a template keeps the template's image when
+    the captured flash is the template's.  Each such run starts on the
+    blocks the runs before it compiled; none can change the template,
+    because a flash write detaches the writer first.  A template holds
+    its image alive, so keep one only as long as the runs that share
+    it. *)
 type template
 
 (** Naturalize the images (sequential flash placement, exactly as

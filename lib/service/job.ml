@@ -18,9 +18,12 @@ type ctx = {
   deadline : float option;  (** absolute [Unix.gettimeofday] horizon *)
   store : Store.t;  (** shared content-addressed snapshot store *)
   images : (string, Asm.Image.t) Hashtbl.t;
+  templates : (string list, Kernel.template) Hashtbl.t;
   images_mutex : Mutex.t;
       (** assembled-image cache: prefilled on the coordinator, so
-          workers mostly read; the mutex covers cold lookups *)
+          workers mostly read; and the prepared boot templates, one per
+          program list, built on first use.  Both live for one serve
+          run.  The mutex covers both tables' cold lookups. *)
   progress : phase:string -> detail:string -> unit;
       (** streams a {!Trace.Job} progress event for this job *)
 }
@@ -30,32 +33,42 @@ let check ctx =
   | Some d when Unix.gettimeofday () > d -> raise Timeout
   | _ -> ()
 
+(* The entry of [key] in [tbl], one of [ctx]'s tables.  A miss runs
+   [make] outside [images_mutex] (assembly and naturalization take long;
+   label supply is atomic) and publishes whoever finishes first. *)
+let cached ctx tbl key make =
+  match Mutex.protect ctx.images_mutex (fun () -> Hashtbl.find_opt tbl key) with
+  | Some v -> v
+  | None ->
+    let v = make () in
+    Mutex.protect ctx.images_mutex (fun () ->
+        match Hashtbl.find_opt tbl key with
+        | Some first -> first
+        | None ->
+          Hashtbl.replace tbl key v;
+          v)
+
 (** Resolve a registered program through the shared cache. *)
 let image ctx name =
-  Mutex.lock ctx.images_mutex;
-  match Hashtbl.find_opt ctx.images name with
-  | Some img ->
-    Mutex.unlock ctx.images_mutex;
-    img
-  | None ->
-    (* Cold path: release the lock around assembly (label supply is
-       atomic), publish whoever finishes first. *)
-    Mutex.unlock ctx.images_mutex;
-    let img =
+  cached ctx ctx.images name (fun () ->
       match Workloads.Registry.find_image name with
       | Some img -> img
-      | None -> failwith (Printf.sprintf "unknown program %S" name)
-    in
-    Mutex.lock ctx.images_mutex;
-    (if not (Hashtbl.mem ctx.images name) then Hashtbl.replace ctx.images name img);
-    let img = Hashtbl.find ctx.images name in
-    Mutex.unlock ctx.images_mutex;
-    img
+      | None -> failwith (Printf.sprintf "unknown program %S" name))
+
+(** The prepared boot template of [programs] (default kernel config),
+    through the shared cache: the programs are naturalized once per
+    serve run, and every campaign trial and bisect subject over them
+    boots from the one template, so they share its flash image and the
+    tier-1 blocks compiled on it (DESIGN.md, "Shared copy-on-write
+    flash"). *)
+let template ctx programs =
+  cached ctx ctx.templates programs (fun () ->
+      Kernel.prepare (List.map (image ctx) programs))
 
 (* --- per-kind execution -------------------------------------------------- *)
 
 let run_campaign ctx ~programs ~trials ~faults ~budget ~seed ~disruptive =
-  let images = List.map (image ctx) programs in
+  let tpl = template ctx programs in
   let report =
     Fault.Campaign.run ~trials ~faults ~max_cycles:budget ~disruptive ~seed
       ~on_trial:(fun (t : Fault.Campaign.trial) ->
@@ -64,7 +77,7 @@ let run_campaign ctx ~programs ~trials ~faults ~budget ~seed ~disruptive =
             (Printf.sprintf "%d/%d %s" (t.index + 1) trials
                (if t.contained then "contained" else "escaped"));
         check ctx)
-      images
+      tpl
   in
   let sum f = List.fold_left (fun a t -> a + f t) 0 report.trials in
   Printf.sprintf
@@ -83,8 +96,7 @@ let run_campaign ctx ~programs ~trials ~faults ~budget ~seed ~disruptive =
 let warm_snapshot ctx ~programs ~warm =
   let key = Printf.sprintf "warm|%s|%d" (String.concat "," programs) warm in
   Store.get_or_capture ctx.store ~key (fun () ->
-      let images = List.map (image ctx) programs in
-      let k = Kernel.boot images in
+      let k = Kernel.boot_from (template ctx programs) in
       ignore (Kernel.run ~max_cycles:warm k);
       Snapshot.to_string (Snapshot.of_kernel ~programs k))
 
@@ -98,9 +110,9 @@ let run_bisect ctx ~programs ~warm ~budget ~granularity ~poke =
     | Ok s -> s
     | Error e -> failwith (Printf.sprintf "stored warm snapshot corrupt: %s" e)
   in
-  let images = List.map (image ctx) programs in
+  let tpl = template ctx programs in
   let boot () =
-    let k = Kernel.boot images in
+    let k = Kernel.boot_from tpl in
     Snapshot.restore_kernel snap k;
     k
   in

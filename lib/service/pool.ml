@@ -141,6 +141,7 @@ let run ?(config = default_config) ~store ~job ~emit (specs : Spec.t list) :
   let retried = Atomic.make 0 in
   let timeouts = Atomic.make 0 in
   let images = Hashtbl.create 32 in
+  let templates = Hashtbl.create 32 in
   let images_mutex = Mutex.create () in
   (* Prefill the image cache on the coordinator: every program any spec
      names is assembled exactly once, before the domains spawn. *)
@@ -202,7 +203,7 @@ let run ?(config = default_config) ~store ~job ~emit (specs : Spec.t list) :
           cfg.job_timeout_ms
       in
       let ctx =
-        { Job.deadline; store; images; images_mutex;
+        { Job.deadline; store; images; templates; images_mutex;
           progress =
             (fun ~phase ~detail ->
               progress_event ~worker:w ~id ~attempt:k ~phase ~detail) }

@@ -9,11 +9,13 @@
 
    Restore checks every structural key (task ids and names, mote ids and
    count, lockstep parameters, memory sizes) before writing anything.
-   Flash goes through {!Machine.Cpu.adopt_flash}, which swaps in a fresh
-   image with empty caches — stale closures compiled against the old
-   image are rebuilt, never leaked — and every machine restored from one
-   flash array gets one image, so a restored fleet compiles each block
-   once. *)
+   Flash goes through {!Machine.Cpu.adopt_flash}: a host machine on a
+   shared image whose words equal the captured flash keeps that image
+   and the blocks already compiled on it (they are a function of those
+   words alone); any other gets a fresh image with empty caches, so a
+   closure compiled against other words is never run.  Every machine
+   restored from one flash array gets one image, so a restored fleet
+   compiles each block once. *)
 
 open Wire
 module Cpu = Machine.Cpu
@@ -156,8 +158,9 @@ type 'h act =
   | Into of ('h -> v)
       (* the host's own array, uncopied: restored in place, so its
          length must match *)
-  | Adopt of ('h -> Cpu.image -> unit)
-      (* flash: the captured words become the host's copy-on-write image *)
+  | Adopt of ('h -> Cpu.t)
+      (* flash: the captured words become the host machine's
+         copy-on-write image (see [restore]) *)
 
 type 'h field =
   | Leaf : { name : string; ty : ty; get : 'h -> v; act : 'h act } -> 'h field
@@ -257,7 +260,7 @@ let machine : Cpu.t comp =
               Vints
                 (if m.flash_shared then Cpu.canonical fl
                  else Cpu.canonical_init (Array.length fl) (Array.get fl)));
-          act = Adopt Cpu.adopt_flash };
+          act = Adopt Fun.id };
       into "sram" mem (fun m -> m.Cpu.sram);
       into "regs" (ints_in 0 0xFF) (fun m -> m.Cpu.regs);
       (* The decode and block tables cover exactly the 64 K-word flash
@@ -494,12 +497,13 @@ let sized path name x n =
 
 (* Restore runs this walk twice: first with [~write:false], which checks
    every structural key, count and size, so a mismatched host is refused
-   untouched; then with [~write:true], which sets every field.  [path]
-   names the enclosing component, built only for a message. *)
+   untouched; then with [~write:true], which sets every field and hands
+   each captured flash to [adopt] with its machine.  [path] names the
+   enclosing component, built only for a message. *)
 let rec walk : type h.
-    write:bool -> (int array -> Cpu.image) -> (unit -> string) -> h comp -> h ->
-    v array -> unit =
- fun ~write image_of path c h vs ->
+    write:bool -> (Cpu.t -> int array -> unit) -> (unit -> string) -> h comp ->
+    h -> v array -> unit =
+ fun ~write adopt path c h vs ->
   for i = 0 to Array.length vs - 1 do
     match c.fields.(i), vs.(i) with
     | Leaf { act = Set set; _ }, x -> if write then set h x
@@ -511,12 +515,12 @@ let rec walk : type h.
           (show ty x) (show ty y) hint
     | Leaf { name; act = Into live; _ }, x ->
       if write then blit x (live h) else sized path name x (length (live h))
-    | Leaf { act = Adopt adopt; _ }, x ->
+    | Leaf { act = Adopt machine; _ }, x ->
       (* Captured and decoded flashes are canonical, so they fit. *)
-      if write then adopt h (image_of (ints x))
+      if write then adopt (machine h) (ints x)
     | Nest n, x ->
       let path () = path () ^ n.name ^ "." in
-      walk ~write image_of path n.comp (n.sub h) (fields_of x)
+      walk ~write adopt path n.comp (n.sub h) (fields_of x)
     | Each e, x ->
       let xs = list_of x and hs = e.subs h in
       if List.length xs <> List.length hs then
@@ -525,7 +529,7 @@ let rec walk : type h.
       List.iteri
         (fun j (h, x) ->
           let path () = Printf.sprintf "%s%s[%d]." (path ()) e.name j in
-          walk ~write image_of path e.comp h (fields_of x))
+          walk ~write adopt path e.comp h (fields_of x))
         (List.combine hs xs)
   done
 
@@ -536,24 +540,59 @@ let of_machine ?programs m = capture_payload machine_payload ?programs m
 let of_kernel ?programs k = capture_payload kernel_payload ?programs k
 let of_net ?programs n = capture_payload net_payload ?programs n
 
+(* Whether two flash arrays hold the same words, erased tails included. *)
+let same_words a b =
+  a == b
+  ||
+  let n = max (Array.length a) (Array.length b) in
+  let rec go i = i >= n || (Cpu.flash_word a i = Cpu.flash_word b i && go (i + 1)) in
+  go 0
+
+(* [adopt] for the walks that set no machine's flash: the checking pass
+   and the meta walk of {!of_string}. *)
+let adopt_fresh m flash = Cpu.adopt_flash m (Cpu.image_of flash)
+
 let restore (p : _ payload) (s : t) h =
   if s.kind != p.kind then
     incompatible "this is a %s snapshot; restore it onto a matching host" s.kind.name;
-  walk ~write:false Cpu.image_of (fun () -> "") p.body h s.body;
-  (* One image per distinct flash array: machines restored from one
-     decoded (or captured-shared) array share its words and caches,
-     re-establishing a fleet's structural sharing instead of expanding
-     it. *)
-  let images = ref [] in
-  let image_of flash =
-    match List.assq_opt flash !images with
-    | Some image -> image
+  walk ~write:false adopt_fresh (fun () -> "") p.body h s.body;
+  (* A machine on a shared image, hence an immutable one, whose words
+     equal the captured flash keeps that image: a kernel booted from a
+     warm template keeps its compiled blocks.  Each (host image,
+     captured array) pair is compared once per restore.  Any other
+     machine gets one image per distinct flash array: a host image kept
+     for that array if there is one, else a fresh one, so machines
+     restored from one decoded (or captured-shared) array share its
+     words and caches, re-establishing a fleet's structural sharing
+     instead of expanding it.  Re-attaching drops the machine's tier-2
+     binding either way. *)
+  let images = ref [] and compared = ref [] in
+  let same (m : Cpu.t) flash =
+    match List.find_opt (fun (h, f, _) -> h == m.image && f == flash) !compared with
+    | Some (_, _, same) -> same
     | None ->
-      let image = Cpu.image_of flash in
-      images := (flash, image) :: !images;
-      image
+      let same = same_words m.flash flash in
+      compared := (m.image, flash, same) :: !compared;
+      same
   in
-  walk ~write:true image_of (fun () -> "") p.body h s.body
+  let adopt (m : Cpu.t) flash =
+    let image =
+      if m.flash_shared && same m flash then begin
+        if not (List.mem_assq flash !images) then
+          images := (flash, m.image) :: !images;
+        m.image
+      end
+      else
+        match List.assq_opt flash !images with
+        | Some image -> image
+        | None ->
+          let image = Cpu.image_of flash in
+          images := (flash, image) :: !images;
+          image
+    in
+    Cpu.adopt_flash m image
+  in
+  walk ~write:true adopt (fun () -> "") p.body h s.body
 
 let restore_machine s m = restore machine_payload s m
 let restore_kernel s k = restore kernel_payload s k
@@ -714,7 +753,7 @@ let of_string (data : string) : (t, string) result =
     in
     let s = { at = 0; programs = []; kind = kinds.(0); body = [||] } in
     let meta_v = read ~flash:read_flash "meta" (Comp meta.schema) (section "meta") in
-    walk ~write:true Cpu.image_of (fun () -> "") meta s (fields_of meta_v);
+    walk ~write:true adopt_fresh (fun () -> "") meta s (fields_of meta_v);
     let flash =
       if not s.kind.pooled then read_flash
       else begin

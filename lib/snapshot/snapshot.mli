@@ -9,8 +9,12 @@
     host (same images, same config, same topology), run to cycle [d] —
     the result is byte-identical to an uninterrupted run to [d], in all
     execution tiers and at any domain count.  Restores hand flash to
-    {!Machine.Cpu.adopt_flash}, which installs a fresh image with empty
-    decode and block caches, so compiled code is never stale.
+    {!Machine.Cpu.adopt_flash}.  A host machine on a shared image (one
+    booted from a {!Kernel.template}, say) whose words equal the
+    captured flash keeps that image with its decode and block caches,
+    which are a function of those words alone; any other gets an image
+    of the captured words with empty caches.  Either way the machine's
+    tier-2 binding is dropped, so compiled code is never stale.
 
     Every captured field is declared once, in a table that drives
     capture, restore, encoding, decoding and {!diff} alike.  Structural
@@ -69,13 +73,16 @@ val of_net : ?programs:string list -> Net.t -> t
 
 val restore_machine : t -> Machine.Cpu.t -> unit
 
-(** Restore over a freshly booted kernel built from the same images
-    (flash goes through {!Machine.Cpu.adopt_flash}, so no compiled code
-    from the kernel's earlier run survives). *)
+(** Restore over a freshly booted kernel built from the same images.
+    Booted from a template and restored from a capture whose flash is
+    the template's, the kernel keeps the template's image and every
+    block compiled on it; a capture whose flash differs (a flipped
+    word, a spawned task) gets an image of its own words. *)
 val restore_kernel : t -> Kernel.t -> unit
 
 (** Restore over a freshly created network of the same shape.  Motes
-    restored from one flash image share one {!Machine.Cpu.image}, so the
+    restored from one flash image share one {!Machine.Cpu.image} (the
+    host fleet's own template image when its words match), so the
     restored fleet compiles each block once. *)
 val restore_net : t -> Net.t -> unit
 

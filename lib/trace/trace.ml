@@ -29,7 +29,9 @@ type kind =
 type event = { mote : int; at : int; kind : kind }
 
 type t = {
-  mutable buf : event array;  (* ring storage, allocated on first emit *)
+  mutable buf : event array;
+      (* ring storage: empty until the first emit, then grown on demand
+         (see [emit]) up to [capacity] slots *)
   mutable head : int;  (* next write slot *)
   mutable len : int;
   mutable overflow : int;  (* events overwritten because the ring was full *)
@@ -38,6 +40,11 @@ type t = {
 }
 
 let default_capacity = 4096
+
+(* The ring's first allocation.  Most sinks record a handful of events
+   (a kernel's task switches, a campaign trial's injections), so they
+   never pay for the full capacity. *)
+let initial_slots = 16
 
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
@@ -55,18 +62,41 @@ let clear t =
   t.overflow <- 0;
   Hashtbl.reset t.counters
 
+(* Index of the oldest event in the ring. *)
+let start t =
+  let n = Array.length t.buf in
+  (t.head - t.len + n) mod n
+
+(* A full ring below [capacity] doubles (from [initial_slots], never
+   past [capacity]): the events move oldest first to slots [0, len), so
+   the next write goes to slot [len].  Once the storage holds [capacity]
+   slots it never grows again and a full ring overwrites its oldest
+   event, exactly as a ring allocated whole would. *)
+let grow t ev =
+  let n = Array.length t.buf in
+  let buf = Array.make (min t.capacity (max initial_slots (2 * n))) ev in
+  if n > 0 then begin
+    let s = start t in
+    Array.blit t.buf s buf 0 (n - s);
+    Array.blit t.buf 0 buf (n - s) s
+  end;
+  t.buf <- buf;
+  t.head <- t.len
+
 let emit t ~mote ~at kind =
   let ev = { mote; at; kind } in
-  if Array.length t.buf = 0 then t.buf <- Array.make t.capacity ev
-  else t.buf.(t.head) <- ev;
-  t.head <- (t.head + 1) mod t.capacity;
+  if t.len = Array.length t.buf && t.len < t.capacity then grow t ev;
+  t.buf.(t.head) <- ev;
+  t.head <- (t.head + 1) mod Array.length t.buf;
   if t.len < t.capacity then t.len <- t.len + 1
   else t.overflow <- t.overflow + 1
 
 (** Recorded events, oldest first. *)
 let events t =
-  let start = (t.head - t.len + t.capacity * 2) mod t.capacity in
-  List.init t.len (fun i -> t.buf.((start + i) mod t.capacity))
+  if t.len = 0 then []
+  else
+    let n = Array.length t.buf and s = start t in
+    List.init t.len (fun i -> t.buf.((s + i) mod n))
 
 (** Move every event of [src] into [into] (oldest first, through the
     normal ring-buffer path, so [into]'s capacity and overflow rules

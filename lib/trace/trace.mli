@@ -47,10 +47,14 @@ val default_capacity : int
 
 (** [create ?capacity ()] makes an empty sink whose ring holds at most
     [capacity] events (default {!default_capacity}); older events are
-    overwritten and counted in {!overflow}. *)
+    overwritten and counted in {!overflow}.  The ring allocates nothing
+    until the first {!emit}, then 16 slots, and doubles whenever it is
+    full below [capacity] (never past it), so a sink that records a few
+    events costs a few slots.  Growth is invisible: {!events}, {!length}
+    and {!overflow} read exactly as for a ring allocated whole. *)
 val create : ?capacity:int -> unit -> t
 
-(** The sink's fixed ring capacity. *)
+(** The sink's ring capacity: the most events it holds. *)
 val capacity : t -> int
 
 (** Events currently held (at most the capacity). *)

@@ -58,7 +58,7 @@ let collect ?(window = 2_000_000) () : Trace.t =
   in
   let report =
     Fault.Campaign.run ~trials:4 ~faults:5 ~max_cycles:(window / 4) ~seed:1
-      fault_images
+      (Kernel.prepare fault_images)
   in
   List.iter
     (fun (name, v) -> Trace.set_counter trace name v)

@@ -24,12 +24,15 @@ fi
 # interpreter, the tier-1 block engine, and the tier-2 ahead-of-time
 # compiled path — including snapshot/restore, fault campaigns, and
 # multi-domain fleets (also part of runtest; run explicitly so a
-# failure is unmistakable in CI logs).
-dune exec test/test_tiers.exe
+# failure is unmistakable in CI logs).  Run outside dune's test
+# environment, it is given the suites' artifact cache (test/dune) so it
+# never writes into the user's ~/.cache/sensmart/aot.
+aot_cache="$PWD/_build/default/test/aot-cache"
+SENSMART_AOT_CACHE="$aot_cache" dune exec test/test_tiers.exe
 
 # Domain-parallel determinism: Net.run at 1 vs N domains must produce
 # byte-identical counters, events, and machine state.
-dune exec test/test_net.exe -- test domains
+SENSMART_AOT_CACHE="$aot_cache" dune exec test/test_net.exe -- test domains
 
 # Shared tier-1 tables under concurrent writers: a fleet's motes share
 # one decode cache and block table, which two domains fill at once.
@@ -128,6 +131,23 @@ done
 # serve path must drain cleanly (serve exits nonzero iff any job
 # failed, so the exit code is the gate).
 dune exec bin/sensmart_cli.exe -- serve --loadtest 32 --workers 4 > /dev/null
+
+# The 1000-job load test's simulated results are fixed: at one worker
+# and at two, serve prints the same digest of its canonical result
+# lines and the same 71 store dedup hits (the mix's 73 bisect jobs
+# share two warm snapshots; EXPERIMENTS.md, "campaign service
+# throughput").  The summary line is on stderr.
+for workers in 1 2; do
+    summary=$("$cli" serve --loadtest 1000 --workers "$workers" 2>&1 > /dev/null)
+    case "$summary" in
+        *" 71 dedup hits; digest 53bb00ecacc7") ;;
+        *)
+            echo "check.sh: serve --loadtest 1000 --workers $workers printed:" >&2
+            echo "$summary" >&2
+            exit 1
+            ;;
+    esac
+done
 
 # A spec file that names a job kind serve does not have, or repeats a
 # job id, is a usage error (exit 2) before any job runs.

@@ -109,8 +109,9 @@ let trace_only_attack () =
   (* the fault campaign of Workloads.Metrics.collect, run alone *)
   let alone =
     Fault.Campaign.run ~trials:4 ~faults:5 ~max_cycles:500_000 ~seed:1
-      [ assemble (Programs.Lfsr_bench.program ~iters:2_000 ());
-        assemble (Programs.Timer_bench.program ()) ]
+      (Kernel.prepare
+         [ assemble (Programs.Lfsr_bench.program ~iters:2_000 ());
+           assemble (Programs.Timer_bench.program ()) ])
   in
   let faults tr =
     List.filter

@@ -327,7 +327,7 @@ let campaign_args = [ image "lfsr"; image "timer" ]
 
 let run_campaign ~tier =
   Fault.Campaign.run ~tier ~trials:4 ~faults:5 ~max_cycles:400_000 ~seed:42
-    campaign_args
+    (Kernel.prepare campaign_args)
 
 let trial_fingerprint (t : Fault.Campaign.trial) =
   Fmt.str "#%d injected=%d stop=%s cycles=%d clean=%d faulted=%d contained=%b"
@@ -345,6 +345,88 @@ let campaign_deterministic_across_tiers () =
     (Trace.counters_json r0.Fault.Campaign.trace);
   Alcotest.(check int) "every trial ran" 4
     (Trace.counter r1.Fault.Campaign.trace "fault.trials")
+
+(* Every trial of a campaign boots from the one template, on its shared
+   (and, after the first trial, warm) flash image.  Trial for trial, the
+   report must equal booting each trial afresh with [Kernel.boot] and
+   running it under the same plan; a second campaign on the now-warm
+   template must return the same report again, and the template's own
+   flash must be untouched.  Twelve disruptive trials draw Flash_flips,
+   so some trials detach from the shared image while their successors
+   keep running on it; with seed 1 one feeder/search trial flips a word
+   of the image itself.  lfsr/timer exit early; feeder/search run to
+   the budget, so every injection lands. *)
+let campaign_template_equals_fresh_boots () =
+  let trials = 12 and max_cycles = 400_000 in
+  let fresh ~tier images (t : Fault.Campaign.trial) =
+    let k = Kernel.boot images in
+    let stop = Fault.run_kernel ~tier ~max_cycles ~plan:t.plan k in
+    let outcomes = Kernel.outcomes k in
+    let count p = List.length (List.filter (fun (_, r) -> p r) outcomes) in
+    let survived =
+      match stop with
+      | Machine.Cpu.Halted Machine.Cpu.Break_hit | Machine.Cpu.Out_of_fuel -> true
+      | _ -> false
+    in
+    let invariants_hold =
+      match Kernel.check_invariants k with () -> true | exception Failure _ -> false
+    in
+    trial_fingerprint
+      { t with
+        injected = Trace.counter k.Kernel.trace "fault.injected";
+        stop = Fmt.str "%a" Machine.Cpu.pp_stop stop;
+        cycles = k.m.cycles;
+        clean_exits = count (fun r -> r = "exit");
+        faulted = count (fun r -> r <> "exit");
+        contained = survived && invariants_hold }
+  in
+  (* Whether [t] flips a flash word below [limit] before it ends. *)
+  let flips ~limit (t : Fault.Campaign.trial) =
+    List.exists
+      (fun (i : Fault.injection) ->
+        match i.kind with
+        | Fault.Flash_flip { waddr; _ } -> waddr < limit && i.at < t.cycles
+        | _ -> false)
+      t.plan.Fault.Plan.injections
+  in
+  let prints r = List.map trial_fingerprint r.Fault.Campaign.trials in
+  let reasons r =
+    List.map (fun (t : Fault.Campaign.trial) -> t.reason) r.Fault.Campaign.trials
+  in
+  let flash k = Machine.Cpu.canonical k.Kernel.m.flash in
+  List.iter
+    (fun (name, images, seed, flips_image) ->
+      List.iter
+        (fun tier ->
+          let what fmt = Printf.sprintf ("%s, tier %d: " ^^ fmt) name tier in
+          let tpl = Kernel.prepare images in
+          let run () =
+            Fault.Campaign.run ~tier ~trials ~faults:5 ~max_cycles
+              ~disruptive:true ~seed tpl
+          in
+          let cold = run () in
+          let limit = (Kernel.boot_from tpl).next_flash in
+          Alcotest.(check bool) (what "some trial flips flash") true
+            (List.exists (flips ~limit:0x10000) cold.Fault.Campaign.trials);
+          Alcotest.(check bool) (what "some trial flips the image") flips_image
+            (List.exists (flips ~limit) cold.Fault.Campaign.trials);
+          Alcotest.(check (list string))
+            (what "template trials = fresh boots")
+            (List.map (fresh ~tier images) cold.Fault.Campaign.trials)
+            (prints cold);
+          let warm = run () in
+          Alcotest.(check (list string)) (what "warm template, same trials")
+            (prints cold) (prints warm);
+          Alcotest.(check (list string)) (what "warm template, same reasons")
+            (reasons cold) (reasons warm);
+          Alcotest.(check string) (what "warm template, same counters")
+            (Trace.counters_json cold.Fault.Campaign.trace)
+            (Trace.counters_json warm.Fault.Campaign.trace);
+          Alcotest.(check bool) (what "template flash untouched") true
+            (flash (Kernel.boot_from tpl) = flash (Kernel.boot images)))
+        [ 0; 1 ])
+    [ ("lfsr/timer", campaign_args, 7, false);
+      ("feeder/search", [ image "feeder"; image "search" ], 1, true) ]
 
 (* --- plan parsing ----------------------------------------------------------- *)
 
@@ -411,6 +493,8 @@ let () =
            crash_without_reboot_stays_down ]);
       ("campaign",
        [ Alcotest.test_case "deterministic across tiers" `Quick
-           campaign_deterministic_across_tiers ]);
+           campaign_deterministic_across_tiers;
+         Alcotest.test_case "one template = fresh boots" `Quick
+           campaign_template_equals_fresh_boots ]);
       ("plan",
        [ Alcotest.test_case "CLI spec round-trip" `Quick spec_round_trip ]) ]

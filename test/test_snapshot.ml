@@ -692,6 +692,78 @@ let grown_flash_round_trip () =
   Alcotest.(check bool) "erasing the image's last word changes the bytes" false
     (Snapshot.to_string base = Snapshot.to_string trimmed)
 
+(* A kernel booted from a template runs on the template's shared image.
+   Restored from a capture whose flash is the template's, it keeps that
+   image and every block an earlier run compiled on it.  Restored from a
+   capture whose flash differs (a Flash_flip in the running code), it
+   gets a fresh image with empty caches, so no block compiled from the
+   unflipped words runs.  Either way, a further run gives the same bytes
+   and an empty diff as an uninterrupted run and as a restore onto a
+   host on a private image, which always takes the fresh path. *)
+let restore_keeps_template_image () =
+  let at = 60_000 and horizon = 160_000 in
+  let tpl = Kernel.prepare (kernel_images ()) in
+  let warm (m : Machine.Cpu.t) =
+    Array.exists (Array.exists Option.is_some) m.blocks
+  in
+  let flip (k : Kernel.t) =
+    Fault.inject ~trace:(Trace.create ()) k
+      { Fault.at = k.m.cycles; mote = 0;
+        kind = Flash_flip { waddr = k.m.pc; xor = 0x0400 } }
+  in
+  (* A host whose flash is private and differs from every capture. *)
+  let private_host () =
+    let k = Kernel.boot_from tpl in
+    Fault.inject ~trace:(Trace.create ()) k
+      { Fault.at = 0; mote = 0; kind = Flash_flip { waddr = 0x1F00; xor = 1 } };
+    Alcotest.(check bool) "private host detached" false k.m.flash_shared;
+    k
+  in
+  let restored snap (host : Kernel.t) =
+    Snapshot.restore_kernel snap host;
+    Alcotest.(check bool) "tier-2 binding dropped" true
+      (host.m.t2 = Machine.Cpu.T2_unknown);
+    host
+  in
+  let finish host =
+    ignore (Kernel.run ~max_cycles:horizon host);
+    Snapshot.of_kernel host
+  in
+  let same what reference got =
+    check_identical what reference got;
+    Alcotest.(check bool) (what ^ ": equal bytes") true
+      (Snapshot.to_string reference = Snapshot.to_string got)
+  in
+  (* The template's flash. *)
+  let k1 = Kernel.boot_from tpl in
+  ignore (Kernel.run ~max_cycles:at k1);
+  let snap = decode (Snapshot.of_kernel k1) in
+  ignore (Kernel.run ~max_cycles:horizon k1);
+  let reference = Snapshot.of_kernel k1 in
+  let k2 = Kernel.boot_from tpl in
+  let image = k2.m.image and blocks = k2.m.blocks in
+  Alcotest.(check bool) "the template is warm" true (warm k2.m);
+  ignore (restored snap k2);
+  Alcotest.(check bool) "restore keeps the template image" true
+    (k2.m.image == image);
+  Alcotest.(check bool) "restore keeps its compiled blocks" true
+    (k2.m.blocks == blocks && warm k2.m);
+  same "kept image" reference (finish k2);
+  same "fresh image" reference (finish (restored snap (private_host ())));
+  (* Flash that differs from the template's. *)
+  let kf = Kernel.boot_from tpl in
+  ignore (Kernel.run ~max_cycles:at kf);
+  flip kf;
+  let flipped = decode (Snapshot.of_kernel kf) in
+  ignore (Kernel.run ~max_cycles:horizon kf);
+  let reference = Snapshot.of_kernel kf in
+  let k3 = restored flipped (Kernel.boot_from tpl) in
+  Alcotest.(check bool) "a differing flash gets a fresh image" false
+    (k3.m.image == image || k3.m.blocks == blocks || warm k3.m);
+  same "flipped, template host" reference (finish k3);
+  same "flipped, private host" reference
+    (finish (restored flipped (private_host ())))
+
 (* --- bisection -------------------------------------------------------------- *)
 
 let bisect_clean_tiers () =
@@ -786,6 +858,8 @@ let () =
          Alcotest.test_case "empty diff iff equal bytes" `Quick
            diff_iff_equal_bytes;
          Alcotest.test_case "grown flash round-trip" `Quick grown_flash_round_trip;
+         Alcotest.test_case "restore keeps a template image" `Quick
+           restore_keeps_template_image;
          Alcotest.test_case "corrupt inputs rejected" `Quick
            corrupt_inputs_rejected;
          Alcotest.test_case "save/load file" `Quick save_load_file ]);

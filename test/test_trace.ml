@@ -37,6 +37,99 @@ let clear_resets () =
   Alcotest.(check int) "no overflow" 0 (Trace.overflow tr);
   Alcotest.(check int) "counters cleared" 0 (Trace.counter tr "x")
 
+(* The ring grows on demand (from 16 slots, never past its capacity), so
+   it is checked against a list model of a bounded queue: two sinks, [a]
+   and [b], under a random sequence of emits, transfers both ways,
+   clears and dump/restores, must hold the model's events, length and
+   overflow after every operation.  The capacities straddle the first
+   allocation (15, 16, 17) and reach the default (4096). *)
+type op = Emit_a | Emit_b | A_into_b | B_into_a | Clear_a | Clear_b | Restore_a
+
+type model = { q : int list; (* event [at]s, oldest first *) lost : int }
+
+let model_emit cap m at =
+  let q = m.q @ [ at ] in
+  if List.length q > cap then { q = List.tl q; lost = m.lost + 1 }
+  else { m with q }
+
+let model_transfer cap ~into src =
+  let into = List.fold_left (model_emit cap) into src.q in
+  ({ into with lost = into.lost + src.lost }, { q = []; lost = 0 })
+
+let empty_model = { q = []; lost = 0 }
+
+let ring_matches_model =
+  let caps = [ 1; 2; 15; 16; 17; 64; 4096 ] in
+  (* [churn] weighs every operation but the emits: at 0 a long sequence
+     fills and wraps even the 4096-slot ring; at 1 and 8 transfers,
+     clears and restores land mid-growth. *)
+  let op churn =
+    QCheck.Gen.frequency
+      (List.filter
+         (fun (w, _) -> w > 0)
+         [ (96, QCheck.Gen.return Emit_a); (48, QCheck.Gen.return Emit_b);
+           (churn, QCheck.Gen.return A_into_b);
+           (2 * churn, QCheck.Gen.return B_into_a);
+           (churn, QCheck.Gen.return Clear_a); (churn, QCheck.Gen.return Clear_b);
+           (churn, QCheck.Gen.return Restore_a) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (oneofl caps) (oneofl caps)
+        (oneofl [ 0; 1; 8 ] >>= fun churn ->
+         oneof [ list_size (0 -- 64) (op churn); list_size (0 -- 10_000) (op churn) ]))
+  in
+  QCheck.Test.make ~name:"growable ring = bounded-queue model" ~count:200
+    (QCheck.make gen) (fun (cap_a, cap_b, ops) ->
+      let a = Trace.create ~capacity:cap_a () in
+      let b = Trace.create ~capacity:cap_b () in
+      let ma = ref empty_model and mb = ref empty_model in
+      let agree name tr m =
+        let ats = List.map (fun (e : Trace.event) -> e.at) (Trace.events tr) in
+        if ats <> m.q || Trace.length tr <> List.length m.q
+           || Trace.overflow tr <> m.lost
+        then
+          QCheck.Test.fail_reportf
+            "%s (capacity %d): %d events, overflow %d; model %d events, \
+             overflow %d"
+            name (Trace.capacity tr) (Trace.length tr) (Trace.overflow tr)
+            (List.length m.q) m.lost
+      in
+      List.iteri
+        (fun i op ->
+          let kind = Trace.Probe { name = "p"; detail = "" } in
+          (match op with
+           | Emit_a ->
+             Trace.emit a ~mote:0 ~at:i kind;
+             ma := model_emit cap_a !ma i
+           | Emit_b ->
+             Trace.emit b ~mote:1 ~at:i kind;
+             mb := model_emit cap_b !mb i
+           | A_into_b ->
+             Trace.transfer ~into:b a;
+             let mb', ma' = model_transfer cap_b ~into:!mb !ma in
+             mb := mb';
+             ma := ma'
+           | B_into_a ->
+             Trace.transfer ~into:a b;
+             let ma', mb' = model_transfer cap_a ~into:!ma !mb in
+             ma := ma';
+             mb := mb'
+           | Clear_a ->
+             Trace.clear a;
+             ma := empty_model
+           | Clear_b ->
+             Trace.clear b;
+             mb := empty_model
+           | Restore_a ->
+             Trace.restore a (Trace.dump b);
+             let m = List.fold_left (model_emit cap_a) empty_model !mb.q in
+             ma := { m with lost = !mb.lost });
+          agree "a" a !ma;
+          agree "b" b !mb)
+        ops;
+      true)
+
 (* --- counters ------------------------------------------------------------- *)
 
 let counters_registry () =
@@ -212,7 +305,8 @@ let () =
   Alcotest.run "trace"
     [ ("ring",
        [ Alcotest.test_case "bounded" `Quick ring_is_bounded;
-         Alcotest.test_case "clear" `Quick clear_resets ]);
+         Alcotest.test_case "clear" `Quick clear_resets;
+         Gen.to_alcotest ring_matches_model ]);
       ("counters",
        [ Alcotest.test_case "registry" `Quick counters_registry;
          Alcotest.test_case "json snapshot" `Quick counters_json_snapshot;
