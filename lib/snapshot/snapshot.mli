@@ -1,9 +1,9 @@
 (** Deterministic snapshot & resume.
 
     A snapshot captures the full deterministic state of a run — machine,
-    kernel, network and trace — as a plain-data value that serializes to
-    a versioned, self-describing binary format (see DESIGN.md, "Snapshot
-    format & determinism contract").
+    kernel, network and trace — as its encoded bytes in a versioned,
+    self-describing binary format (see DESIGN.md, "Snapshot format &
+    determinism contract"), with each flash image held by reference.
 
     The contract: capture at cycle [c], restore onto a freshly re-created
     host (same images, same config, same topology), run to cycle [d] —
@@ -17,13 +17,12 @@
     tier-2 binding is dropped, so compiled code is never stale.
 
     Every captured field is declared once, in a table that drives
-    capture, restore, encoding, decoding and {!diff} alike.  Structural
-    state (program images, kernel config, topology) is not captured;
-    the [restore_*] functions check its keys (task ids and names, mote
-    ids and count, lockstep parameters, memory sizes) before writing
+    capture, restore, decoding and {!diff} alike.  Structural state
+    (program images, kernel config, topology) is not captured; the
+    [restore_*] functions check its keys (task ids and names, mote ids
+    and count, lockstep parameters, memory sizes) before writing
     anything and raise {!Incompatible} otherwise.  The snapshot carries
-    {!programs} so a driver can re-create the host from the workload
-    registry. *)
+    {!programs} so a driver can re-create the host from the registry. *)
 
 type t
 
@@ -49,8 +48,9 @@ val describe : t -> string
 
 (** {2 Capture}
 
-    Capture functions copy all mutable state; the snapshot stays valid
-    however the live host advances afterwards. *)
+    Capture functions encode all mutable state (a shared template flash
+    is held, never copied); the snapshot stays valid however the live
+    host advances afterwards. *)
 
 val of_machine : ?programs:string list -> Machine.Cpu.t -> t
 
@@ -94,6 +94,8 @@ val restore_net : t -> Net.t -> unit
     the format can grow within a version; integers are signed-LEB128
     varints, dense memory uses fixed-width little-endian fields. *)
 
+(** A network snapshot's file as it is held (a decoded one's: its input);
+    a machine or kernel snapshot's with its flash written inline. *)
 val to_string : t -> string
 
 (** Content address: the MD5 hex digest of {!to_string}.  Equal digests

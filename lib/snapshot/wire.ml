@@ -1,11 +1,8 @@
-(* Binary wire primitives for the snapshot format.
-
-   Writers append to a [Buffer.t]; readers consume a [string] through a
-   mutable cursor and raise {!Corrupt} on malformed input (the public
-   parser converts that into a [result]).  Integers use signed LEB128
-   varints, so any OCaml [int] — including [max_int], which appears as
-   the parked [preempt_at] horizon — round-trips; densely packed arrays
-   (flash words, SRAM) use fixed-width little-endian fields instead. *)
+(* Binary wire primitives for the snapshot format.  Writers append to a
+   [Buffer.t]; readers consume a [string] through a mutable cursor and
+   raise {!Corrupt} on malformed input.  Integers are signed LEB128
+   varints, so any OCaml [int] round-trips ([max_int] is the parked
+   [preempt_at] horizon); flash words are fixed-width little-endian. *)
 
 exception Corrupt of string
 
@@ -17,15 +14,13 @@ module W = struct
   let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
   (* Signed LEB128. *)
-  let int b v =
-    let rec go v =
-      let byte = v land 0x7F in
-      let rest = v asr 7 in
-      let done_ = (rest = 0 && byte land 0x40 = 0) || (rest = -1 && byte land 0x40 <> 0) in
-      u8 b (if done_ then byte else byte lor 0x80);
-      if not done_ then go rest
-    in
-    go v
+  let rec int b v =
+    let byte = v land 0x7F and rest = v asr 7 in
+    if (rest = 0 && byte land 0x40 = 0) || (rest = -1 && byte land 0x40 <> 0) then u8 b byte
+    else begin
+      u8 b (byte lor 0x80);
+      int b rest
+    end
 
   let string b s =
     int b (String.length s);
@@ -33,18 +28,15 @@ module W = struct
 
   (* Dense array of [n] values in [0, 0xFFFF], two bytes LE each: the
      values of [a], then [0xFFFF] up to [n] (a flash and its erased
-     tail). *)
+     tail), filled in one block and added in one step. *)
   let u16_array b (a : int array) n =
     int b n;
-    Array.iter
-      (fun v ->
-        u8 b (v land 0xFF);
-        u8 b ((v lsr 8) land 0xFF))
-      a;
-    for _ = Array.length a to n - 1 do
-      u8 b 0xFF;
-      u8 b 0xFF
-    done
+    let m = min n (Array.length a) in
+    let block = Bytes.make (2 * n) '\xff' in
+    for i = 0 to m - 1 do
+      Bytes.set_uint16_le block (2 * i) (Array.unsafe_get a i land 0xFFFF)
+    done;
+    Buffer.add_bytes b block
 end
 
 (* --- readers ------------------------------------------------------------- *)
@@ -60,18 +52,17 @@ module R = struct
     r.pos <- r.pos + 1;
     c
 
-  let int r =
-    let rec go shift acc =
-      if shift > 70 then corrupt "varint too long at %d" r.pos;
-      let byte = u8 r in
-      let acc = acc lor ((byte land 0x7F) lsl shift) in
-      let shift = shift + 7 in
-      if byte land 0x80 <> 0 then go shift acc
-      else if byte land 0x40 <> 0 && shift < Sys.int_size then
-        acc lor (-1 lsl shift) (* sign-extend *)
-      else acc
-    in
-    go 0 0
+  let rec int_from r shift acc =
+    if shift > 70 then corrupt "varint too long at %d" r.pos;
+    let byte = u8 r in
+    let acc = acc lor ((byte land 0x7F) lsl shift) in
+    let shift = shift + 7 in
+    if byte land 0x80 <> 0 then int_from r shift acc
+    else if byte land 0x40 <> 0 && shift < Sys.int_size then
+      acc lor (-1 lsl shift) (* sign-extend *)
+    else acc
+
+  let int r = int_from r 0 0
 
   (* A length prefix for [what], whose elements each take at least
      [width] bytes of input: a length the remaining input cannot hold
@@ -82,25 +73,36 @@ module R = struct
       corrupt "bad %s length %d at %d" what n r.pos;
     n
 
-  let string r =
+  (* A string's start and length, skipped. *)
+  let span r =
     let n = length r ~width:1 "string" in
-    let s = String.sub r.s r.pos n in
     r.pos <- r.pos + n;
-    s
+    (r.pos - n, n)
+
+  let string r = let at, n = span r in String.sub r.s at n
+  let skip_string r = ignore (span r)
 
   (* [string]'s result is fresh and unshared, so it becomes the bytes. *)
   let bytes r = Bytes.unsafe_of_string (string r)
 
+  (* A string read into the front of [dst], which must hold it. *)
+  let string_into r dst = let at, n = span r in Bytes.blit_string r.s at dst 0 n
+
   (* A [u16_array] [what] of exactly [n] values, read in place: the
-     result is [f n get], where [get i] is value [i], so [f] decides
-     what to allocate. *)
+     result is [f used get], where [get i] is value [i] and every value
+     from [used] on is [0xFFFF] (an erased tail, passed over four values
+     a step), so [f] decides what to allocate. *)
   let u16_array r what n f =
     let got = length r ~width:2 what in
     if got <> n then corrupt "%s has %d entries, expected %d" what got n;
     let base = r.pos in
     r.pos <- base + (2 * n);
-    f n (fun i ->
-        Char.code r.s.[base + (2 * i)] lor (Char.code r.s.[base + (2 * i) + 1] lsl 8))
+    let rec used i =
+      if i >= 4 && String.get_int64_le r.s (base + (2 * i) - 8) = -1L then used (i - 4)
+      else if i > 0 && String.get_uint16_le r.s (base + (2 * i) - 2) = 0xFFFF then used (i - 1)
+      else i
+    in
+    f (used n) (fun i -> String.get_uint16_le r.s (base + (2 * i)))
 end
 
 (* --- self-describing sections -------------------------------------------- *)

@@ -153,8 +153,8 @@ let counters t =
 
 (* --- JSON emitter ------------------------------------------------------- *)
 
-let escape_string s =
-  let b = Buffer.create (String.length s + 2) in
+(* [s] with JSON's escapes, appended to [b]. *)
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -166,7 +166,11 @@ let escape_string s =
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let escape_string s =
+  let b = Buffer.create (String.length s + 2) in
+  add_escaped b s;
   Buffer.contents b
 
 (* Each event serializes to one flat JSON object; the "event" field names
@@ -193,19 +197,37 @@ let kind_fields = function
   | Job { id; phase; detail } ->
     ("job", [ ("id", `Int id); ("phase", `Str phase); ("detail", `Str detail) ])
 
+(* [i] in decimal, appended to [b] digit by digit. *)
+let rec add_int b i =
+  if i < 0 then
+    if i = min_int then Buffer.add_string b (string_of_int i)
+    else begin
+      Buffer.add_char b '-';
+      add_int b (-i)
+    end
+  else begin
+    if i >= 10 then add_int b (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+  end
+
+(* Buffer appends only: a fleet snapshot writes thousands of lines. *)
 let json_of_event (e : event) =
   let name, fields = kind_fields e.kind in
-  let b = Buffer.create 64 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"mote\":%d,\"at\":%d,\"event\":\"%s\"" e.mote e.at name);
+  let b = Buffer.create 80 in
   List.iter
     (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf ",\"%s\":" k);
+      Buffer.add_char b (if Buffer.length b = 0 then '{' else ',');
+      Buffer.add_char b '"';
+      Buffer.add_string b k;
+      Buffer.add_string b "\":";
       match v with
-      | `Int i -> Buffer.add_string b (string_of_int i)
-      | `Str s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (escape_string s))
+      | `Int i -> add_int b i
+      | `Str s ->
+        Buffer.add_char b '"';
+        add_escaped b s;
+        Buffer.add_char b '"'
       | `Null -> Buffer.add_string b "null")
-    fields;
+    (("mote", `Int e.mote) :: ("at", `Int e.at) :: ("event", `Str name) :: fields);
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -234,81 +256,103 @@ let parse_object (s : string) : (string * jvalue) list =
   let pos = ref 0 in
   let incr r = r := !r + 1 in (* the counters [incr] above shadows Stdlib's *)
   let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* Whether the next character is [c] (never past the end). *)
+  let at c = !pos < n && s.[!pos] = c in
   let skip_ws () =
     while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n' || s.[!pos] = '\r')
     do incr pos done
   in
   let expect c =
     skip_ws ();
-    if peek () = Some c then incr pos else fail (Printf.sprintf "expected '%c'" c)
+    if at c then incr pos else fail (Printf.sprintf "expected '%c'" c)
   in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          (if !pos >= n then fail "truncated escape"
-           else
-             match s.[!pos] with
-             | '"' -> Buffer.add_char b '"'; incr pos
-             | '\\' -> Buffer.add_char b '\\'; incr pos
-             | '/' -> Buffer.add_char b '/'; incr pos
-             | 'n' -> Buffer.add_char b '\n'; incr pos
-             | 'r' -> Buffer.add_char b '\r'; incr pos
-             | 't' -> Buffer.add_char b '\t'; incr pos
-             | 'u' ->
-               if !pos + 4 >= n then fail "truncated \\u escape";
-               let hex = String.sub s (!pos + 1) 4 in
-               let is_hex = function
-                 | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
-                 | _ -> false
-               in
-               (* Four hex digits exactly: [int_of_string] alone would
-                  also take OCaml's [_] separators. *)
-               if not (String.for_all is_hex hex) then fail "bad \\u escape";
-               let code = int_of_string ("0x" ^ hex) in
-               if code >= 0x80 then fail "non-ASCII \\u escape unsupported";
-               Buffer.add_char b (Char.chr code);
-               pos := !pos + 5
-             | _ -> fail "unknown escape");
-          go ()
-        | c -> Buffer.add_char b c; incr pos; go ()
-    in
-    go ();
-    Buffer.contents b
+    let start = !pos in
+    while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do incr pos done;
+    if !pos < n && s.[!pos] = '"' then begin
+      incr pos;
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let b = Buffer.create 16 in
+      Buffer.add_substring b s start (!pos - start);
+      let rec go () =
+        if !pos >= n then fail "unterminated string"
+        else
+          match s.[!pos] with
+          | '"' -> incr pos
+          | '\\' ->
+            incr pos;
+            (if !pos >= n then fail "truncated escape"
+             else
+               match s.[!pos] with
+               | '"' -> Buffer.add_char b '"'; incr pos
+               | '\\' -> Buffer.add_char b '\\'; incr pos
+               | '/' -> Buffer.add_char b '/'; incr pos
+               | 'n' -> Buffer.add_char b '\n'; incr pos
+               | 'r' -> Buffer.add_char b '\r'; incr pos
+               | 't' -> Buffer.add_char b '\t'; incr pos
+               | 'u' ->
+                 if !pos + 4 >= n then fail "truncated \\u escape";
+                 let hex = String.sub s (!pos + 1) 4 in
+                 let is_hex = function
+                   | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                   | _ -> false
+                 in
+                 (* Four hex digits exactly: [int_of_string] alone would
+                    also take OCaml's [_] separators. *)
+                 if not (String.for_all is_hex hex) then fail "bad \\u escape";
+                 let code = int_of_string ("0x" ^ hex) in
+                 if code >= 0x80 then fail "non-ASCII \\u escape unsupported";
+                 Buffer.add_char b (Char.chr code);
+                 pos := !pos + 5
+               | _ -> fail "unknown escape");
+            go ()
+          | c -> Buffer.add_char b c; incr pos; go ()
+      in
+      go ();
+      Buffer.contents b
+    end
   in
   let parse_value () =
     skip_ws ();
-    match peek () with
-    | Some '"' -> J_str (parse_string ())
-    | Some 'n' ->
+    match if !pos < n then s.[!pos] else '\000' with
+    | '"' -> J_str (parse_string ())
+    | 'n' ->
       if !pos + 4 <= n && String.sub s !pos 4 = "null" then begin
         pos := !pos + 4;
         J_null
       end
       else fail "expected null"
-    | Some ('-' | '0' .. '9') ->
+    | '-' | '0' .. '9' ->
       let start = !pos in
-      if peek () = Some '-' then incr pos;
+      if at '-' then incr pos;
       let digits = !pos in
       while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do incr pos done;
       (* JSON has no leading zeros: "007" is not a number. *)
       if !pos - digits > 1 && s.[digits] = '0' then fail "leading zero";
-      (match int_of_string_opt (String.sub s start (!pos - start)) with
-       | Some i -> J_int i
-       | None -> fail "bad number")
+      if !pos = digits then fail "bad number";
+      (* Accumulated negated, so [min_int] parses; past it is a bad
+         number, which fewer than 19 digits never reach. *)
+      let long = !pos - digits >= 19 in
+      let rec value acc i =
+        if i = !pos then acc
+        else
+          let d = Char.code s.[i] - 48 in
+          if long && acc < (min_int + d) / 10 then fail "bad number"
+          else value ((acc * 10) - d) (i + 1)
+      in
+      let v = value 0 digits in
+      if s.[start] = '-' then J_int v
+      else if v = min_int then fail "bad number"
+      else J_int (-v)
     | _ -> fail "expected value"
   in
   expect '{';
   skip_ws ();
   let fields = ref [] in
-  if peek () = Some '}' then incr pos
+  if at '}' then incr pos
   else begin
     let rec members () =
       let k = (skip_ws (); parse_string ()) in
@@ -316,10 +360,9 @@ let parse_object (s : string) : (string * jvalue) list =
       let v = parse_value () in
       fields := (k, v) :: !fields;
       skip_ws ();
-      match peek () with
-      | Some ',' -> incr pos; members ()
-      | Some '}' -> incr pos
-      | _ -> fail "expected ',' or '}'"
+      if at ',' then (incr pos; members ())
+      else if at '}' then incr pos
+      else fail "expected ',' or '}'"
     in
     members ()
   end;
@@ -344,75 +387,56 @@ let parse_flat_json (s : string) : ((string * jvalue) list, string) result =
   | exception Parse_error msg -> Error msg
   | fields -> Ok fields
 
+(* Fields are looked up in the order the error messages report, by
+   [String.equal] rather than polymorphic equality. *)
 let event_of_json (line : string) : (event, string) result =
   match parse_object line with
   | exception Parse_error msg -> Error msg
-  | fields ->
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (J_int i) -> Ok i
-      | _ -> Error (Printf.sprintf "missing int field %S" k)
-    in
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (J_str s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" k)
-    in
-    let ( let* ) = Result.bind in
-    let* mote = int "mote" in
-    let* at = int "at" in
-    let* name = str "event" in
-    let* kind =
-      match name with
-      | "cpu_fault" ->
-        let* reason = str "reason" in
-        Ok (Cpu_fault { reason })
-      | "switch" ->
-        let* to_task = int "to" in
-        let from_task =
-          match List.assoc_opt "from" fields with
-          | Some (J_int i) -> Some i
-          | _ -> None
-        in
-        Ok (Switched { from_task; to_task })
-      | "relocation" ->
-        let* needy = int "needy" in
-        let* delta = int "delta" in
-        let* moved = int "moved" in
-        Ok (Relocated { needy; delta; moved })
-      | "terminated" ->
-        let* task = int "task" in
-        let* reason = str "reason" in
-        Ok (Terminated { task; reason })
-      | "spawned" ->
-        let* task = int "task" in
-        let* stack = int "stack" in
-        Ok (Spawned { task; stack })
-      | "routed" ->
-        let* src = int "src" in
-        let* dst = int "dst" in
-        let* byte = int "byte" in
-        Ok (Routed { src; dst; byte })
-      | "dropped" ->
-        let* src = int "src" in
-        let* dst = int "dst" in
-        let* byte = int "byte" in
-        Ok (Dropped { src; dst; byte })
-      | "injected" ->
-        let* fault = str "fault" in
-        Ok (Injected { fault })
-      | "probe" ->
-        let* name = str "name" in
-        let* detail = str "detail" in
-        Ok (Probe { name; detail })
-      | "job" ->
-        let* id = int "id" in
-        let* phase = str "phase" in
-        let* detail = str "detail" in
-        Ok (Job { id; phase; detail })
-      | other -> Error (Printf.sprintf "unknown event kind %S" other)
-    in
-    Ok { mote; at; kind }
+  | fields -> (
+    let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt in
+    let field k = List.find_map (fun (k', v) -> if String.equal k k' then Some v else None) fields in
+    let int k = match field k with Some (J_int i) -> i | _ -> fail "missing int field %S" k in
+    let str k = match field k with Some (J_str s) -> s | _ -> fail "missing string field %S" k in
+    try
+      let mote = int "mote" in
+      let at = int "at" in
+      let kind =
+        match str "event" with
+        | "cpu_fault" -> Cpu_fault { reason = str "reason" }
+        | "switch" ->
+          let to_task = int "to" in
+          let from_task = match field "from" with Some (J_int i) -> Some i | _ -> None in
+          Switched { from_task; to_task }
+        | "relocation" ->
+          let needy = int "needy" in
+          let delta = int "delta" in
+          Relocated { needy; delta; moved = int "moved" }
+        | "terminated" ->
+          let task = int "task" in
+          Terminated { task; reason = str "reason" }
+        | "spawned" ->
+          let task = int "task" in
+          Spawned { task; stack = int "stack" }
+        | "routed" ->
+          let src = int "src" in
+          let dst = int "dst" in
+          Routed { src; dst; byte = int "byte" }
+        | "dropped" ->
+          let src = int "src" in
+          let dst = int "dst" in
+          Dropped { src; dst; byte = int "byte" }
+        | "injected" -> Injected { fault = str "fault" }
+        | "probe" ->
+          let name = str "name" in
+          Probe { name; detail = str "detail" }
+        | "job" ->
+          let id = int "id" in
+          let phase = str "phase" in
+          Job { id; phase; detail = str "detail" }
+        | other -> fail "unknown event kind %S" other
+      in
+      Ok { mote; at; kind }
+    with Parse_error msg -> Error msg)
 
 (** Parse a counter snapshot produced by {!counters_json} back into the
     sorted association list {!counters} returns. *)

@@ -47,6 +47,16 @@ if [ "$(echo "$fleet1" | head -n 1)" != "$(echo "$fleet2" | head -n 1)" ] \
     exit 1
 fi
 
+# The whole 300-mote fleet snapshot is pinned byte for byte (1 829 259
+# bytes): the snapshot codec must write exactly the SENSNAP v2 bytes on
+# a full fleet, not only on test_snapshot's small pinned captures.
+fleet_md5=$(md5sum < "$fleet_dir/A" | cut -d' ' -f1)
+if [ "$fleet_md5" != "a7065327ce9c1f2d772e270dd756bf72" ]; then
+    echo "check.sh: 300-mote fleet snapshot MD5 is $fleet_md5, expected a7065327ce9c1f2d772e270dd756bf72" >&2
+    rm -rf "$fleet_dir"
+    exit 1
+fi
+
 # Tier-1 blocks that run through direct jumps, calls and their returns
 # carry the fleet's hot path: each radio or ADC poll iteration, with
 # its trap-counter detour, is one block, and tier 1 fast-forwards the

@@ -470,6 +470,68 @@ let save_load_file () =
   | Error _ -> ()  (* file is gone: load must report, not raise *)
   | Ok _ -> Alcotest.fail "loaded a deleted file"
 
+(* What holding a capture as bytes plus flash references puts at risk, at
+   a random capture cycle on a template-booted kernel:
+   - the capture's bytes stay put while the host runs on, emits trace
+     events and writes its flash (shared first, then private);
+   - a restore onto an incompatible host raises and writes nothing: the
+     host captures to the same bytes before and after;
+   - one flipped SRAM byte, register or task field of a restored copy
+     shows in [diff] as exactly its path, and in the bytes. *)
+let prop_capture_invariants =
+  QCheck.Test.make ~count:8 ~name:"capture invariants at random cycles"
+    QCheck.(triple (int_range 1_000 120_000) (int_range 0 0x10FF) (int_range 0 2))
+    (fun (at, addr, which) ->
+      let tpl = Kernel.prepare (kernel_images ()) in
+      let k = Kernel.boot_from tpl in
+      ignore (Kernel.run ~max_cycles:at k);
+      let snap = Snapshot.of_kernel k in
+      let bytes = Snapshot.to_string snap in
+      ignore (Kernel.run ~max_cycles:(at + 40_000) k);
+      Trace.emit k.trace ~mote:0 ~at:k.m.cycles (Trace.Probe { name = "p"; detail = "later" });
+      Machine.Cpu.load ~at:0x1F00 k.m [| 0x1234 |];
+      let private_snap = Snapshot.of_kernel k in
+      let private_bytes = Snapshot.to_string private_snap in
+      Machine.Cpu.load k.m [| Machine.Cpu.flash_word k.m.flash 0 lxor 0xFFFF |];
+      let unmoved =
+        Snapshot.to_string snap = bytes && Snapshot.to_string private_snap = private_bytes
+      in
+      let other =
+        Kernel.boot (if which = 0 then [ image "lfsr" ] else [ image "crc"; image "timer" ])
+      in
+      ignore (Kernel.run ~max_cycles:(at / 2) other);
+      let before = Snapshot.to_string (Snapshot.of_kernel other) in
+      let refused =
+        match Snapshot.restore_kernel snap other with
+        | exception Snapshot.Incompatible _ -> true
+        | () -> false
+      in
+      let untouched = Snapshot.to_string (Snapshot.of_kernel other) = before in
+      let copy = Kernel.boot_from tpl in
+      Snapshot.restore_kernel snap copy;
+      let path =
+        match which with
+        | 0 ->
+          Bytes.set copy.m.sram addr (Char.chr (Char.code (Bytes.get copy.m.sram addr) lxor 1));
+          "kernel.machine.sram"
+        | 1 ->
+          let i = addr mod 32 in
+          copy.m.regs.(i) <- copy.m.regs.(i) lxor 1;
+          "kernel.machine.regs"
+        | _ ->
+          let j = addr mod List.length copy.tasks in
+          let t = List.nth copy.tasks j in
+          t.activations <- t.activations + 1;
+          Printf.sprintf "kernel.tasks[%d].activations" j
+      in
+      let flipped = Snapshot.of_kernel copy in
+      let named =
+        match Snapshot.diff snap flipped with
+        | [ line ] -> String.starts_with ~prefix:(path ^ ": ") line
+        | _ -> false
+      in
+      unmoved && refused && untouched && named && Snapshot.to_string flipped <> bytes)
+
 (* --- structural compatibility ---------------------------------------------- *)
 
 let expect_incompatible what f =
@@ -862,7 +924,8 @@ let () =
            restore_keeps_template_image;
          Alcotest.test_case "corrupt inputs rejected" `Quick
            corrupt_inputs_rejected;
-         Alcotest.test_case "save/load file" `Quick save_load_file ]);
+         Alcotest.test_case "save/load file" `Quick save_load_file;
+         Gen.to_alcotest prop_capture_invariants ]);
       ("compatibility",
        [ Alcotest.test_case "incompatible hosts rejected" `Quick
            incompatible_hosts_rejected ]);

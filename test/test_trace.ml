@@ -243,6 +243,42 @@ let escape_round_trip () =
       (List.assoc_opt "program" fields = Some (Trace.J_str nasty))
   | Error msg -> Alcotest.failf "parse spec: %s" msg
 
+(* The JSONL bytes of one event of each of the ten kinds, pinned exactly:
+   a snapshot carries its trace events as these lines, so they are
+   pinned here apart from the snapshot MD5s.  The probe's strings need
+   every escape (quote, backslash, tab, newline, CR, \u forms) and keep
+   DEL and UTF-8 bytes as they are. *)
+let event_lines_pinned () =
+  List.iter
+    (fun ((e : Trace.event), line) ->
+      Alcotest.(check string) (Fmt.str "%a" Trace.pp_event e) line (Trace.json_of_event e);
+      match Trace.event_of_json line with
+      | Ok e' -> Alcotest.(check bool) ("parses back: " ^ line) true (Trace.equal_event e e')
+      | Error msg -> Alcotest.failf "pinned line %s: %s" line msg)
+    [ ({ mote = 0; at = 0; kind = Cpu_fault { reason = "invalid opcode 0xffff" } },
+       "{\"mote\":0,\"at\":0,\"event\":\"cpu_fault\",\"reason\":\"invalid opcode 0xffff\"}");
+      ({ mote = 1; at = 120_000; kind = Switched { from_task = None; to_task = 0 } },
+       "{\"mote\":1,\"at\":120000,\"event\":\"switch\",\"from\":null,\"to\":0}");
+      ({ mote = 2; at = max_int; kind = Switched { from_task = Some 3; to_task = 1 } },
+       "{\"mote\":2,\"at\":4611686018427387903,\"event\":\"switch\",\"from\":3,\"to\":1}");
+      ({ mote = 3; at = 77; kind = Relocated { needy = 1; delta = -128; moved = min_int } },
+       "{\"mote\":3,\"at\":77,\"event\":\"relocation\",\"needy\":1,\"delta\":-128,\"moved\":-4611686018427387904}");
+      ({ mote = 0; at = 5; kind = Terminated { task = 2; reason = "stack overflow: no donor" } },
+       "{\"mote\":0,\"at\":5,\"event\":\"terminated\",\"task\":2,\"reason\":\"stack overflow: no donor\"}");
+      ({ mote = 0; at = 6; kind = Spawned { task = 2; stack = 256 } },
+       "{\"mote\":0,\"at\":6,\"event\":\"spawned\",\"task\":2,\"stack\":256}");
+      ({ mote = 999; at = 1_000_000; kind = Routed { src = 998; dst = 999; byte = 0xA5 } },
+       "{\"mote\":999,\"at\":1000000,\"event\":\"routed\",\"src\":998,\"dst\":999,\"byte\":165}");
+      ({ mote = -1; at = 8; kind = Dropped { src = 1; dst = 0; byte = 0 } },
+       "{\"mote\":-1,\"at\":8,\"event\":\"dropped\",\"src\":1,\"dst\":0,\"byte\":0}");
+      ({ mote = 0; at = 9; kind = Injected { fault = "flash flip @0x1f00 ^ 0x1234" } },
+       "{\"mote\":0,\"at\":9,\"event\":\"injected\",\"fault\":\"flash flip @0x1f00 ^ 0x1234\"}");
+      ({ mote = 4; at = 10;
+         kind = Probe { name = "q\"b\\s/"; detail = "tab\there\nline\r\001\031\127 \195\169" } },
+       "{\"mote\":4,\"at\":10,\"event\":\"probe\",\"name\":\"q\\\"b\\\\s/\",\"detail\":\"tab\\there\\nline\\r\\u0001\\u001f\127 \195\169\"}");
+      ({ mote = 0; at = 11; kind = Job { id = 7; phase = "done"; detail = "{\"trials\":2}" } },
+       "{\"mote\":0,\"at\":11,\"event\":\"job\",\"id\":7,\"phase\":\"done\",\"detail\":\"{\\\"trials\\\":2}\"}") ]
+
 (* --- dump/restore (snapshot support) -------------------------------------- *)
 
 let dump_restore_round_trip () =
@@ -318,7 +354,8 @@ let () =
          Alcotest.test_case "jsonl stream" `Quick jsonl_stream;
          Alcotest.test_case "rejects garbage" `Quick reject_garbage;
          Alcotest.test_case "rejects non-JSON" `Quick reject_non_json;
-         Alcotest.test_case "string escapes" `Quick escape_round_trip ]);
+         Alcotest.test_case "string escapes" `Quick escape_round_trip;
+         Alcotest.test_case "event lines pinned" `Quick event_lines_pinned ]);
       ("dump",
        [ Alcotest.test_case "dump/restore round-trip" `Quick
            dump_restore_round_trip;
