@@ -161,12 +161,3 @@ let ends_block = function
 
 (* Conditional branch: a superblock side exit (see {!ends_block}). *)
 let is_cond_branch = function Brbs _ | Brbc _ -> true | _ -> false
-
-(* May the instruction touch the data space (and therefore dispatch to a
-   cycle-sensitive peripheral register)?  Such instructions need the
-   exact cycle count at their execution point, so the block compiler
-   cannot fold their cycle cost into a pre-summed run. *)
-let touches_data_memory = function
-  | Ld _ | Ldd _ | St _ | Std _ | Lds _ | Sts _ | Push _ | Pop _
-  | In _ | Out _ -> true
-  | _ -> false

@@ -1,8 +1,8 @@
 (* Tier-2 execution engine: ahead-of-time translation of a flash image
    to compiled OCaml.
 
-   Where tier-1 interprets pre-decoded superblocks through one generic
-   closure, tier-2 translates the whole image to OCaml source — one
+   Where tier-1 threads one pre-built closure per instruction through
+   each block, tier-2 translates the whole image to OCaml source — one
    function per superblock, registers as let-bound SSA locals, SREG
    recomputed only where a later instruction or an exit can observe it,
    cycle counts folded to per-path constants — compiles it with the

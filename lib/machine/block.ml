@@ -1,15 +1,20 @@
-(* Tier-1 execution engine: a basic-block compiler for the simulated AVR.
+(* Tier-1 execution engine: direct-threaded blocks for the simulated AVR.
 
    On first execution of a program point, the run of decoded
    instructions up to (and including) the next block-ending instruction
    (unconditional branch/call/ret, SYSCALL, SLEEP, BREAK — see
-   {!Avr.Isa.ends_block}) is translated into a single closure that
-   executes the whole run with none of tier-0's per-instruction
-   overhead: no run-loop stop checks, no decode-cache lookup, no trace
-   option check, no PC update, no [Isa.words]/[Cycles.base] dispatch,
-   and a single batched update of the retired-instruction counter.  Only
-   the terminator pays tier-0's bookkeeping: it runs through
-   {!State.exec_insn}, as tier-0 [step] does.
+   {!Avr.Isa.ends_block}) becomes one block: plain data
+   ({!State.block}) holding one op per body instruction.  An op
+   ({!op_of}) is a closure specialised to its instruction, built the
+   first time a block uses the instruction and kept in its decode-cache
+   entry, so every block and every mote of an image shares it.  It
+   charges the instruction's own cycles, runs its effect through the
+   primitives tier 0 uses, and tail-calls the next op: no run-loop stop
+   check, decode-cache lookup, trace check, PC update or dispatch on
+   the instruction between two ops.  Only the terminator pays tier-0's
+   bookkeeping: the last op ({!finish}) retires the block's
+   instructions and runs it through {!State.exec_insn}, as tier-0
+   [step] does.
 
    Conditional branches do not end a block.  The compiler keeps
    collecting the fall-through path and turns each BRBS/BRBC into an
@@ -26,12 +31,13 @@
    appended, up to [max_ops] ops and never twice into one target.  A
    body CALL/RCALL pushes its return address; a body JMP/RJMP costs
    only its cycles.  In a block that branches back to its own entry, a
-   RET whose call the block followed is followed too, as a guarded op:
-   it pops, and side-exits to the popped address when that is not the
-   one the call pushed.  Other RETs, indirect jumps, SYSCALL, SLEEP and
-   BREAK still end the block, so a call into a shared service routine,
-   its return and the jump back to the caller's loop run as one block.
-   A composed block therefore covers flash that is not contiguous.
+   RET whose call the block followed is followed too, as a guarded op
+   of that block position ({!ret_guard}): it pops, and side-exits to
+   the popped address when that is not the one the call pushed.  Other
+   RETs, indirect jumps, SYSCALL, SLEEP and BREAK still end the block,
+   so a call into a shared service routine, its return and the jump
+   back to the caller's loop run as one block.  A composed block
+   therefore covers flash that is not contiguous.
 
    Polling loops.  When exactly one conditional branch targets the
    block's own entry, the ops up to it are a loop path; when it reads a
@@ -41,8 +47,8 @@
    write but SREG; and each static cell
    the path both loads and stores "carried" (loaded, changed by a
    constant, stored back, its value reaching nothing but one zero-test
-   side exit).  Such a block's [exec] compares the written registers,
-   SREG and SP at each back edge with the previous back edge's, and
+   side exit).  Such a block's back edge ({!back}) compares the written
+   registers, SREG and SP with the previous back edge's, and
    while they are equal {!summarize} retires the largest number n of
    further iterations that keeps each zero test untaken, each
    peripheral read inside its {!Io.stable_until} window and the next
@@ -52,24 +58,16 @@
    peripherals that hold still, so equal start states give equal
    iterations, and by induction n more of them.
 
-   The body is a pre-decoded instruction array walked with direct
-   (jump-table) dispatch, next to one int array holding each op's
-   pre-summed cycle cost and its operand address (a branch's taken
-   target, a call's return address).  Runs of instructions that cannot
-   touch the data space (and cannot exit) have their costs pre-summed
-   onto the run's first entry, so a load/store still observes exactly
-   the cycle count tier-0 would have at that point (peripheral
-   registers are clocked off [m.cycles]).
-
-   Closures are cached in [m.blocks] (chunked, copy-on-write — see
+   Blocks are cached in [m.blocks] (chunked, copy-on-write — see
    {!State}), keyed by entry PC.  That table belongs to the machine's
    flash image, so every mote booted from one template shares it and a
-   fleet compiles each block once: a block reads only flash words when
-   formed, and takes the machine it runs on as an argument.  The whole
-   table is dropped by {!State.load} (the only path that writes flash —
-   the kernel's trampoline/kcell patching and run-time task admission
-   go through it; on a shared image it first detaches the writer onto
-   private tables).  Each cached block
+   fleet compiles each block once: a block and its ops read only flash
+   words when formed, and take the machine they run on as an argument.
+   The whole table is dropped by {!State.load} (the only path that
+   writes flash — the kernel's trampoline/kcell patching and run-time
+   task admission go through it; on a shared image it first detaches
+   the writer onto private tables), which also drops the decode entries
+   it overwrites, ops included.  Each cached block
    carries [worst], an upper bound on the cycles one execution can
    consume; {!Cpu.run} only enters a compiled block when the whole run
    fits under the preemption/fuel horizon and falls back to
@@ -83,8 +81,10 @@
    block leaves every architectural field (registers, SP, SREG, PC,
    SRAM, peripherals, cycle/instruction/access counters, halt reason)
    exactly as executing the same instructions with {!State.step} would.
-   The differential harness in test/test_tiers.ml enforces this on all
-   bundled programs and thousands of randomized ones. *)
+   test/test_machine.ml checks each op against [step] from random
+   state ("tier1-ops"), and the differential harness in
+   test/test_tiers.ml checks whole runs on all bundled programs and
+   thousands of randomized ones. *)
 
 open Avr
 open State
@@ -95,63 +95,6 @@ let max_body = 48
 
 (* Ops per composed tier-1 block body, over all its parts. *)
 let max_ops = 64
-
-(* Raised (without a backtrace: they are on the hot path) when a taken
-   conditional branch leaves a block early ([Side_exit]), or loops back
-   to the block's own entry with the next iteration's worst case still
-   under the horizon ([Loop_back]: [exec] restarts the walk without
-   returning to the run loop, so a tight inner loop never pays the
-   block-transition overhead on its back edge). *)
-exception Side_exit
-exception Loop_back
-
-(* Each body op's entry in the [meta] array: its pre-summed cycle cost
-   in the low [cost_bits] bits (at most [max_ops] times the costliest
-   instruction), its operand address above them. *)
-let cost_bits = 16
-let cost_mask = (1 lsl cost_bits) - 1
-
-(* A taken conditional branch to [target] after [idx + 1] ops. *)
-let[@inline] taken m target idx entry worst limit =
-  m.cycles <- m.cycles + Cycles.branch_taken_extra;
-  m.insns <- m.insns + idx + 1;
-  if target = entry && m.cycles + worst <= limit then raise_notrace Loop_back
-  else begin
-    m.pc <- target;
-    raise_notrace Side_exit
-  end
-
-(* Walk a block body.  Data instructions run through
-   {!State.exec_data}, the executor tier-0 [step] uses; PC, cycle and
-   retired-count bookkeeping belong to the block closure.  A taken
-   branch sets the PC, charges its extra cycle, retires the
-   instructions executed so far and raises {!Side_exit}; a followed
-   call pushes its return address, a followed jump does nothing, and a
-   followed RET pops and leaves the same way when the address is not
-   the one its call pushed.  Release builds inline [exec_data], so a block execution makes no
-   per-instruction calls of its own. *)
-let exec_run m (ops : Isa.t array) (meta : int array) entry worst limit =
-  for idx = 0 to Array.length ops - 1 do
-    let x = Array.unsafe_get meta idx in
-    m.cycles <- m.cycles + (x land cost_mask);
-    match Array.unsafe_get ops idx with
-    | Isa.Brbs (s, _) ->
-      if (m.sreg lsr s) land 1 = 1 then
-        taken m (x lsr cost_bits) idx entry worst limit
-    | Isa.Brbc (s, _) ->
-      if (m.sreg lsr s) land 1 = 0 then
-        taken m (x lsr cost_bits) idx entry worst limit
-    | Isa.Call _ | Isa.Rcall _ -> push_pc m (x lsr cost_bits)
-    | Isa.Jmp _ | Isa.Rjmp _ -> ()
-    | Isa.Ret ->
-      let a = pop_pc m in
-      if a <> x lsr cost_bits then begin
-        m.insns <- m.insns + idx + 1;
-        m.pc <- a;
-        raise_notrace Side_exit
-      end
-    | insn -> exec_data m insn
-  done
 
 (* One superblock: the decoded run from an entry PC up to the next
    block-ending instruction (see {!Avr.Isa.ends_block}), with
@@ -204,32 +147,6 @@ let form decode entry : superblock option =
   |> Option.map (fun (_, term, term_pc, worst, retired) ->
          { body = Array.of_list (List.rev !body); term; term_pc; worst; retired })
 
-(* Pre-sum cycle costs into [meta]: runs of instructions that cannot
-   touch the data space charge their whole cost on the run's first entry
-   (later entries cost 0), so every memory-touching instruction — a
-   followed call pushes — still executes with [m.cycles] exactly as
-   under tier-0.  A conditional branch closes the run *after*
-   contributing its own (not-taken) cost: cycles for instructions
-   beyond a possible side exit are never pre-charged, so an early exit
-   leaves the clock exact too. *)
-let presum_costs (ops : Isa.t array) (meta : int array) =
-  let run_head = ref 0 in
-  Array.iteri
-    (fun i op ->
-      let c = Cycles.base op in
-      let stack =
-        match op with Isa.Call _ | Isa.Rcall _ | Isa.Ret -> true | _ -> false
-      in
-      if stack || Isa.touches_data_memory op then begin
-        meta.(i) <- meta.(i) + c;
-        run_head := i + 1
-      end
-      else begin
-        meta.(!run_head) <- meta.(!run_head) + c;
-        if Isa.is_cond_branch op then run_head := i + 1
-      end)
-    ops
-
 (* --- Polling loops ----------------------------------------------------
 
    A block whose body has exactly one conditional branch back to its
@@ -280,19 +197,6 @@ let pp_stats fmt s =
   Format.fprintf fmt "tier-1 loops: %d summarized, %d iterations skipped; bails:"
     s.summarized s.skipped;
   List.iter (fun (name, n) -> Format.fprintf fmt " %s %d" name n) s.bails
-
-(* What the compile-time check proves about a loop path, for the
-   run-time check to complete. *)
-type loop = {
-  written : int array;  (* registers the path may write *)
-  depth : int;  (* bytes of stack the path uses below the entry SP *)
-  statics : int array;  (* SRAM addresses the path loads or stores *)
-  cells : int array;  (* carried cells *)
-  steps : int array;  (* each cell's change per iteration, mod 256 *)
-  tested : bool array;  (* whether the cell has a zero-test exit *)
-  reads : int array;  (* I/O addresses of the peripheral reads *)
-  offsets : int array;  (* cycles from the entry to each read, included *)
-}
 
 (* A carried cell while the path is checked: its address, its step once
    stored back, and the change its zero test tests. *)
@@ -346,7 +250,7 @@ let sets_flags : Isa.t -> int = function
    cell once, and tested by one BREQ side exit; anything else that
    reads it rejects the loop, and none of it may be live at the back
    edge. *)
-let check (ops : Isa.t array) (meta : int array) back =
+let check (ops : Isa.t array) back : loop =
   let reject b = raise_notrace (Reject b) in
   let sram a = a >= Layout.io_size && a < Layout.data_size in
   let stored = ref [] in
@@ -407,7 +311,7 @@ let check (ops : Isa.t array) (meta : int array) back =
     | None -> assert false
   in
   for i = 0 to back do
-    off := !off + (meta.(i) land cost_mask);
+    off := !off + Cycles.base ops.(i);
     match ops.(i) with
     | Isa.Brbs (s, _) | Isa.Brbc (s, _) ->
       if !flags land (1 lsl s) <> 0 then begin
@@ -455,18 +359,12 @@ let check (ops : Isa.t array) (meta : int array) back =
     offsets = Array.map snd reads }
 
 (* The polling loop a compiled body holds, if any: [None] unless
-   exactly one conditional branch targets [entry] and the path reads a
-   peripheral and passes {!check}. *)
-let analyze (ops : Isa.t array) (meta : int array) entry =
-  let backs = ref [] in
-  Array.iteri
-    (fun i op ->
-      if Isa.is_cond_branch op && meta.(i) lsr cost_bits = entry then
-        backs := i :: !backs)
-    ops;
-  match !backs with
+   exactly one conditional branch, op [back] of [backs], targets the
+   block's entry and the path reads a peripheral and passes {!check}. *)
+let analyze (ops : Isa.t array) backs =
+  match backs with
   | [ back ] -> (
-    match check ops meta back with
+    match check ops back with
     | lp when lp.reads = [||] ->
       (* Without a peripheral read the state can only repeat until a
          carried cell's exit or the horizon, which compute loops never
@@ -478,9 +376,10 @@ let analyze (ops : Isa.t array) (meta : int array) entry =
 
 (* The state at a back edge, in [snap]: the six counters, SREG, SP,
    then the registers the path writes.  One loop at a time watches its
-   back edges on a domain (a block's exec returns or tail-calls another
-   before any other block runs), so each domain records into one
-   buffer. *)
+   back edges on a domain (a block's ops return or tail-call another
+   block before any other block runs), so each domain records into one
+   buffer; [snap.(0)] is -1 before an entry's first back edge and -2
+   after its first bail. *)
 let snap_key = Domain.DLS.new_key (fun () -> Array.make (8 + 32) 0)
 
 let record lp snap m =
@@ -581,6 +480,158 @@ let summarize lp snap m ~worst ~limit =
     true
   end
 
+(* --- Threaded execution ---------------------------------------------
+
+   Op [i] of block [b] runs as [b.fns.(i) m limit b i] and ends in a
+   tail call of op [i + 1], a side exit into {!chain}, or a loop back
+   into op 0; the last op is {!finish}.  Every call is a tail call, so a
+   long chain of blocks runs in constant stack. *)
+
+let[@inline] next m limit b i =
+  let i = i + 1 in
+  (Array.unsafe_get b.fns i) m limit b i
+
+(* Enter [b]; a summarizable loop starts watching its back edges. *)
+let run m limit b =
+  (match b.loop with Some _ -> (Domain.DLS.get snap_key).(0) <- -1 | None -> ());
+  (Array.unsafe_get b.fns 0) m limit b 0
+
+(* Block chaining: a benign exit (side exit or pure-control-flow
+   terminator) transfers straight to the already-compiled block at the
+   PC when its worst case still fits the horizon, skipping the run-loop
+   round trip; otherwise the run loop takes over. *)
+let chain m limit =
+  let pc = m.pc land 0xFFFF in
+  match Array.unsafe_get (Array.unsafe_get m.blocks (pc lsr 8)) (pc land 0xFF) with
+  | Some b when m.cycles + b.worst <= limit -> run m limit b
+  | _ -> ()
+
+(* Back to the block's own entry with the horizon already re-checked.  A
+   summarizable loop compares this back edge's state with the previous
+   one's and fast-forwards while they are equal; after its first bail
+   it only loops, until the block is entered again. *)
+let back m limit b =
+  (match b.loop with
+   | Some lp ->
+     let snap = Domain.DLS.get snap_key in
+     if snap.(0) = -1 then record lp snap m
+     else if snap.(0) >= 0 then
+       if not (unchanged lp snap m) then begin
+         count_bail Unequal;
+         snap.(0) <- -2
+       end
+       else if summarize lp snap m ~worst:b.worst ~limit then record lp snap m
+       else snap.(0) <- -2
+   | None -> ());
+  (Array.unsafe_get b.fns 0) m limit b 0
+
+(* A taken conditional branch, op [i], to [target]: exact cycles and
+   retired count, then a loop back or a side exit. *)
+let taken m limit (b : block) i target =
+  m.cycles <- m.cycles + Cycles.branch_taken_extra;
+  m.insns <- m.insns + i + 1;
+  if target = b.entry && m.cycles + b.worst <= limit then back m limit b
+  else begin
+    m.pc <- target;
+    chain m limit
+  end
+
+(* The last op: retire the block and run its terminator as tier 0 does
+   (out of line: inlined, the whole executor would bloat it); a
+   SYSCALL, SLEEP or BREAK, which may install a hook, patch flash or
+   halt, returns to the run loop.  Without a terminator (the [max_body]
+   cap or an undecodable word ahead), fall through to [term_pc]. *)
+let finish m limit (b : block) _ =
+  m.insns <- m.insns + b.retired;
+  match b.term with
+  | Some insn -> if (exec_insn [@inlined never]) m insn b.term_pc then chain m limit
+  | None ->
+    m.pc <- b.term_pc land 0xFFFF;
+    chain m limit
+
+(* A followed RET, which returns to [target] when its call's return
+   address is still on the stack and side-exits to the popped address
+   otherwise.  Its own op per block position. *)
+let ret_guard target : op =
+ fun m limit b i ->
+  m.cycles <- m.cycles + Cycles.base Isa.Ret;
+  let a = pop_pc m in
+  if a <> target then begin
+    m.insns <- m.insns + i + 1;
+    m.pc <- a;
+    chain m limit
+  end
+  else next m limit b i
+
+(* The op of body instruction [insn] at word address [pc]: it charges
+   the instruction's own cycles, so every memory access and exit sees
+   tier 0's clock, runs its effect through the primitives of tier 0's
+   {!State.exec_data} and tail-calls the next op.  A conditional branch
+   may exit, a followed call pushes its return address and a followed
+   jump only costs its cycles.  The costs are {!Cycles.base}'s, written
+   as literals so that a closure holds only its operands (test_machine's
+   "tier-1 op = tier-0 step" property checks them); rare instructions
+   share one fallback over [exec_data]. *)
+let op_of (insn : Isa.t) pc : op =
+  match insn with
+  | Ldi (d, k) -> fun m l b i -> m.cycles <- m.cycles + 1; rs m d k; next m l b i
+  | Mov (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; rs m d (rg m r); next m l b i
+  | Add (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; alu_add m d r ~carry:false; next m l b i
+  | Adc (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; alu_add m d r ~carry:true; next m l b i
+  | Sub (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; op_sub m d (rg m r) ~borrow:false; next m l b i
+  | Sbc (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; op_sub m d (rg m r) ~borrow:true; next m l b i
+  | Subi (d, k) -> fun m l b i -> m.cycles <- m.cycles + 1; op_sub m d k ~borrow:false; next m l b i
+  | Sbci (d, k) -> fun m l b i -> m.cycles <- m.cycles + 1; op_sub m d k ~borrow:true; next m l b i
+  | Cp (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; op_cp m d (rg m r) ~borrow:false; next m l b i
+  | Cpc (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; op_cp m d (rg m r) ~borrow:true; next m l b i
+  | Cpi (d, k) -> fun m l b i -> m.cycles <- m.cycles + 1; op_cp m d k ~borrow:false; next m l b i
+  | And (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; alu_logic m d (rg m d land rg m r); next m l b i
+  | Or (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; alu_logic m d (rg m d lor rg m r); next m l b i
+  | Eor (d, r) -> fun m l b i -> m.cycles <- m.cycles + 1; alu_logic m d (rg m d lxor rg m r); next m l b i
+  | Andi (d, k) -> fun m l b i -> m.cycles <- m.cycles + 1; alu_logic m d (rg m d land k); next m l b i
+  | Ori (d, k) -> fun m l b i -> m.cycles <- m.cycles + 1; alu_logic m d (rg m d lor k); next m l b i
+  | Inc d -> fun m l b i -> m.cycles <- m.cycles + 1; op_inc m d; next m l b i
+  | Dec d -> fun m l b i -> m.cycles <- m.cycles + 1; op_dec m d; next m l b i
+  | Lsr d -> fun m l b i -> m.cycles <- m.cycles + 1; op_lsr m d; next m l b i
+  | Ror d -> fun m l b i -> m.cycles <- m.cycles + 1; op_ror m d; next m l b i
+  | Adiw (d, k) -> fun m l b i -> m.cycles <- m.cycles + 2; alu_adiw m d k ~sub:false; next m l b i
+  | Sbiw (d, k) -> fun m l b i -> m.cycles <- m.cycles + 2; alu_adiw m d k ~sub:true; next m l b i
+  | Lds (d, a) -> fun m l b i -> m.cycles <- m.cycles + 2; rs m d (read8 m a); next m l b i
+  | Sts (a, r) -> fun m l b i -> m.cycles <- m.cycles + 2; write8 m a (rg m r); next m l b i
+  | In (d, a) ->
+    let a = Layout.io_data_addr a in
+    fun m l b i -> m.cycles <- m.cycles + 1; rs m d (read8 m a); next m l b i
+  | Out (a, r) ->
+    let a = Layout.io_data_addr a in
+    fun m l b i -> m.cycles <- m.cycles + 1; write8 m a (rg m r); next m l b i
+  | Push r -> fun m l b i -> m.cycles <- m.cycles + 2; push8 m (rg m r); next m l b i
+  | Pop d -> fun m l b i -> m.cycles <- m.cycles + 2; rs m d (pop8 m); next m l b i
+  | Ld (d, p) -> fun m l b i -> m.cycles <- m.cycles + 2; rs m d (read8 m (ptr_addr m p)); next m l b i
+  | St (p, r) -> fun m l b i -> m.cycles <- m.cycles + 2; write8 m (ptr_addr m p) (rg m r); next m l b i
+  | Ldd (d, base, q) ->
+    let p = match base with Ybase -> 28 | Zbase -> 30 in
+    fun m l b i -> m.cycles <- m.cycles + 2; rs m d (read8 m (pair m p + q)); next m l b i
+  | Std (base, q, r) ->
+    let p = match base with Ybase -> 28 | Zbase -> 30 in
+    fun m l b i -> m.cycles <- m.cycles + 2; write8 m (pair m p + q) (rg m r); next m l b i
+  | Brbs (s, k) ->
+    let bit = 1 lsl s and target = (pc + 1 + k) land 0xFFFF in
+    fun m l b i ->
+      m.cycles <- m.cycles + 1;
+      if m.sreg land bit <> 0 then taken m l b i target else next m l b i
+  | Brbc (s, k) ->
+    let bit = 1 lsl s and target = (pc + 1 + k) land 0xFFFF in
+    fun m l b i ->
+      m.cycles <- m.cycles + 1;
+      if m.sreg land bit = 0 then taken m l b i target else next m l b i
+  | Call _ -> let ret = pc + 2 in fun m l b i -> m.cycles <- m.cycles + 4; push_pc m ret; next m l b i
+  | Rcall _ -> let ret = pc + 1 in fun m l b i -> m.cycles <- m.cycles + 3; push_pc m ret; next m l b i
+  | Jmp _ -> fun m l b i -> m.cycles <- m.cycles + 3; next m l b i
+  | Rjmp _ -> fun m l b i -> m.cycles <- m.cycles + 2; next m l b i
+  | insn ->
+    let c = Cycles.base insn in
+    fun m l b i -> m.cycles <- m.cycles + c; exec_data m insn; next m l b i
+
 (* Compile and cache the block entered at [entry]; [None] when the entry
    word is undecodable, as {!form}.
 
@@ -642,19 +693,25 @@ let compile m entry : block option =
       | _, Some before when not !loops -> before
       | composed, _ -> composed
     in
-    let ops = Array.make n Isa.Nop and meta = Array.make n 0 in
+    (* Each op is the one of its decode-cache entry, built on first use;
+       a followed RET gets its own. *)
+    let ops = Array.make n Isa.Nop and fns = Array.make (n + 1) finish in
+    let backs = ref [] in
     let put i insn pc =
       ops.(i) <- insn;
-      let operand =
-        match insn with
-        | Isa.Brbs (_, k) | Isa.Brbc (_, k) -> pc + 1 + k (* taken target *)
-        | Isa.Call _ | Isa.Rcall _ -> pc + Isa.words insn (* return address *)
-        | Isa.Ret ->
-          (* the address it returns to: the next part's entry *)
-          fst (List.find (fun (_, n0) -> n0 = i + 1) parts)
-        | _ -> 0
-      in
-      meta.(i) <- (operand land 0xFFFF) lsl cost_bits
+      fns.(i) <-
+        (match insn with
+         | Isa.Ret ->
+           (* the address it returns to: the next part's entry *)
+           ret_guard (fst (List.find (fun (_, n0) -> n0 = i + 1) parts))
+         | _ ->
+           let e = decoded m pc in
+           if e.op == unbuilt then e.op <- op_of insn pc;
+           e.op);
+      match insn with
+      | (Isa.Brbs (_, k) | Isa.Brbc (_, k)) when (pc + 1 + k) land 0xFFFF = entry ->
+        backs := i :: !backs
+      | _ -> ()
     in
     List.iter
       (fun (p0, n0) ->
@@ -662,82 +719,7 @@ let compile m entry : block option =
         | Some (i, Some t, pc, _, _) when i < n -> put i t pc (* followed *)
         | _ -> ())
       parts;
-    presum_costs ops meta;
-    (* Block chaining: a benign exit (side exit or pure-control-flow
-       terminator) transfers straight to the already-compiled target
-       block when its worst case still fits the horizon, skipping the
-       run-loop round trip entirely.  Every recursive call is a tail
-       call (the handlers cover only the body walk), so a long chain
-       runs in constant stack; non-benign exits (SYSCALL/SLEEP/BREAK,
-       which may install hooks, patch flash or halt) always return to
-       the run loop first, so chaining never outruns a stop condition
-       or a block-cache invalidation. *)
-    let rec exec m limit =
-      match exec_run m ops meta entry worst limit with
-      | () -> ended m limit
-      | exception Side_exit ->
-        (* A taken branch already set PC, cycles and the retired count;
-           a branch is pure control flow (benign). *)
-        chain m limit
-      | exception Loop_back ->
-        (* Back to our own entry with the horizon already re-checked. *)
-        exec m limit
-    and ended m limit =
-      m.insns <- m.insns + retired;
-      let benign =
-        match term with
-        | Some insn ->
-          (* Out of line: inlined, the whole executor would bloat this
-             chaining closure. *)
-          (exec_insn [@inlined never]) m insn term_pc
-        | None ->
-          (* Block cap reached or an undecodable word ahead: fall
-             through and let the run loop continue (or fault) there. *)
-          m.pc <- term_pc land 0xFFFF;
-          true
-      in
-      if benign then chain m limit
-    and chain m limit =
-      let pc = m.pc land 0xFFFF in
-      match
-        Array.unsafe_get (Array.unsafe_get m.blocks (pc lsr 8)) (pc land 0xFF)
-      with
-      | Some b when m.cycles + b.worst <= limit -> b.exec m limit
-      | _ -> () (* not compiled yet or horizon too close: run loop *)
-    in
-    let exec =
-      match analyze ops meta entry with
-      | None -> exec
-      | Some lp ->
-        (* A summarizable loop: from its first back edge on, compare
-           each back edge's state with the previous one's (none yet
-           while [snap.(0)] is negative) and fast-forward while they
-           are equal; after the first bail, loop as [exec] does. *)
-        let rec watch m limit snap =
-          match exec_run m ops meta entry worst limit with
-          | () -> ended m limit
-          | exception Side_exit -> chain m limit
-          | exception Loop_back ->
-            if snap.(0) < 0 then begin
-              record lp snap m;
-              watch m limit snap
-            end
-            else if not (unchanged lp snap m) then begin
-              count_bail Unequal;
-              exec m limit
-            end
-            else if summarize lp snap m ~worst ~limit then begin
-              record lp snap m;
-              watch m limit snap
-            end
-            else exec m limit
-        in
-        fun m limit ->
-          let snap = Domain.DLS.get snap_key in
-          snap.(0) <- -1;
-          watch m limit snap
-    in
-    let b : block = { exec; worst } in
+    let b = { fns; entry; worst; term; term_pc; retired; loop = analyze ops !backs } in
     let ci = entry lsr 8 in
     let chunk =
       let c = m.blocks.(ci) in
@@ -777,17 +759,17 @@ let lookup m pc =
       let c = Array.unsafe_get m.heat ci in
       if c != no_heat then c
       else begin
-        let c = Array.make chunk_words 0 in
+        let c = Bytes.make chunk_words '\000' in
         m.heat.(ci) <- c;
         c
       end
     in
-    let h = Array.unsafe_get chunk (pc land 0xFF) + 1 in
+    let h = Char.code (Bytes.unsafe_get chunk (pc land 0xFF)) + 1 in
     if h >= threshold then begin
-      Array.unsafe_set chunk (pc land 0xFF) 0;
+      Bytes.unsafe_set chunk (pc land 0xFF) '\000';
       compile m pc
     end
     else begin
-      Array.unsafe_set chunk (pc land 0xFF) h;
+      Bytes.unsafe_set chunk (pc land 0xFF) (Char.unsafe_chr h);
       None
     end

@@ -50,7 +50,7 @@ let[@inline] tier1 m limit =
     | Some _ as b -> b
     | None -> Block.lookup m pc
   with
-  | Some b when m.cycles + b.worst <= limit -> b.exec m limit
+  | Some b when m.cycles + b.worst <= limit -> Block.run m limit b
   | _ -> step m
 
 (* Enter the compiled program [p] at [m.pc], counting the instructions

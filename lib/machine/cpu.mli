@@ -6,9 +6,9 @@
 
     Execution is tiered (see DESIGN.md, "Execution tiers"): {!step} is
     the tier-0 reference interpreter, and {!run} by default executes
-    tier-1 compiled basic blocks — closures cached per entry PC that
-    retire a whole straight-line run with one horizon check and no
-    per-instruction dispatch.  Every tier produces bit-identical
+    tier-1 blocks cached per entry PC, which retire a whole
+    straight-line run with one horizon check, each instruction one
+    threaded op specialised to it.  Every tier produces bit-identical
     architectural state, cycle counts and stop points; a [trace] hook
     (or [~tier:0]) makes {!run} step at tier-0, the only tier that
     fires the hook. *)
@@ -56,7 +56,7 @@ type t = State.t = {
   mutable image : image;
       (** the flash image this machine runs; [flash], [code], [blocks]
           and [heat] are its fields, held here for direct access *)
-  mutable code : Avr.Isa.t option array array;
+  mutable code : decoded array array;
       (** lazy decode cache, chunked [pc lsr 8][pc land 0xFF] with
           copy-on-write chunks like [blocks] *)
   sram : Bytes.t;  (** the full data space of {!Layout} *)
@@ -85,10 +85,10 @@ type t = State.t = {
   mutable blocks : block option array array;
       (** tier-1 compiled-block cache, keyed by entry word address and
           chunked [pc lsr 8][pc land 0xFF] with copy-on-write chunks *)
-  mutable heat : int array array;
+  mutable heat : Bytes.t array;
       (** per-entry-PC execution counts driving the tier-1 compile
-          threshold (chunked like [blocks]); only touched on block-cache
-          misses *)
+          threshold, one byte each (chunked like [blocks]); only touched
+          on block-cache misses *)
   mutable tier : int;
       (** requested execution tier (0, 1 or 2), a ceiling: each tier
           falls back to the one below wherever it cannot serve the
@@ -99,12 +99,17 @@ type t = State.t = {
           {!adopt_flash}) *)
 }
 
-(** One tier-1 compiled basic block: [exec m limit] retires the whole
-    run ([limit] is the lower of the fuel/preemption horizons), chaining
-    into cached blocks that still fit under [limit]; [worst] bounds the
-    cycles a single execution can consume, and {!run} enters a block
-    only when [m.cycles + worst <= limit]. *)
-and block = State.block = { exec : t -> int -> unit; worst : int }
+(** One tier-1 block ({!Block}), plain data: an array of threaded ops,
+    one per body instruction and each shared with every block that
+    holds the instruction, plus the entry, the terminator and [worst],
+    a bound on the cycles a single execution can consume.  {!run}
+    enters a block only when [m.cycles + worst] fits under the
+    horizon; it then chains into cached blocks that still fit. *)
+and block = State.block
+
+(** A decode-cache entry: the instruction at a word address and, once a
+    tier-1 block has used it, its op. *)
+and decoded = State.decoded
 
 (** Tier-2 (ahead-of-time compiled) binding states; managed by {!Aot}.
     [T2_wait (digest, ready_at)] defers the toolchain invocation until

@@ -3,9 +3,9 @@
 
    One [t] models one mote MCU: 64 K words of flash, the 0x1100-byte data
    space of Figure 2, the 32 registers, SP, SREG, and the peripherals of
-   {!Io}.  This module holds the state record, the memory/ALU primitives,
-   [exec_data] — the one executor of data instructions, shared with the
-   tier-1 block bodies of {!Block} — [exec_insn], which adds the PC and
+   {!Io}.  This module holds the state record, the memory/ALU primitives
+   (shared with the tier-1 ops of {!Block}), [exec_data], tier 0's
+   executor of data instructions, [exec_insn], which adds the PC and
    cycle bookkeeping and the control instructions and is shared with the
    tier-1 block terminators, and [step], the reference interpreter that
    executes exactly one instruction.  The run loops live in {!Cpu},
@@ -39,6 +39,19 @@ let pp_stop fmt = function
   | Preempted -> Fmt.string fmt "preempted"
   | Out_of_fuel -> Fmt.string fmt "out of fuel"
 
+(* What {!Block.check} proves about a summarizable polling loop, for the
+   run-time check at its back edges to complete. *)
+type loop = {
+  written : int array;  (* registers the path may write *)
+  depth : int;  (* bytes of stack the path uses below the entry SP *)
+  statics : int array;  (* SRAM addresses the path loads or stores *)
+  cells : int array;  (* carried cells *)
+  steps : int array;  (* each cell's change per iteration, mod 256 *)
+  tested : bool array;  (* whether the cell has a zero-test exit *)
+  reads : int array;  (* I/O addresses of the peripheral reads *)
+  offsets : int array;  (* cycles from the entry to each read, included *)
+}
+
 type t = {
   mutable flash : int array;
       (* program memory: [image.i_flash], held here too so the hot
@@ -53,7 +66,7 @@ type t = {
   mutable image : image;
       (* the flash image this machine runs and the caches derived from
          it; [flash], [code], [blocks] and [heat] alias its fields. *)
-  mutable code : Isa.t option array array;
+  mutable code : decoded array array;
       (* lazy decode cache, chunked [pc lsr 8][pc land 0xFF] like
          [blocks]; chunks start as the shared [no_code_chunk] and are
          copied on first write, so an idle cache costs one small
@@ -81,10 +94,11 @@ type t = {
          chunked [pc lsr 8][pc land 0xFF].  Chunks start as the shared
          [no_chunk] and are copied on first write, so a cache costs one
          small array, not a megabyte of table, until blocks compile. *)
-  mutable heat : int array array;
+  mutable heat : Bytes.t array;
       (* per-entry-PC execution counts driving the tier-1 compile
-         threshold; chunked like [blocks] and only touched on
-         block-cache misses, so hot steady state never sees it. *)
+         threshold, one byte each; chunked like [blocks] and only
+         touched on block-cache misses, so hot steady state never sees
+         it. *)
   mutable tier : int;
       (* requested execution tier (0, 1 or 2); a ceiling, not a mode —
          each tier falls back to the one below wherever it cannot serve
@@ -93,12 +107,28 @@ type t = {
       (* tier-2 binding of the current flash contents; see {!Aot}. *)
 }
 
-(* One compiled basic block: [exec m limit] retires the whole run
-   ([limit] is the lower of the fuel and preemption horizons, used to
-   keep an internal self-loop exact); [worst] is an upper bound on the
-   cycles a single execution can consume (used by the run loop to stay
-   exactly on the preemption/fuel horizon). *)
-and block = { exec : t -> int -> unit; worst : int }
+(* One tier-1 block, as data ({!Block}): [fns.(i) m limit b i] runs op
+   [i] of [b] and tail-calls op [i + 1] ([limit] is the lower of the
+   fuel and preemption horizons); the last op retires [retired]
+   instructions, runs [term] (at [term_pc]; [None]: fall through to
+   it) and chains.  [worst] is an upper bound on the cycles a single
+   execution can consume, so the run loop stays exactly on the
+   horizon; [loop] is the polling loop a block summarizes. *)
+and block = {
+  fns : op array;
+  entry : int;
+  worst : int;
+  term : Isa.t option;
+  term_pc : int;
+  retired : int;
+  loop : loop option;
+}
+
+and op = t -> int -> block -> int -> unit
+
+(* A decode-cache entry: the instruction and, once a tier-1 block has
+   used it, its op, shared by every block and mote of the image. *)
+and decoded = { insn : Isa.t; mutable op : op }
 
 (* Tier-2 (ahead-of-time compiled) binding states, managed by {!Aot}.
    [T2_wait (digest, ready_at)] runs the machine on tier-1 until it has
@@ -129,9 +159,9 @@ and program = {
    template aliases one image ({!create_shared}), so a fleet decodes and
    compiles each block once instead of once per mote.
 
-   This is sound because a [block] is a pure function of the flash
-   words: {!Block.walk} reads nothing else, and [exec] takes the
-   machine as an argument.  The words of a shared image are never
+   This is sound because a [block] and its ops are pure functions of
+   the flash words: {!Block.walk} reads nothing else, and an op takes
+   the machine as an argument.  The words of a shared image are never
    written ([load] detaches first).  Under [Net.run ~domains:n] several
    domains write the tables of one image without locking; every race is
    benign.  Two domains filling one empty chunk may each install a
@@ -143,9 +173,9 @@ and program = {
 and image = {
   i_flash : int array;
       (* at most [Layout.flash_words] words, with an erased tail *)
-  i_code : Isa.t option array array;
+  i_code : decoded array array;
   i_blocks : block option array array;
-  i_heat : int array array;
+  i_heat : Bytes.t array;
   mutable i_digest : string option;
       (* tier-2 digest of [i_flash], kept only while shared ({!Aot}) *)
 }
@@ -170,10 +200,15 @@ let find digest = Mutex.protect registry_lock (fun () -> Hashtbl.find_opt regist
 let chunk_words = 256
 let chunk_count = Layout.flash_words / chunk_words
 
+(* The op of a decode-cache entry no block has used yet, and the entry
+   of a word not decoded yet (compared with [==]; never written). *)
+let unbuilt : op = fun _ _ _ _ -> invalid_arg "State: unbuilt op"
+let undecoded = { insn = Isa.Nop; op = unbuilt }
+
 (* The shared all-empty chunks; never written (copy-on-write). *)
 let no_chunk : block option array = Array.make chunk_words None
-let no_code_chunk : Isa.t option array = Array.make chunk_words None
-let no_heat : int array = Array.make chunk_words 0
+let no_code_chunk : decoded array = Array.make chunk_words undecoded
+let no_heat = Bytes.make chunk_words '\000'
 
 (* Flash arrays are sized to their content: one ends at the chunk after
    its last written word, and every word past its end reads as erased.
@@ -287,7 +322,7 @@ let invalidate_code m lo hi =
       if chunk != no_code_chunk then begin
         let base = ci * chunk_words in
         let a = max lo base and b = min hi (base + chunk_words) in
-        Array.fill chunk (a - base) (b - a) None
+        Array.fill chunk (a - base) (b - a) undecoded
       end
     done
 
@@ -343,8 +378,8 @@ let adopt_flash m image = attach m ~shared:true image
 let active_cycles m = m.cycles - m.idle_cycles
 
 (* Flag plumbing. *)
-let flag m b = (m.sreg lsr b) land 1
-let set_flag m b v =
+let[@inline] flag m b = (m.sreg lsr b) land 1
+let[@inline] set_flag m b v =
   if v then m.sreg <- m.sreg lor (1 lsl b)
   else m.sreg <- m.sreg land lnot (1 lsl b)
 
@@ -354,7 +389,7 @@ let spl_addr = Layout.io_data_addr Io.spl
 let sph_addr = Layout.io_data_addr Io.sph
 let sreg_addr = Layout.io_data_addr Io.sreg
 
-let read8 m addr =
+let[@inline] read8 m addr =
   let addr = addr land 0xFFFF in
   m.mem_reads <- m.mem_reads + 1;
   if addr < Layout.io_size then m.io_reads <- m.io_reads + 1;
@@ -367,7 +402,7 @@ let read8 m addr =
   else if addr >= 0x20 && addr < 0x60 then Io.read m.io ~cycles:m.cycles (addr - 0x20)
   else Char.code (Bytes.unsafe_get m.sram addr)
 
-let write8 m addr v =
+let[@inline] write8 m addr v =
   let addr = addr land 0xFFFF and v = v land 0xFF in
   m.mem_writes <- m.mem_writes + 1;
   if addr < Layout.io_size then m.io_writes <- m.io_writes + 1;
@@ -387,37 +422,37 @@ let read16 m addr = read8 m addr lor (read8 m (addr + 1) lsl 8)
    whose field extraction can only produce 0..31 (pair bases stop at
    30), so unchecked access is safe — and this is the hottest load/store
    in both execution tiers. *)
-let rg m i = Array.unsafe_get m.regs i
-let rs m i v = Array.unsafe_set m.regs i v
+let[@inline] rg m i = Array.unsafe_get m.regs i
+let[@inline] rs m i v = Array.unsafe_set m.regs i v
 
 (* Register-pair accessors. *)
-let pair m r = (rg m (r)) lor ((rg m (r + 1)) lsl 8)
-let set_pair m r v =
+let[@inline] pair m r = (rg m (r)) lor ((rg m (r + 1)) lsl 8)
+let[@inline] set_pair m r v =
   rs m (r) @@ v land 0xFF;
   rs m (r + 1) @@ (v lsr 8) land 0xFF
 
-let xreg m = pair m 26
-let yreg m = pair m 28
-let zreg m = pair m 30
-let set_xreg m v = set_pair m 26 v
-let set_yreg m v = set_pair m 28 v
-let set_zreg m v = set_pair m 30 v
+let[@inline] xreg m = pair m 26
+let[@inline] yreg m = pair m 28
+let[@inline] zreg m = pair m 30
+let[@inline] set_xreg m v = set_pair m 26 v
+let[@inline] set_yreg m v = set_pair m 28 v
+let[@inline] set_zreg m v = set_pair m 30 v
 
 (* Stack primitives (SP is a physical data address; PUSH stores then
    decrements, as on real AVR). *)
-let push8 m v =
+let[@inline] push8 m v =
   write8 m m.sp v;
   m.sp <- (m.sp - 1) land 0xFFFF
 
-let pop8 m =
+let[@inline] pop8 m =
   m.sp <- (m.sp + 1) land 0xFFFF;
   read8 m m.sp
 
-let push_pc m ret =
+let[@inline] push_pc m ret =
   push8 m (ret land 0xFF);
   push8 m ((ret lsr 8) land 0xFF)
 
-let pop_pc m =
+let[@inline] pop_pc m =
   let hi = pop8 m in
   let lo = pop8 m in
   (hi lsl 8) lor lo
@@ -429,19 +464,19 @@ let pop_pc m =
    chain of per-bit [set_flag] calls dominated the interpreter profile. *)
 
 (* Replace C,Z,N,V,S,H, preserving T and I. *)
-let set_alu_flags m ~h ~c ~v ~n ~z =
+let[@inline] set_alu_flags m ~h ~c ~v ~n ~z =
   m.sreg <-
     (m.sreg land 0xC0)
     lor c lor (z lsl 1) lor (n lsl 2) lor (v lsl 3)
     lor ((n lxor v) lsl 4) lor (h lsl 5)
 
 (* Replace C,Z,N,V,S, preserving H, T and I (the shift/rotate group). *)
-let set_shift_flags m ~c ~v ~n ~z =
+let[@inline] set_shift_flags m ~c ~v ~n ~z =
   m.sreg <-
     (m.sreg land 0xE0) lor c lor (z lsl 1) lor (n lsl 2) lor (v lsl 3)
     lor ((n lxor v) lsl 4)
 
-let alu_add m d r ~carry =
+let[@inline] alu_add m d r ~carry =
   let a = (rg m (d)) and b = (rg m (r)) in
   let c0 = if carry then m.sreg land 1 else 0 in
   let sum = a + b + c0 in
@@ -454,7 +489,7 @@ let alu_add m d r ~carry =
     ~z:(if res = 0 then 1 else 0);
   rs m (d) @@ res
 
-let sub_flags m a b ~borrow ~keep_z =
+let[@inline] sub_flags m a b ~borrow ~keep_z =
   let c0 = if borrow then m.sreg land 1 else 0 in
   let diff = a - b - c0 in
   let res = diff land 0xFF in
@@ -471,14 +506,18 @@ let sub_flags m a b ~borrow ~keep_z =
     ~z;
   res
 
+(* SUB/SBC/SUBI/SBCI and CP/CPC/CPI on register [d] and the value [v]. *)
+let[@inline] op_sub m d v ~borrow = rs m d (sub_flags m (rg m d) v ~borrow ~keep_z:borrow)
+let[@inline] op_cp m d v ~borrow = ignore (sub_flags m (rg m d) v ~borrow ~keep_z:borrow)
+
 (* AND/OR/EOR: replace Z,N,V(=0),S(=N), preserving C, H, T and I. *)
-let alu_logic m d res =
+let[@inline] alu_logic m d res =
   let n = res lsr 7 in
   let z = if res = 0 then 1 else 0 in
   m.sreg <- (m.sreg land 0xE1) lor (z lsl 1) lor (n lsl 2) lor (n lsl 4);
   rs m (d) @@ res
 
-let alu_adiw m d k ~sub =
+let[@inline] alu_adiw m d k ~sub =
   let w = pair m d in
   let res = (if sub then w - k else w + k) land 0xFFFF in
   let wh7 = w lsr 15 and r15 = res lsr 15 in
@@ -488,7 +527,7 @@ let alu_adiw m d k ~sub =
   set_pair m d res
 
 (* Single-register ALU ops of [exec_data]. *)
-let op_com m d =
+let[@inline] op_com m d =
   let res = 0xFF - (rg m (d)) in
   let n = res lsr 7 in
   (* C=1, V=0, S=N; H preserved. *)
@@ -497,7 +536,7 @@ let op_com m d =
     lor ((if res = 0 then 1 else 0) lsl 1) lor (n lsl 2) lor (n lsl 4);
   rs m (d) @@ res
 
-let op_neg m d =
+let[@inline] op_neg m d =
   let v0 = (rg m (d)) in
   let res = (0x100 - v0) land 0xFF in
   set_alu_flags m
@@ -508,7 +547,7 @@ let op_neg m d =
     ~z:(if res = 0 then 1 else 0);
   rs m (d) @@ res
 
-let op_inc m d =
+let[@inline] op_inc m d =
   let v0 = (rg m (d)) in
   let res = (v0 + 1) land 0xFF in
   set_shift_flags m
@@ -518,7 +557,7 @@ let op_inc m d =
     ~z:(if res = 0 then 1 else 0);
   rs m (d) @@ res
 
-let op_dec m d =
+let[@inline] op_dec m d =
   let v0 = (rg m (d)) in
   let res = (v0 - 1) land 0xFF in
   set_shift_flags m
@@ -528,21 +567,21 @@ let op_dec m d =
     ~z:(if res = 0 then 1 else 0);
   rs m (d) @@ res
 
-let op_asr m d =
+let[@inline] op_asr m d =
   let v0 = (rg m (d)) in
   let res = (v0 lsr 1) lor (v0 land 0x80) in
   let c = v0 land 1 and n = res lsr 7 in
   set_shift_flags m ~c ~v:(n lxor c) ~n ~z:(if res = 0 then 1 else 0);
   rs m (d) @@ res
 
-let op_lsr m d =
+let[@inline] op_lsr m d =
   let v0 = (rg m (d)) in
   let res = v0 lsr 1 in
   let c = v0 land 1 in
   set_shift_flags m ~c ~v:c ~n:0 ~z:(if res = 0 then 1 else 0);
   rs m (d) @@ res
 
-let op_ror m d =
+let[@inline] op_ror m d =
   let v0 = (rg m (d)) in
   let old_c = m.sreg land 1 in
   let res = (v0 lsr 1) lor (old_c lsl 7) in
@@ -551,7 +590,7 @@ let op_ror m d =
     ~z:(if res = 0 then 1 else 0);
   rs m (d) @@ res
 
-let op_mul m d r =
+let[@inline] op_mul m d r =
   let p = (rg m (d)) * (rg m (r)) in
   set_pair m 0 p;
   (* C = bit 15 of the product, Z; all other flags preserved. *)
@@ -560,7 +599,7 @@ let op_mul m d r =
 
 (* Resolve an indirect pointer access, applying post-increment /
    pre-decrement side effects; returns the effective address. *)
-let ptr_addr m = function
+let[@inline] ptr_addr m = function
   | Isa.X -> xreg m
   | X_inc -> let a = xreg m in set_xreg m ((a + 1) land 0xFFFF); a
   | X_dec -> let a = (xreg m - 1) land 0xFFFF in set_xreg m a; a
@@ -569,25 +608,28 @@ let ptr_addr m = function
   | Z_inc -> let a = zreg m in set_zreg m ((a + 1) land 0xFFFF); a
   | Z_dec -> let a = (zreg m - 1) land 0xFFFF in set_zreg m a; a
 
-(* The instruction at word address [pc] (below 64 K) through the decode
-   cache, decoding and caching it on a miss; raises
-   [Decode.Unknown_opcode] for an undecodable word. *)
-let decode m pc =
+(* The decode-cache entry at word address [pc] (below 64 K), decoding
+   and caching it on a miss; raises [Decode.Unknown_opcode] for an
+   undecodable word. *)
+let decoded m pc =
   let chunk = Array.unsafe_get m.code (pc lsr 8) in
-  match Array.unsafe_get chunk (pc land 0xFF) with
-  | Some i -> i
-  | None ->
-    let i, _ = Decode.at (flash_word m.flash) pc in
+  let e = Array.unsafe_get chunk (pc land 0xFF) in
+  if e != undecoded then e
+  else begin
+    let e = { insn = fst (Decode.at (flash_word m.flash) pc); op = unbuilt } in
     let chunk =
       if chunk != no_code_chunk then chunk
       else begin
-        let fresh = Array.make chunk_words None in
+        let fresh = Array.make chunk_words undecoded in
         m.code.(pc lsr 8) <- fresh;
         fresh
       end
     in
-    chunk.(pc land 0xFF) <- Some i;
-    i
+    chunk.(pc land 0xFF) <- e;
+    e
+  end
+
+let decode m pc = (decoded m pc).insn
 
 let fetch_decode m pc =
   match decode m pc with
@@ -598,30 +640,29 @@ let fetch_decode m pc =
 
 (* The data effect of one non-control instruction: registers, SREG,
    data memory and I/O.  PC, cycle and retired-count bookkeeping belong
-   to the caller.  Tier-0 [step] and the tier-1 block walker
-   ({!Block.exec_run}) both dispatch through this one match, so the two
-   tiers cannot diverge; inlined into each (release builds), it keeps
-   the block walker free of per-instruction calls. *)
+   to the caller.  Tier-0 [step] dispatches through this match; tier 1
+   runs the same primitives from one op per instruction
+   ({!Block.op_of}), which falls back to this match only for rare
+   instructions, so test_machine's "tier-1 op = tier-0 step" property
+   compares each op with it. *)
 let[@inline] exec_data m (insn : Isa.t) =
   match insn with
   | Nop | Wdr -> ()
   | Movw (d, r) -> rs m (d) @@ (rg m (r)); rs m (d + 1) @@ (rg m (r + 1))
   | Add (d, r) -> alu_add m d r ~carry:false
   | Adc (d, r) -> alu_add m d r ~carry:true
-  | Sub (d, r) ->
-    rs m (d) @@ sub_flags m (rg m (d)) (rg m (r)) ~borrow:false ~keep_z:false
-  | Sbc (d, r) ->
-    rs m (d) @@ sub_flags m (rg m (d)) (rg m (r)) ~borrow:true ~keep_z:true
+  | Sub (d, r) -> op_sub m d (rg m r) ~borrow:false
+  | Sbc (d, r) -> op_sub m d (rg m r) ~borrow:true
   | And (d, r) -> alu_logic m d ((rg m (d)) land (rg m (r)))
   | Or (d, r) -> alu_logic m d ((rg m (d)) lor (rg m (r)))
   | Eor (d, r) -> alu_logic m d ((rg m (d)) lxor (rg m (r)))
   | Mov (d, r) -> rs m (d) @@ (rg m (r))
-  | Cp (d, r) -> ignore (sub_flags m (rg m (d)) (rg m (r)) ~borrow:false ~keep_z:false)
-  | Cpc (d, r) -> ignore (sub_flags m (rg m (d)) (rg m (r)) ~borrow:true ~keep_z:true)
+  | Cp (d, r) -> op_cp m d (rg m r) ~borrow:false
+  | Cpc (d, r) -> op_cp m d (rg m r) ~borrow:true
   | Mul (d, r) -> op_mul m d r
-  | Cpi (d, k) -> ignore (sub_flags m (rg m (d)) k ~borrow:false ~keep_z:false)
-  | Sbci (d, k) -> rs m (d) @@ sub_flags m (rg m (d)) k ~borrow:true ~keep_z:true
-  | Subi (d, k) -> rs m (d) @@ sub_flags m (rg m (d)) k ~borrow:false ~keep_z:false
+  | Cpi (d, k) -> op_cp m d k ~borrow:false
+  | Sbci (d, k) -> op_sub m d k ~borrow:true
+  | Subi (d, k) -> op_sub m d k ~borrow:false
   | Ori (d, k) -> alu_logic m d ((rg m (d)) lor k)
   | Andi (d, k) -> alu_logic m d ((rg m (d)) land k)
   | Ldi (d, k) -> rs m (d) @@ k
@@ -666,7 +707,7 @@ let[@inline] exec_data m (insn : Isa.t) =
    of a return address), then its effect — control instructions here,
    the rest through [exec_data].  Retired-count updates belong to the
    caller.  Tier-0 [step] and every tier-1 block terminator
-   ({!Block.compile}) run through here.  The result is the "benign" bit:
+   ({!Block.finish}) run through here.  The result is the "benign" bit:
    [false] when the instruction can halt, sleep or trap (a block then
    returns to the run loop instead of chaining), [true] otherwise. *)
 let[@inline] exec_insn m (insn : Isa.t) pc =

@@ -30,6 +30,15 @@ fi
 aot_cache="$PWD/_build/default/test/aot-cache"
 SENSMART_AOT_CACHE="$aot_cache" dune exec test/test_tiers.exe
 
+# Tier-1 ops against tier-0 steps: tier 1 runs each instruction through
+# an op of its own, so every instruction a tier-1 block can hold is
+# checked from random state (test_machine "tier1-ops"), here under
+# three fixed seeds, so a seed-dependent divergence fails by name.
+for seed in 1 2 3; do
+    SENSMART_SEED=$seed SENSMART_AOT_CACHE="$aot_cache" \
+        dune exec test/test_machine.exe -- test tier1-ops
+done
+
 # Domain-parallel determinism: Net.run at 1 vs N domains must produce
 # byte-identical counters, events, and machine state.
 SENSMART_AOT_CACHE="$aot_cache" dune exec test/test_net.exe -- test domains

@@ -590,6 +590,40 @@ let far_patch_seen via_call () =
   Alcotest.(check int) "tier-1 r20" m0.regs.(20) m1.regs.(20);
   Alcotest.(check bool) "tier-1 state = tier-0" true (arch_state m0 = arch_state m1)
 
+(* A word inside a hot loop body, not a block entry, patched after the
+   loop ran at tier 1: the next pass must run the new instruction, not
+   the op the old one left in the decode cache.  On a shared image the
+   load detaches the patched mote first, and an unpatched sibling keeps
+   running the old instruction. *)
+let body_word_patched shared () =
+  (* 0: ldi r16 4; 1: nop; 2: inc r17; 3: dec r16; 4: brne 1; 5: break *)
+  let prog = Encode.program [ Isa.Ldi (16, 4); Nop; Inc 17; Dec 16; Brbc (1, -4); Break ] in
+  let pass (m : Machine.Cpu.t) =
+    m.halted <- None;
+    m.pc <- 0;
+    match Machine.Cpu.run ~tier:1 m with
+    | Halted Break_hit -> ()
+    | s -> Alcotest.failf "run: %a" Machine.Cpu.pp_stop s
+  in
+  let boot () =
+    if shared then
+      Machine.Cpu.create_shared
+        (Machine.Cpu.image_of (Machine.Cpu.canonical_init 6 (Array.get prog)))
+    else Machine.Cpu.create ~flash:prog ()
+  in
+  let m = boot () in
+  let sibling = if shared then Machine.Cpu.create_shared m.image else boot () in
+  pass m;
+  pass sibling;
+  Alcotest.(check bool) "loop compiled" true (m.blocks.(0).(1) <> None);
+  Alcotest.(check bool) "one block table" shared (m.blocks == sibling.blocks);
+  Machine.Cpu.load ~at:2 m (Encode.program [ Isa.Inc 18 ]);
+  pass m;
+  pass sibling;
+  Alcotest.(check (pair int int)) "patched r17, r18" (4, 4) (m.regs.(17), m.regs.(18));
+  Alcotest.(check (pair int int)) "sibling r17, r18" (8, 0)
+    (sibling.regs.(17), sibling.regs.(18))
+
 (* A callee that replaces its return address: pops the pushed one and
    pushes word 3, skipping the [inc r21] after the call.  The loop's
    block follows the RET to the pushed address, so its guard must see
@@ -660,6 +694,114 @@ let ret_guard_mismatch () =
   in
   let skipped, _ = summarized (Encode.program main) in
   Alcotest.(check bool) "iterations skipped" true (skipped > 0)
+
+(* --- Tier-1 ops against tier-0 steps ----------------------------------- *)
+
+(* Tier 1 runs each instruction through an op of its own
+   ({!Machine.Block.op_of}), not through tier 0's dispatch, so every
+   instruction a block body or terminator can hold is checked against
+   tier 0 from random state.  The instruction sits at word [op_at]
+   among BREAKs, so its block is its op and a BREAK terminator (a call
+   or jump is followed into a BREAK), or the terminator alone. *)
+let op_at = 0x100
+
+(* Data addresses of each class the primitives tell apart: SREG, SPL,
+   SPH, a peripheral register, other I/O, SRAM, and past the data
+   space. *)
+let gen_addr =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ 0x5F; 0x5D; 0x5E ]; int_range 0x20 0x5F;
+        oneof [ int_range 0 0x1F; int_range 0x60 0xFF ]; int_range 0x100 0x10FF;
+        int_range 0x1100 0xFFFF ])
+
+let gen_op =
+  let open QCheck.Gen in
+  let reg = int_range 0 31 and hi = int_range 16 31 and byte = int_range 0 255 in
+  let even = map (fun r -> 2 * r) (int_range 0 15) and bit = int_range 0 7 in
+  let rel = int_range (-64) 63 and q = int_range 0 63 in
+  (* SREG, SPL and SPH half the time *)
+  let io = oneof [ oneofl [ 0x3F; 0x3D; 0x3E ]; int_range 0 63 ] in
+  let ptr = oneofl Isa.[ X; X_inc; X_dec; Y_inc; Y_dec; Z_inc; Z_dec ] in
+  let base = oneofl Isa.[ Ybase; Zbase ] in
+  let one fs arg = map2 (fun f x -> f x) (oneofl fs) arg in
+  let two fs a b = map3 (fun f x y -> f x y) (oneofl fs) a b in
+  oneof
+    [ oneofl Isa.[ Nop; Wdr; Ijmp; Icall; Ret; Reti; Sleep; Break ];
+      map2 (fun d r -> Isa.Movw (d, r)) even even;
+      two
+        Isa.
+          [ (fun d r -> Add (d, r)); (fun d r -> Adc (d, r)); (fun d r -> Sub (d, r));
+            (fun d r -> Sbc (d, r)); (fun d r -> And (d, r)); (fun d r -> Or (d, r));
+            (fun d r -> Eor (d, r)); (fun d r -> Mov (d, r)); (fun d r -> Cp (d, r));
+            (fun d r -> Cpc (d, r)); (fun d r -> Mul (d, r)) ]
+        reg reg;
+      two
+        Isa.
+          [ (fun d k -> Cpi (d, k)); (fun d k -> Sbci (d, k)); (fun d k -> Subi (d, k));
+            (fun d k -> Ori (d, k)); (fun d k -> Andi (d, k)); (fun d k -> Ldi (d, k)) ]
+        hi byte;
+      two Isa.[ (fun d k -> Adiw (d, k)); (fun d k -> Sbiw (d, k)) ]
+        (oneofl [ 24; 26; 28; 30 ]) q;
+      one
+        Isa.
+          [ (fun d -> Com d); (fun d -> Neg d); (fun d -> Swap d); (fun d -> Inc d);
+            (fun d -> Dec d); (fun d -> Asr d); (fun d -> Lsr d); (fun d -> Ror d);
+            (fun d -> Push d); (fun d -> Pop d) ]
+        reg;
+      map2 (fun d p -> Isa.Ld (d, p)) reg ptr;
+      map2 (fun p r -> Isa.St (p, r)) ptr reg;
+      map3 (fun d b k -> Isa.Ldd (d, b, k)) reg base q;
+      map3 (fun b k r -> Isa.Std (b, k, r)) base q reg;
+      map2 (fun d a -> Isa.Lds (d, a)) reg gen_addr;
+      map2 (fun a r -> Isa.Sts (a, r)) gen_addr reg;
+      map2 (fun d inc -> Isa.Lpm (d, inc)) reg bool;
+      map2 (fun d a -> Isa.In (d, a)) reg io;
+      map2 (fun a r -> Isa.Out (a, r)) io reg;
+      one Isa.[ (fun k -> Rjmp k); (fun k -> Rcall k) ] rel;
+      one Isa.[ (fun a -> Jmp a); (fun a -> Call a) ] (int_range 0 0x1FF);
+      two Isa.[ (fun s k -> Brbs (s, k)); (fun s k -> Brbc (s, k)) ] bit rel;
+      one Isa.[ (fun s -> Bset s); (fun s -> Bclr s) ] bit;
+      map (fun k -> Isa.Syscall k) (int_range 0 127) ]
+
+(* An instruction, SP (the bottom and top of SRAM, wrapping either way,
+   or anywhere), X, Y and Z, and the seed of the other state. *)
+let arb_op =
+  QCheck.make
+    ~print:(fun (insn, sp, (x, y, z), seed) ->
+      Printf.sprintf "%s sp=%04x x=%04x y=%04x z=%04x seed=%d" (Isa.show insn) sp x y
+        z seed)
+    QCheck.Gen.(
+      quad gen_op
+        (oneof [ oneofl [ 0x100; 0x10FF; 0; 0xFFFF ]; int_range 0 0xFFFF ])
+        (triple gen_addr gen_addr gen_addr) int)
+
+let op_machine (insn, sp, (x, y, z), seed) =
+  let m = Machine.Cpu.create () in
+  Machine.Cpu.load m (Encode.program (List.init 0x200 (fun _ -> Isa.Break)));
+  Machine.Cpu.load ~at:op_at m (Encode.program [ insn ]);
+  let rs = Random.State.make [| seed |] in
+  Array.iteri (fun r _ -> m.regs.(r) <- Random.State.int rs 256) m.regs;
+  Bytes.iteri (fun a _ -> Bytes.set m.sram a (Char.chr (Random.State.int rs 256))) m.sram;
+  List.iteri
+    (fun k p -> m.regs.(26 + (2 * k)) <- p land 0xFF; m.regs.(27 + (2 * k)) <- p lsr 8)
+    [ x; y; z ];
+  m.sreg <- Random.State.int rs 256;
+  m.cycles <- Random.State.int rs 1_000_000;
+  m.sp <- sp;
+  m.pc <- op_at;
+  m
+
+(* Both runs stop on a small fuel budget: a RET, IJMP or jump may land
+   anywhere, the instruction itself included. *)
+let prop_tier1_ops =
+  QCheck.Test.make ~name:"tier-1 op = tier-0 step" ~count:3000 arb_op (fun case ->
+      let m0 = op_machine case and m1 = op_machine case in
+      let max_cycles = m0.cycles + 64 in
+      let s0 = Machine.Cpu.run ~tier:0 ~max_cycles m0 in
+      ignore (Machine.Block.compile m1 op_at);
+      let s1 = Machine.Cpu.run ~tier:1 ~max_cycles m1 in
+      s0 = s1 && (full_state m0, m0.sleeping) = (full_state m1, m1.sleeping))
 
 (* --- Tier-2 translator output pinned ----------------------------------- *)
 
@@ -792,6 +934,10 @@ let () =
            (far_patch_seen true);
          Alcotest.test_case "far jump target patched (tier-1)" `Quick
            (far_patch_seen false);
+         Alcotest.test_case "word patched inside a hot loop body (tier-1)" `Quick
+           (body_word_patched false);
+         Alcotest.test_case "word patched inside a hot loop body (tier-1, shared)"
+           `Quick (body_word_patched true);
          Alcotest.test_case "callee replaces its return address" `Quick
            callee_redirects_return;
          Alcotest.test_case "RET guard mismatch in a summarized loop" `Quick
@@ -820,6 +966,7 @@ let () =
          Alcotest.test_case "adc read tearing" `Quick adc_read_no_tear;
          Alcotest.test_case "run_native stale horizon" `Quick
            run_native_clears_stale_horizon ]);
+      ("tier1-ops", [ Gen.to_alcotest prop_tier1_ops ]);
       ("tier2",
        [ Alcotest.test_case "translator output pinned" `Quick
            translator_output_pinned ]);
